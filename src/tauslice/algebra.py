@@ -542,23 +542,18 @@ class StructureConstants:
 
     def multiply(self, u, v):
         fld = self.field
-        z = fld.zero()
-        out = [z] * self.dim
+        out = [fld.zero()] * self.dim
         for i, ci in enumerate(u):
-            if ci == z:
+            if not ci:
                 continue
             for j, cj in enumerate(v):
-                if cj == z:
+                if not cj:
                     continue
                 c = fld.mul(ci, cj)
                 for k, t in enumerate(self.table[i][j]):
-                    if t != z:
+                    if t:
                         out[k] = fld.add(out[k], fld.mul(c, t))
         return tuple(out)
-
-    def left_mult_matrix(self, u) -> Matrix:
-        cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)), self.dim)
 
     def right_mult_matrix(self, u) -> Matrix:
         cols = [self.multiply(self.basis_vector(j), u) for j in range(self.dim)]
@@ -579,17 +574,18 @@ def radical_span(sc: StructureConstants) -> Matrix:
     fld = sc.field
     if 0 < fld.characteristic <= sc.dim:
         raise FieldTooSmall(f"radical via trace form needs char 0 or p > dim = {sc.dim}")
-    lmats = [sc.left_mult_matrix(sc.basis_vector(i)) for i in range(sc.dim)]
-    gram = []
-    for i in range(sc.dim):
-        row = []
-        for j in range(sc.dim):
-            prod = lmats[i] @ lmats[j]
-            tr = fld.zero()
-            for k in range(sc.dim):
-                tr = fld.add(tr, prod.rows[k][k])
-            row.append(tr)
-        gram.append(row)
+    # L_i[k][l] = table[i][l][k], so tr(L_i L_j) = sum_{k,l} L_i[k][l] L_j[l][k]
+    # runs over the nonzero entries of L_i and forms no product.
+    d, table, p = sc.dim, sc.table, fld.characteristic
+    nonzero = [
+        [(k, l, x) for l, vec in enumerate(table[i]) for k, x in enumerate(vec) if x]
+        for i in range(d)
+    ]
+    gram = [[fld.zero()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            tr = sum((x * table[j][k][l] for k, l, x in nonzero[i]), fld.zero())
+            gram[i][j] = gram[j][i] = tr % p if p else tr
     kern = Matrix(fld, gram, sc.dim).kernel_basis()
     return span_matrix(fld, [k.column_vector(0) for k in kern], sc.dim)
 

@@ -596,20 +596,24 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
 
 
 def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
-    """The almost split sequence 0 -> m -> E -> tau^{-1} m -> 0, via duality."""
+    """The almost split sequence 0 -> m -> E -> tau^{-1} m -> 0, via duality.
+
+    The sequence starts at m itself: D D m equals m but is a copy, so the
+    left map is re-sourced on m with the same blocks.
+    """
     if m.is_zero() or is_injective_rep(m):
         raise ValueError("almost split sequences start at non-injective modules")
     ass_op = almost_split_sequence(dual(m))
-    left = dual(ass_op.ses.quot)  # = m
     mid = dual(ass_op.ses.middle)
     right = dual(ass_op.ses.sub)  # = tau^{-1} m
+    left_map = dual_morphism(ass_op.ses.right_map)
     ses = ShortExactSequence(
-        left, mid, right,
-        dual_morphism(ass_op.ses.right_map),
+        m, mid, right,
+        Morphism(m, mid, left_map.blocks, _checked=True),
         dual_morphism(ass_op.ses.left_map),
     )
     ses.verify()
-    return AlmostSplitSequence(ses, left, right, [(dual(r), k) for r, k in ass_op.middle_summands])
+    return AlmostSplitSequence(ses, m, right, [(dual(r), k) for r, k in ass_op.middle_summands])
 
 
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:

@@ -58,14 +58,17 @@ class Field:
         return str(a)
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 class RationalField(Field):
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -165,13 +168,19 @@ class Matrix:
     Rows are tuples of field elements; ``m[i][j]`` is row i, column j.
     A matrix representing a linear map k^c -> k^r has shape (r, c) and acts
     on column vectors.
+
+    The kernels below test for zero by truthiness (``Fraction(0)`` and the
+    int 0 of ``GF(p)`` are the only falsy field elements) and do their
+    arithmetic inline: plain ``Fraction`` operators over Q, int arithmetic
+    with one ``% p`` per computed entry over ``GF(p)``.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         self.field = field
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        coerce = field.coerce
+        rows = tuple(tuple(map(coerce, row)) for row in rows)
         self.nrows = len(rows)
         if rows:
             self.ncols = len(rows[0])
@@ -186,17 +195,30 @@ class Matrix:
         self.rows = rows
         self._hash = None
 
+    @classmethod
+    def _raw(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """Trusted constructor: ``rows`` is a tuple of equal-length tuples of
+        elements of ``field``, so nothing is coerced or checked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._hash = None
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return Matrix._raw(field, ((field.zero(),) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return Matrix._raw(
+            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n
+        )
 
     @staticmethod
     def from_rows(field: Field, rows, ncols: int | None = None) -> "Matrix":
@@ -234,8 +256,7 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def _check_field(self, other: "Matrix"):
         if self.field != other.field:
@@ -247,15 +268,17 @@ class Matrix:
         self._check_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
+        p = self.field.characteristic
+        if p:
+            rows = tuple(
+                tuple((a + b) % p for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+            )
+        else:
+            rows = tuple(
+                tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+            )
+        return Matrix._raw(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.field.coerce(-1))
@@ -266,33 +289,37 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
+        p = f.characteristic
+        if p:
+            rows = tuple(tuple(c * x % p for x in row) for row in self.rows)
+        else:
+            rows = tuple(tuple(c * x for x in row) for row in self.rows)
+        return Matrix._raw(f, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row-by-rows product (i-k-j order) over the nonzero entries."""
         self._check_field(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
+        p = f.characteristic
+        n = other.ncols
         z = f.zero()
-        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
-            new = []
-            for col in ocols:
-                acc = z
-                for a, b in zip(row, col):
-                    if a != z and b != z:
-                        acc = f.add(acc, f.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        if not out:
-            return Matrix.zero(f, 0, other.ncols)
-        return Matrix(f, out, other.ncols)
+            acc = [z] * n
+            for a, brow in zip(row, other_nz):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(tuple(x % p for x in acc) if p else tuple(acc))
+        return Matrix._raw(f, tuple(out), n)
 
     def transpose(self) -> "Matrix":
         if not self.rows:
             return Matrix.zero(self.field, self.ncols, 0)
-        return Matrix(self.field, list(zip(*self.rows)), self.nrows)
+        return Matrix._raw(self.field, tuple(zip(*self.rows)), self.nrows)
 
     # -- block operations --------------------------------------------
 
@@ -300,9 +327,9 @@ class Matrix:
         self._check_field(other)
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(
+        return Matrix._raw(
             self.field,
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
             self.ncols + other.ncols,
         )
 
@@ -310,29 +337,27 @@ class Matrix:
         self._check_field(other)
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        return Matrix._raw(self.field, self.rows + other.rows, self.ncols)
 
     @staticmethod
     def block_diagonal(field: Field, blocks) -> "Matrix":
         blocks = list(blocks)
-        nr = sum(b.nrows for b in blocks)
         nc = sum(b.ncols for b in blocks)
-        out = [[field.zero()] * nc for _ in range(nr)]
-        r0 = c0 = 0
+        z = field.zero()
+        out = []
+        c0 = 0
         for b in blocks:
-            for i, row in enumerate(b.rows):
-                for j, x in enumerate(row):
-                    out[r0 + i][c0 + j] = x
-            r0 += b.nrows
+            left, right = (z,) * c0, (z,) * (nc - c0 - b.ncols)
+            out.extend(left + row + right for row in b.rows)
             c0 += b.ncols
-        return Matrix(field, out, nc)
+        return Matrix._raw(field, tuple(out), nc)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx = list(row_idx)
         col_idx = list(col_idx)
-        return Matrix(
+        rows = self.rows
+        return Matrix._raw(
             self.field,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
+            tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx),
             len(col_idx),
         )
 
@@ -353,30 +378,46 @@ class Matrix:
         first row (top to bottom) with a nonzero entry is used.
         """
         f = self.field
-        z = f.zero()
+        p = f.characteristic
+        ncols = self.ncols
         rows = [list(r) for r in self.rows]
+        nrows = len(rows)
         pivots = []
         r = 0
-        for c in range(self.ncols):
-            if r >= len(rows):
+        for c in range(ncols):
+            if r >= nrows:
                 break
-            pr = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != z:
-                    pr = i
-                    break
-            if pr is None:
+            pr = r
+            while pr < nrows and not rows[pr][c]:
+                pr += 1
+            if pr == nrows:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != z:
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            prow = rows[r]
+            # In rows r.. every column left of c is already zero.
+            nz = [j for j in range(c, ncols) if prow[j]]
+            piv = prow[c]
+            if piv != 1:
+                if p:
+                    inv = pow(piv, -1, p)
+                    for j in nz:
+                        prow[j] = prow[j] * inv % p
+                else:
+                    for j in nz:
+                        prow[j] = prow[j] / piv
+            for i in range(nrows):
+                row = rows[i]
+                fac = row[c]
+                if fac and i != r:
+                    if p:
+                        for j in nz:
+                            row[j] = (row[j] - fac * prow[j]) % p
+                    else:
+                        for j in nz:
+                            row[j] = row[j] - fac * prow[j]
             pivots.append(c)
             r += 1
-        return Matrix(f, rows, self.ncols), tuple(pivots)
+        return Matrix._raw(f, tuple(map(tuple, rows)), ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -398,7 +439,7 @@ class Matrix:
             v[fc] = f.one()
             for r, pc in enumerate(pivots):
                 v[pc] = f.neg(R.rows[r][fc])
-            basis.append(Matrix.column(f, v))
+            basis.append(Matrix._raw(f, tuple((x,) for x in v), 1))
         return basis
 
     def solve(self, b: "Matrix"):
@@ -410,23 +451,15 @@ class Matrix:
         self._check_field(b)
         if b.nrows != self.nrows:
             raise ValueError("right-hand side has wrong number of rows")
-        f = self.field
-        z = f.zero()
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
         n = self.ncols
-        for r in range(R.nrows):
-            if all(R.rows[r][c] == z for c in range(n)) and any(
-                R.rows[r][c] != z for c in range(n, R.ncols)
-            ):
-                return None
-        sol = [[z] * b.ncols for _ in range(n)]
+        R, pivots = self.hstack(b).rref()
+        if pivots and pivots[-1] >= n:
+            return None  # a pivot in the augmented block: inconsistent
+        zrow = (self.field.zero(),) * b.ncols
+        sol = [zrow] * n
         for r, pc in enumerate(pivots):
-            if pc >= n:
-                return None  # pivot in the augmented block: inconsistent
-            for k in range(b.ncols):
-                sol[pc][k] = R.rows[r][n + k]
-        return Matrix(f, sol, b.ncols)
+            sol[pc] = R.rows[r][n:]
+        return Matrix._raw(self.field, tuple(sol), b.ncols)
 
     def inverse(self):
         """Inverse of a square matrix, or ``None`` if singular."""
@@ -455,10 +488,7 @@ def span_matrix(field: Field, vectors, n: int) -> Matrix:
     rows = [tuple(v) for v in vectors]
     if not rows:
         return Matrix.zero(field, 0, n)
-    basis = row_space_basis(Matrix(field, rows, n))
-    if not basis:
-        return Matrix.zero(field, 0, n)
-    return Matrix(field, basis, n)
+    return Matrix._raw(field, tuple(row_space_basis(Matrix(field, rows, n))), n)
 
 
 def in_span(span: Matrix, vector) -> bool:
@@ -509,12 +539,9 @@ def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
         return Matrix.zero(f, 0, a.ncols)
     # Solve x*a = y*b: kernel of [a^T | -b^T] acting on (x, y).
     stacked = a.transpose().hstack(b.transpose().scale(f.coerce(-1)))
-    vecs = []
-    for k in stacked.kernel_basis():
-        coeffs = [k.rows[i][0] for i in range(a.nrows)]
-        vec = [f.zero()] * a.ncols
-        for c, row in zip(coeffs, a.rows):
-            if c != f.zero():
-                vec = [f.add(v, f.mul(c, x)) for v, x in zip(vec, row)]
-        vecs.append(vec)
-    return span_matrix(f, vecs, a.ncols)
+    kern = stacked.kernel_basis()
+    if not kern:
+        return Matrix.zero(f, 0, a.ncols)
+    # x*a for every kernel vector (x, y), as the rows of one product
+    coeffs = Matrix._raw(f, tuple(k.column_vector(0)[: a.nrows] for k in kern), a.nrows)
+    return span_matrix(f, (coeffs @ a).rows, a.ncols)

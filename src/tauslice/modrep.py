@@ -312,10 +312,14 @@ def hom_basis(m: Representation, n: Representation):
 
     Unknowns are the block entries (vertex order, row-major); the returned
     basis is the deterministic kernel basis of the intertwining system.
+    The morphisms run from m to n themselves: a cache hit computed for
+    earlier, equal objects is rebuilt on m and n with the same blocks.
     """
     key = (m, n)
     hit = _hom_cache.get(key)
     if hit is not None:
+        if hit and (hit[0].source is not m or hit[0].target is not n):
+            return [Morphism(m, n, f.blocks, _checked=True) for f in hit]
         return hit
     a = m.algebra
     if a is not n.algebra:
@@ -344,7 +348,7 @@ def hom_basis(m: Representation, n: Representation):
                 # -(N_a f_x)_{ij} = -sum_k Na[i,k] f_x[k,j]
                 for k in range(n.dims[x]):
                     row[var(x, k, j)] = fld.sub(row[var(x, k, j)], na.rows[i][k])
-                if any(c != fld.zero() for c in row):
+                if any(row):
                     rows.append(row)
     if total == 0:
         basis = []
@@ -565,18 +569,17 @@ def end_structure(m: Representation):
     d = len(basis)
     if d == 0:
         return basis, StructureConstants(fld, 0, (), ())
-    rows = [g.flatten() for g in basis]
-    bmat = Matrix(fld, rows, len(rows[0]))
-    table = []
-    for f in basis:
-        row = []
-        for g in basis:
-            co = coordinates_in_basis(bmat, compose(f, g).flatten())
-            if co is None:
-                raise ArithmeticError("End(m) is not closed under composition")
-            row.append(tuple(co))
-        table.append(tuple(row))
-    unit = coordinates_in_basis(bmat, identity_morphism(m).flatten())
+    # one solve, against the flattened basis as columns, for the coordinates
+    # of every product f o g and of the identity
+    rhs = [compose(f, g).flatten() for f in basis for g in basis]
+    rhs.append(identity_morphism(m).flatten())
+    bmat_t = Matrix._raw(fld, tuple(zip(*(g.flatten() for g in basis))), d)
+    coords = bmat_t.solve(Matrix._raw(fld, tuple(zip(*rhs)), len(rhs)))
+    if coords is None:
+        raise ArithmeticError("End(m) is not closed under composition")
+    cols = list(zip(*coords.rows))
+    table = [tuple(cols[i * d: (i + 1) * d]) for i in range(d)]
+    unit = cols[d * d]
     return basis, StructureConstants(fld, d, tuple(table), tuple(unit))
 
 

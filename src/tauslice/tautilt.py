@@ -115,7 +115,8 @@ def is_tau_tilting(m: Representation) -> bool:
     out = is_tau_rigid(m) and len(summands) == m.algebra.quiver.n_vertices
     if out:
         # tau-tilting modules are exactly the sincere support tau-tilting ones
-        assert is_sincere(m)
+        if not is_sincere(m):
+            raise ArithmeticError("tau-tilting module is not sincere")
     return out
 
 
@@ -151,7 +152,8 @@ def is_support_tau_tilting(m: Representation) -> bool:
     else:
         out = is_tau_tilting(inflate_along_quotient(m, qmap))
     by_pair = is_tau_rigid(m) and len(summands) == len(support_vertices(m))
-    assert out == by_pair, "support quotient and pair criteria disagree"
+    if out != by_pair:
+        raise ArithmeticError("support quotient and pair criteria disagree")
     return out
 
 
@@ -160,7 +162,8 @@ def is_tilting(m: Representation) -> bool:
     out = is_tau_tilting(m) and projective_dimension_at_most(m, 1)
     if out:
         # tilting modules are exactly the faithful support tau-tilting ones
-        assert is_faithful(m)
+        if not is_faithful(m):
+            raise ArithmeticError("tilting module is not faithful")
     return out
 
 
@@ -408,15 +411,14 @@ def is_tau_slice(sigma: SliceCandidate) -> bool:
 
     A tau-rigid presection is automatically support tau-tilting, so the
     rigidity test decides; the support test is re-run as a consistency
-    assertion.
+    check that raises ``ArithmeticError`` when the two disagree.
     """
     if not is_presection(sigma):
         return False
     mod = sigma.module()
     rigid = is_tau_rigid(mod)
-    assert rigid == is_support_tau_tilting(mod), (
-        "rigid presection failed the support tau-tilting test"
-    )
+    if rigid != is_support_tau_tilting(mod):
+        raise ArithmeticError("rigid presection failed the support tau-tilting test")
     return rigid
 
 
@@ -1398,7 +1400,8 @@ def orbit_graph(arq: ARQuiver, seed=None) -> OrbitGraph:
     for root in sorted(classes):
         reps = classes[root]
         mults = {bundles[k] for k in reps}
-        assert len(mults) == 1, "sigma-orbit with inconsistent multiplicities"
+        if len(mults) != 1:
+            raise ArithmeticError("sigma-orbit with inconsistent multiplicities")
         s, t = min(reps)
         e = (min(orbit_of[s], orbit_of[t]), max(orbit_of[s], orbit_of[t]))
         edges.extend([e] * bundles[(s, t)])
@@ -1545,7 +1548,8 @@ def is_tilted(a: PresentedAlgebra, search_cap=10000, max_nodes=512) -> TiltedVer
     except _BudgetExhausted:
         return TiltedVerdict("inconclusive", None, explored)
     if found is not None:
-        assert is_complete_tau_slice(found)
+        if not is_complete_tau_slice(found):
+            raise ArithmeticError("tilted witness is not a complete tau-slice")
         return TiltedVerdict("tilted", found, explored)
     return TiltedVerdict("not-tilted", None, explored)
 
@@ -1670,7 +1674,8 @@ def splitex_check(
     """Whether a complete tau-slice survives the split extension by Q.
 
     Evaluates the two membership conditions, builds C + Q, re-runs the slice
-    test there, and asserts that the outcomes agree (they are equivalent).
+    test there, and raises ``ArithmeticError`` unless the outcomes agree
+    (they are equivalent).
     Also reports whether the annihilator over the extension is exactly Q,
     which is the expected behaviour when the base is tilted and sigma a
     complete slice.
@@ -1687,9 +1692,10 @@ def splitex_check(
     members_b = [member_over_split_extension(u, ser) for u in sigma.members]
     cand = SliceCandidate(ser.algebra, members_b)
     preserved = is_complete_tau_slice(cand)
-    assert preserved == (cond_fac and cond_sub), (
-        "membership conditions disagree with the slice test over the extension"
-    )
+    if preserved != (cond_fac and cond_sub):
+        raise ArithmeticError(
+            "membership conditions disagree with the slice test over the extension"
+        )
     # annihilator of the slice over the extension, in C (+) Q coordinates
     mod = cand.module()
     ann = annihilator_span(mod)

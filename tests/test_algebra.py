@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import QQ
 from tauslice.algebra import (
+    radical_span,
     Arrow, Quiver, build_algebra, quotient, quiverize, presentation_isomorphism,
     one_point_extension, one_point_coextension, ideal_bimodule, split_extension,
     MalformedRelation, NonAdmissible,
@@ -190,3 +191,14 @@ def test_admissibility_errors():
                            w(q, "2", "b"): Fraction(1)}])
     with pytest.raises(NonAdmissible):
         build_algebra(q, [{w(q, "1", "a"): Fraction(1)}])
+
+
+def test_radical_dimension_of_basic_algebras(algebras):
+    # kQ/I with I admissible is basic, and its radical is spanned by the
+    # paths of positive length: dim rad = dim A - number of vertices.  This
+    # does not depend on the trace form that radical_span uses.
+    assert len(algebras) == 11
+    for name, a in algebras.items():
+        assert a.field == QQ
+        rad = radical_span(a.structure_constants())
+        assert rad.nrows == a.dim - a.quiver.n_vertices, name

@@ -10,6 +10,7 @@ from tauslice.modrep import (
 )
 from tauslice.artheory import (
     tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
+    almost_split_sequence_starting,
     ext_dim, ext_data, realize_extension, stable_hom_dim_mod_injectives,
     end_algebra, is_hereditary, is_projective_rep, is_injective_rep,
     relation_extension_bimodule, bimodule_right_rep, bimodule_dual_left_rep,
@@ -94,6 +95,19 @@ def test_cached_results_end_at_their_own_argument(a3):
         assert pres.module is m
         assert pres.cover.target is m
     assert almost_split_sequence(first).left is almost_split_sequence(second).left
+
+
+def test_sequence_starting_at_m_begins_at_m_itself(a3):
+    # the sequence is computed over the opposite algebra and dualised back;
+    # D D m equals m, but the result must start at the object it was given
+    m = simple(a3, "2")
+    seq = almost_split_sequence_starting(m)
+    assert seq.left is m
+    assert seq.ses.sub is m
+    assert seq.ses.left_map.source is m
+    assert seq.ses.left_map.target is seq.ses.middle
+    assert seq.right == tau_inverse(m)
+    seq.ses.verify()
 
 
 def test_ar_quiver_counts(algebras):

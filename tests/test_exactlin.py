@@ -145,3 +145,163 @@ def test_row_space_basis_spans(m):
     assert sp.nrows == m.rank()
     for row in m.rows:
         assert in_span(sp, row)
+
+
+# --- kernel properties from the definition, over Q, F2 and F5 ---------------
+#
+# Sparse matrices (most entries zero, some whole rows and columns zero) and
+# degenerate shapes.  Every check below is stated from the definition, or
+# against a textbook loop written here with the field's own operations.
+
+F2 = PrimeField(2)
+FIELDS = [QQ, F2, F5]
+DEGENERATE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1)]
+
+
+@st.composite
+def sparse_matrices(draw, field, max_rows=5, max_cols=5, shape=None):
+    nrows, ncols = shape if shape else (
+        draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    )
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    return Matrix(field, rows, ncols)
+
+
+def reference_product(a, b):
+    f = a.field
+    out = [[f.zero()] * b.ncols for _ in range(a.nrows)]
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for k in range(a.ncols):
+                out[i][j] = f.add(out[i][j], f.mul(a.rows[i][k], b.rows[k][j]))
+    return out
+
+
+def reference_rank(field, rows, ncols):
+    """Rank by textbook Gaussian elimination with the Field methods."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(rows))
+                   if not field.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            fac = field.div(rows[i][c], rows[rank][c])
+            rows[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def check_rref(m):
+    f = m.field
+    r, pivots = m.rref()
+    assert r.shape == m.shape
+    assert list(pivots) == sorted(set(pivots))
+    for i, row in enumerate(r.rows):
+        if i >= len(pivots):
+            assert all(f.is_zero(x) for x in row)
+            continue
+        lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
+        assert lead == pivots[i] and row[lead] == f.one()
+        for k, other in enumerate(r.rows):
+            assert k == i or f.is_zero(other[lead])
+    # every row of m is the combination of the rows of r given by its
+    # pivot coordinates, so row(m) lies in row(r); equal ranks give equality
+    for row in m.rows:
+        combo = [f.zero()] * m.ncols
+        for i, pc in enumerate(pivots):
+            combo = [f.add(s, f.mul(row[pc], x)) for s, x in zip(combo, r.rows[i])]
+        assert tuple(combo) == row
+    assert len(pivots) == reference_rank(f, m.rows, m.ncols)
+
+
+def check_kernel(m):
+    kern = m.kernel_basis()
+    for k in kern:
+        assert k.shape == (m.ncols, 1)
+        assert (m @ k).is_zero()
+    vectors = [k.column_vector(0) for k in kern]
+    assert reference_rank(m.field, vectors, m.ncols) == len(kern)
+    assert m.rank() + len(kern) == m.ncols
+
+
+def check_solve(m, y, b):
+    f = m.field
+    # b in the column span: a solution must exist and be one
+    rhs = m @ y
+    x = m.solve(rhs)
+    assert x is not None and m @ x == rhs
+    x = m.solve(b)
+    if x is not None:
+        assert m @ x == b
+    else:
+        aug = [r1 + r2 for r1, r2 in zip(m.rows, b.rows)]
+        assert reference_rank(f, aug, m.ncols + b.ncols) > reference_rank(f, m.rows, m.ncols)
+
+
+def check_product(a, b):
+    assert (a @ b).rows == tuple(map(tuple, reference_product(a, b)))
+    assert (a @ b).shape == (a.nrows, b.ncols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rref_axioms_and_row_space(field, data):
+    check_rref(data.draw(sparse_matrices(field)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_vectors_and_rank_nullity(field, data):
+    check_kernel(data.draw(sparse_matrices(field)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_consistent_and_inconsistent(field, data):
+    m = data.draw(sparse_matrices(field))
+    k = data.draw(st.integers(1, 2))
+    y = data.draw(sparse_matrices(field, shape=(m.ncols, k)))
+    b = data.draw(sparse_matrices(field, shape=(m.nrows, k)))
+    check_solve(m, y, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_matches_triple_loop(field, data):
+    a = data.draw(sparse_matrices(field))
+    b = data.draw(sparse_matrices(field, shape=(a.ncols, data.draw(st.integers(0, 4)))))
+    check_product(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES, ids=str)
+def test_degenerate_shapes(field, shape):
+    nr, nc = shape
+    for rows in ([[0] * nc for _ in range(nr)], [[3] * nc for _ in range(nr)]):
+        m = Matrix(field, rows, nc)
+        check_rref(m)
+        check_kernel(m)
+        check_solve(m, Matrix(field, [[1]] * nc, 1), Matrix(field, [[1]] * nr, 1))
+        check_product(m, Matrix(field, [[1, 2]] * nc, 2))
+        check_product(Matrix(field, [[2]] * 2, 1) @ Matrix(field, [[1] * nr], nr), m)
+        assert m.transpose().transpose() == m
+
+
+def test_public_constructor_coerces():
+    assert isinstance(Matrix(QQ, [[1]])[0][0], Fraction)
+    assert Matrix(F5, [[7]])[0][0] == 2
+    assert Matrix(F5, [[Fraction(1, 2)]])[0][0] == 3
+    assert isinstance((Matrix(QQ, [[1, 2]]) @ Matrix(QQ, [[3], [4]]))[0][0], Fraction)

@@ -174,3 +174,19 @@ def test_morphism_rejects_wrong_algebra(a3, a2):
     s3, s2 = simple(a3, "1"), simple(a2, "1")
     with pytest.raises(ValueError, match="different algebras"):
         Morphism(s3, s2, [Matrix.zero(QQ, d, d) for d in s3.dims])
+
+
+def test_hom_basis_runs_between_its_own_arguments(a3):
+    # hom spaces are cached on structural equality; a hit computed for
+    # earlier, equal objects must still run from and to the given ones
+    p = projective(a3, "2")
+    x, y = simple(a3, "2"), simple(a3, "2")
+    assert x == y and x is not y
+    for n in (x, y):
+        homs = hom_basis(p, n)
+        assert len(homs) == 1
+        assert all(f.source is p and f.target is n for f in homs)
+    i = injective(a3, "2")
+    for n in (x, y):
+        assert all(f.source is n and f.target is i for f in hom_basis(n, i))
+    assert [f.blocks for f in hom_basis(p, x)] == [f.blocks for f in hom_basis(p, y)]
