@@ -619,30 +619,16 @@ def _iso_between_indecomposables(m: Representation, n: Representation) -> bool:
     bwd = hom_basis(n, m)
     if not fwd or not bwd:
         return m.total_dim == 0 and n.total_dim == 0
-    # m ~ n iff some composite n -> m -> n is invertible iff the span of
-    # composites is not contained in rad End(n); equivalently some composite
-    # with the identity component nonzero exists.
-    _basis, sc = end_structure(n)
-    from .algebra import radical_span
-
-    rad = radical_span(sc)
-    basis_rows = [g.flatten() for g in _basis]
-    bmat = Matrix(n.algebra.field, basis_rows, len(basis_rows[0]))
+    # m ~ n iff the composites n -> m -> n are not all in rad End(n).  End(n)
+    # is local, so its non-invertible elements are exactly rad End(n), and
+    # a subspace lies in rad End(n) iff each of its spanning composites does:
+    # m ~ n iff some basis composite is invertible, i.e. has full-rank
+    # (square) blocks at every vertex.
     for f in fwd:
         for g in bwd:
-            comp = compose(f, g)  # n -> n
-            co = coordinates_in_basis(bmat, comp.flatten())
-            if co is not None and not _in_row_span(rad, co, n.algebra.field):
+            if all(b.rank() == b.nrows for b in compose(f, g).blocks):
                 return True
     return False
-
-
-def _in_row_span(span, vec, fld):
-    from .exactlin import in_span
-
-    if span.nrows == 0:
-        return all(c == fld.zero() for c in vec)
-    return in_span(span, vec)
 
 
 _decompose_cache: dict = {}

@@ -168,11 +168,17 @@ def is_tilting(m: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force census of support tau-tilting modules
+# tau-rigid cliques: the one backtracker behind every search
 
 
-def _tau_rigid_compatibility(nodes):
-    """(rigid indices, pairwise compatibility test) for a list of indecs."""
+def _tau_rigid_cliques(nodes, size, min_size=0):
+    """Every set of pairwise tau-compatible tau-rigid indecs, in lex order.
+
+    Yields each visited clique as a tuple of indices into ``nodes``: the
+    empty one first, then depth first.  A clique of ``size`` members is not
+    extended, nor one from which ``min_size`` members can no longer be
+    reached; both are still yielded.
+    """
     taus = [tau(x) for x in nodes]
     rigid = [i for i in range(len(nodes)) if hom_dim(nodes[i], taus[i]) == 0]
     memo = {}
@@ -185,16 +191,9 @@ def _tau_rigid_compatibility(nodes):
             )
         return memo[key]
 
-    return rigid, compat
-
-
-def _tau_rigid_cliques(nodes, max_size):
-    """All subsets of pairwise tau-compatible tau-rigid indecs, lex order."""
-    rigid, compat = _tau_rigid_compatibility(nodes)
-
     def extend(current, start):
-        yield list(current)
-        if len(current) == max_size:
+        yield tuple(current)
+        if len(current) == size or min_size - len(current) > len(rigid) - start:
             return
         for pos in range(start, len(rigid)):
             k = rigid[pos]
@@ -209,21 +208,20 @@ def _tau_rigid_cliques(nodes, max_size):
 def count_support_tau_tilting(a: PresentedAlgebra, cap: int = 512) -> int:
     """Number of support tau-tilting modules (the zero module included).
 
-    Brute force: enumerate tau-rigid subsets of the indecomposables and keep
-    those passing the support test.  Requires representation-finiteness;
-    ``cap`` bounds the AR-quiver size.
+    Counts by the pair criterion of Adachi-Iyama-Reiten: a tau-rigid basic
+    module is support tau-tilting iff it has exactly one summand per vertex
+    of its support.  Every clique of pairwise tau-compatible tau-rigid
+    indecomposables sums to a tau-rigid basic module, so the count is the
+    number of cliques whose size equals the size of the union of their
+    members' supports.  Requires representation-finiteness; ``cap`` bounds
+    the AR-quiver size.
     """
     nodes = ar_quiver(a, max_nodes=cap).representatives()
-    n = a.quiver.n_vertices
-    count = 0
-    for clique in _tau_rigid_cliques(nodes, n):
-        if not clique:
-            count += 1  # the zero module
-            continue
-        mod, _i, _p = direct_sum(a, [nodes[k] for k in clique])
-        if is_support_tau_tilting(mod):
-            count += 1
-    return count
+    supports = [set(support_vertices(x)) for x in nodes]
+    return sum(
+        len(clique) == len(set().union(*(supports[k] for k in clique)))
+        for clique in _tau_rigid_cliques(nodes, a.quiver.n_vertices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1490,10 +1488,6 @@ def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
 # tiltedness and slice searches
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @dataclass
 class TiltedVerdict:
     verdict: str  # "tilted" | "not-tilted" | "inconclusive"
@@ -1515,42 +1509,21 @@ def is_tilted(a: PresentedAlgebra, search_cap=10000, max_nodes=512) -> TiltedVer
         return TiltedVerdict("inconclusive", None, 0)
     nodes = arq.representatives()
     n = a.quiver.n_vertices
-    rigid, compat = _tau_rigid_compatibility(nodes)
     explored = 0
-
-    def extend(current, start):
-        nonlocal explored
-        explored += 1
+    for explored, clique in enumerate(_tau_rigid_cliques(nodes, n, n), 1):
         if explored > search_cap:
-            raise _BudgetExhausted
-        if len(current) == n:
-            mod, _i, _p = direct_sum(a, [nodes[k] for k in current])
-            if annihilator_span(mod).nrows != 0:
-                return None
-            cand = SliceCandidate(a, [nodes[k] for k in current])
-            if is_presection(cand):
-                return cand
-            return None
-        if n - len(current) > len(rigid) - start:
-            return None
-        for pos in range(start, len(rigid)):
-            k = rigid[pos]
-            if all(compat(k, c) for c in current):
-                current.append(k)
-                found = extend(current, pos + 1)
-                current.pop()
-                if found is not None:
-                    return found
-        return None
-
-    try:
-        found = extend([], 0)
-    except _BudgetExhausted:
-        return TiltedVerdict("inconclusive", None, explored)
-    if found is not None:
-        if not is_complete_tau_slice(found):
-            raise ArithmeticError("tilted witness is not a complete tau-slice")
-        return TiltedVerdict("tilted", found, explored)
+            return TiltedVerdict("inconclusive", None, explored)
+        if len(clique) < n:
+            continue
+        members = [nodes[k] for k in clique]
+        mod, _i, _p = direct_sum(a, members)
+        if annihilator_span(mod).nrows != 0:
+            continue
+        cand = SliceCandidate(a, members)
+        if is_presection(cand):
+            if not is_complete_tau_slice(cand):
+                raise ArithmeticError("tilted witness is not a complete tau-slice")
+            return TiltedVerdict("tilted", cand, explored)
     return TiltedVerdict("not-tilted", None, explored)
 
 
@@ -1563,30 +1536,14 @@ def find_complete_tau_slices(a: PresentedAlgebra, limit=10000, max_nodes=512):
     arq = ar_quiver(a, max_nodes=max_nodes)
     nodes = arq.representatives()
     n = a.quiver.n_vertices
-    rigid, compat = _tau_rigid_compatibility(nodes)
     out = []
-    explored = 0
-
-    def extend(current, start):
-        nonlocal explored
-        explored += 1
+    for explored, clique in enumerate(_tau_rigid_cliques(nodes, n, n), 1):
         if explored > limit:
             raise CapExceeded("slice search budget exhausted")
-        if len(current) == n:
-            cand = SliceCandidate(a, [nodes[k] for k in current])
+        if len(clique) == n:
+            cand = SliceCandidate(a, [nodes[k] for k in clique])
             if is_presection(cand):
                 out.append(cand)
-            return
-        if n - len(current) > len(rigid) - start:
-            return
-        for pos in range(start, len(rigid)):
-            k = rigid[pos]
-            if all(compat(k, c) for c in current):
-                current.append(k)
-                extend(current, pos + 1)
-                current.pop()
-
-    extend([], 0)
     return out
 
 

@@ -272,6 +272,16 @@ def test_count_stt(capsys):
     code, out = run_json(capsys, "count-stt", alg_path("a3"))
     assert code == 0
     assert out["count"] == 14
+    code, out = run_json(capsys, "count-stt", alg_path("ex2"))
+    assert code == 0
+    assert out["count"] == 55
+
+
+def test_slices_find_budget_exhausted(capsys):
+    code, out = run_json(capsys, "slices", "find", alg_path("fig3"),
+                         "--limit", "50")
+    assert code == 2
+    assert out["error"] == "CapExceeded: slice search budget exhausted"
 
 
 def test_timings_field_is_normalised(capsys):

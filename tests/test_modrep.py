@@ -5,9 +5,10 @@ import pytest
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import Matrix, QQ
 from tauslice.algebra import quotient
+from tauslice.artheory import ar_quiver
 from tauslice.modrep import (
-    simple, projective, injective, regular_module, direct_sum, decompose,
-    hom_dim, hom_basis, compose, kernel, image, cokernel,
+    Representation, simple, projective, injective, regular_module,
+    direct_sum, decompose, hom_dim, hom_basis, compose, kernel, image, cokernel,
     radical_rep, socle_rep, top_rep, top_data, submodule,
     is_isomorphic, is_indecomposable, dual,
     annihilator_span, is_faithful, is_sincere, fac_member, sub_member,
@@ -106,6 +107,31 @@ def test_is_isomorphic_separates_same_dims(a3):
     assert is_isomorphic(m12, scaled)
     assert is_indecomposable(m12)
     assert not is_indecomposable(split)
+
+
+def _base_change(v, d):
+    """An invertible d x d matrix over Q, not diagonal for d > 1 and a
+    different scalar at each vertex v for d = 1 (a scaled Vandermonde)."""
+    return Matrix(QQ, [[(v + i + 2) ** (j + 1) for j in range(d)]
+                       for i in range(d)], d)
+
+
+@pytest.mark.parametrize("name", ["ex2", "fig1"])
+def test_is_isomorphic_sees_through_base_change(algebras, name):
+    a = algebras[name]
+    q = a.quiver
+    nodes = ar_quiver(a).representatives()
+    copies = []
+    for x in nodes:
+        base = [_base_change(v, d) for v, d in enumerate(x.dims)]
+        inv = [b.inverse() for b in base]
+        maps = [base[q.arrow_target[j]] @ x.maps[j] @ inv[q.arrow_source[j]]
+                for j in range(len(q.arrows))]
+        copies.append(Representation(a, x.dims, maps))
+    assert any(c != x for c, x in zip(copies, nodes))
+    for i, c in enumerate(copies):
+        for j, x in enumerate(nodes):
+            assert is_isomorphic(c, x) == (i == j), (name, i, j)
 
 
 def test_dual_exchanges_projective_and_injective(a3):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from tauslice.tautilt import (
     torsion_pair_of, bb_verify, bb_verify_dual, quotient_preservation_check,
     orbit_graph, tau_orbits, is_simply_connected_component,
     is_generalized_standard, is_tilted, find_complete_tau_slices,
-    onepoint_slice_extend, splitex_check,
+    onepoint_slice_extend, splitex_check, _tau_rigid_cliques,
 )
 
 from helpers import w, dims_multiset
@@ -56,6 +57,28 @@ def test_two_vertex_line_classification(a2):
 def test_support_tau_tilting_counts(a2, a3):
     assert count_support_tau_tilting(a2) == 5
     assert count_support_tau_tilting(a3) == 14
+
+
+@pytest.mark.parametrize("name", ["a3", "ex1"])
+def test_clique_generator_lists_compatible_sets_once_in_lex_order(algebras, name):
+    a = algebras[name]
+    nodes = ar_quiver(a).representatives()
+    taus = [tau(x) for x in nodes]
+    vanish = [[hom_dim(x, t) == 0 for t in taus] for x in nodes]
+    compatible = sorted(
+        c
+        for k in range(len(nodes) + 1)
+        for c in itertools.combinations(range(len(nodes)), k)
+        if all(vanish[i][j] for i in c for j in c)
+    )
+    got = list(_tau_rigid_cliques(nodes, len(nodes)))
+    assert got == compatible
+    # size caps the cliques, min_size prunes branches that cannot reach it
+    n = a.quiver.n_vertices
+    full = [c for c in compatible if len(c) == n]
+    capped = list(_tau_rigid_cliques(nodes, n, n))
+    assert [c for c in capped if len(c) == n] == full
+    assert all(len(c) <= n for c in capped)
 
 
 def test_ex2_module_is_tau_tilting_not_tilting(ex2):
@@ -223,6 +246,13 @@ def test_is_tilted_verdicts(a3, fig3, fig2):
     assert vf.explored == 214
     vi = is_tilted(fig2, max_nodes=16)
     assert vi.verdict == "inconclusive"
+
+
+def test_searches_stop_at_their_budget(fig3):
+    v = is_tilted(fig3, search_cap=50)
+    assert (v.verdict, v.witness, v.explored) == ("inconclusive", None, 51)
+    with pytest.raises(CapExceeded):
+        find_complete_tau_slices(fig3, limit=50)
 
 
 # ---------------------------------------------------------------------------
