@@ -45,9 +45,6 @@ from .tautilt import (
     orbit_graph, is_tilted, bb_verify, bb_verify_dual,
     quotient_preservation_check, onepoint_slice_extend, splitex_check,
 )
-from .cli import (
-    parse_algebra_text, parse_rep_text, print_algebra, print_rep,
-)
 
 __version__ = "0.1.0"
 
@@ -70,3 +67,13 @@ __all__ = [
     "onepoint_slice_extend", "splitex_check",
     "parse_algebra_text", "parse_rep_text", "print_algebra", "print_rep",
 ]
+
+
+def __getattr__(name):
+    # The cli re-exports load on first use: an eager import would put
+    # tauslice.cli in sys.modules before ``python -m tauslice.cli`` runs it.
+    if name in ("parse_algebra_text", "parse_rep_text", "print_algebra", "print_rep"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -308,8 +308,10 @@ class PresentedAlgebra:
         self.basis_index = {w: i for i, w in enumerate(basis)}
         self.length_cap = length_cap
         self.dim = len(basis)
-        self._mult = {}
         self._opposite = None
+        # the one memo store for this algebra and its modules, keyed
+        # (kind, *args), e.g. ("mult", i, j), ("tau", m), ("hom", m, n);
+        # it is freed with the algebra
         self._cache = {}
 
     # -- elements -----------------------------------------------------
@@ -354,7 +356,7 @@ class PresentedAlgebra:
 
     def basis_by_class(self):
         """dict (source_idx, target_idx) -> list of basis indices."""
-        key = "basis_by_class"
+        key = ("basis_by_class",)
         if key not in self._cache:
             out = {}
             for i, w in enumerate(self.basis):
@@ -364,14 +366,14 @@ class PresentedAlgebra:
 
     def mult_basis(self, i, j):
         """Coordinates of basis[i] * basis[j]."""
-        if (i, j) not in self._mult:
-            wi, wj = self.basis[i], self.basis[j]
-            w = word_concat(self.quiver, wi, wj)
+        key = ("mult", i, j)
+        if key not in self._cache:
+            w = word_concat(self.quiver, self.basis[i], self.basis[j])
             if w is None:
-                self._mult[(i, j)] = tuple([self.field.zero()] * self.dim)
+                self._cache[key] = tuple([self.field.zero()] * self.dim)
             else:
-                self._mult[(i, j)] = self.coords({w: self.field.one()})
-        return self._mult[(i, j)]
+                self._cache[key] = self.coords({w: self.field.one()})
+        return self._cache[key]
 
     def format_element(self, elt) -> str:
         if not elt:

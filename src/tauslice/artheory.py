@@ -18,12 +18,20 @@ from .algebra import (
     NotBasic,
     PresentedAlgebra,
     StructureConstants,
+    _act_on_vector,
     quiverize,
 )
-from .exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
+from .exactlin import (
+    Matrix,
+    complement_basis,
+    coordinates_in_basis,
+    intersect_row_spaces,
+    span_matrix,
+)
 from .modrep import (
     Morphism,
     Representation,
+    cokernel,
     compose,
     decompose,
     direct_sum,
@@ -31,6 +39,7 @@ from .modrep import (
     hom_basis,
     identity_morphism,
     image,
+    injective,
     kernel,
     morphism_coordinates,
     projective,
@@ -43,6 +52,7 @@ from .modrep import (
     zero_rep,
     end_radical_morphisms,
     _iso_between_indecomposables,
+    _morphism_from_vector,
     is_isomorphic,
 )
 
@@ -150,7 +160,7 @@ def projective_cover_data(m: Representation):
         cols = []
         for (k, word) in ps.fibre_words[w]:
             vec = tops[k][1]
-            cols.append(_act(m, vec, word))
+            cols.append(_act_on_vector(m, vec, word))
         if cols:
             blocks.append(Matrix(fld, list(zip(*cols)), len(cols)))
         else:
@@ -162,28 +172,6 @@ def projective_cover_data(m: Representation):
     return ps, cover
 
 
-def _act(m: Representation, vec, word):
-    fld = m.algebra.field
-    out = list(vec)
-    for a in word[1]:
-        mat = m.maps[a]
-        out = [
-            _dot(fld, mat.rows[r], out) for r in range(mat.nrows)
-        ]
-    return tuple(out)
-
-
-def _dot(fld, row, vec):
-    acc = fld.zero()
-    for a, b in zip(row, vec):
-        if a != fld.zero() and b != fld.zero():
-            acc = fld.add(acc, fld.mul(a, b))
-    return acc
-
-
-_presentation_cache: dict = {}
-
-
 def _retarget(f: Morphism, target: Representation) -> Morphism:
     """The same blocks as f, into an equal (structurally identical) target."""
     return Morphism(f.source, target, f.blocks, _checked=True)
@@ -192,10 +180,12 @@ def _retarget(f: Morphism, target: Representation) -> Morphism:
 def minimal_presentation(m: Representation) -> Presentation:
     """The minimal projective presentation of m; ``module`` is m itself.
 
-    The cache matches on structural equality, so a hit may have been
-    computed for an earlier, equal object; it is re-anchored on m.
+    It is memoised in the algebra's cache, which matches on structural
+    equality, so a hit may have been computed for an earlier, equal object;
+    it is re-anchored on m.
     """
-    hit = _presentation_cache.get(m)
+    key = ("presentation", m)
+    hit = m.algebra._cache.get(key)
     if hit is not None:
         return replace(hit, module=m, cover=_retarget(hit.cover, m))
     p0, cover = projective_cover_data(m)
@@ -203,7 +193,7 @@ def minimal_presentation(m: Representation) -> Presentation:
     p1, p1_cover = projective_cover_data(omega)
     differential = compose(om_incl, p1_cover)
     pres = Presentation(m, p0, cover, omega, om_incl, p1, p1_cover, differential)
-    _presentation_cache[m] = pres
+    m.algebra._cache[key] = pres
     return pres
 
 
@@ -255,10 +245,6 @@ def is_hereditary(a: PresentedAlgebra) -> bool:
 # transpose and the translate
 
 
-_tau_cache: dict = {}
-_tau_inv_cache: dict = {}
-
-
 def transpose(m: Representation) -> Representation:
     """Tr M over the opposite algebra, from a minimal presentation.
 
@@ -302,31 +288,24 @@ def transpose(m: Representation) -> Representation:
                     mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
         blocks.append(Matrix(fld, mat, len(cols_basis)))
     dstar = Morphism(dual_p0.rep, dual_p1.rep, blocks, _checked=False)
-    cok, _proj = _cokernel(dstar)
+    cok, _proj = cokernel(dstar)
     return cok
-
-
-def _cokernel(f: Morphism):
-    img, incl = image(f)
-    return quotient_rep(f.target, incl)
 
 
 def tau(m: Representation) -> Representation:
     """Auslander-Reiten translate D Tr; kills projective summands."""
-    hit = _tau_cache.get(m)
-    if hit is None:
-        hit = dual(transpose(m))
-        _tau_cache[m] = hit
-    return hit
+    key = ("tau", m)
+    if key not in m.algebra._cache:
+        m.algebra._cache[key] = dual(transpose(m))
+    return m.algebra._cache[key]
 
 
 def tau_inverse(m: Representation) -> Representation:
     """Inverse translate Tr D; kills injective summands."""
-    hit = _tau_inv_cache.get(m)
-    if hit is None:
-        hit = transpose(dual(m))
-        _tau_inv_cache[m] = hit
-    return hit
+    key = ("tau_inverse", m)
+    if key not in m.algebra._cache:
+        m.algebra._cache[key] = transpose(dual(m))
+    return m.algebra._cache[key]
 
 
 def tau_power(m: Representation, k: int) -> Representation:
@@ -535,19 +514,17 @@ class AlmostSplitSequence:
     middle_summands: list  # [(rep, mult)]
 
 
-_ass_cache: dict = {}
-
-
 def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     """The almost split sequence 0 -> tau m -> E -> m -> 0.
 
     Requires m indecomposable non-projective.  The class is the socle
     generator of Ext^1(m, tau m) under the right End(m)-action
-    [phi].g = [phi o Omega(g)].  The sequence ends at m itself: a cache
-    hit computed for an earlier, equal object is re-anchored on m, and
-    shares tau m, E and the middle summands with it.
+    [phi].g = [phi o Omega(g)].  The sequence is memoised in the algebra's
+    cache and ends at m itself: a hit computed for an earlier, equal object
+    is re-anchored on m, and shares tau m, E and the middle summands with it.
     """
-    hit = _ass_cache.get(m)
+    key = ("almost_split_sequence", m)
+    hit = m.algebra._cache.get(key)
     if hit is not None:
         ses = replace(hit.ses, quot=m, right_map=_retarget(hit.ses.right_map, m))
         return replace(hit, ses=ses, right=m)
@@ -591,7 +568,7 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     ses = realize_extension(ext, coords)
     summands = decompose(ses.middle)
     result = AlmostSplitSequence(ses, ses.sub, m, summands)
-    _ass_cache[m] = result
+    m.algebra._cache[key] = result
     return result
 
 
@@ -626,39 +603,14 @@ def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
     width = len(homs[0].flatten())
     factoring = []
     for v in a.quiver.vertices:
-        i_v = injective_std(a, v)
+        i_v = injective(a, v)
         for g in hom_basis(n, i_v):
             for h in hom_basis(i_v, t):
                 factoring.append(compose(h, g).flatten())
     fact_span = span_matrix(fld, factoring, width)
     hom_span = span_matrix(fld, [h.flatten() for h in homs], width)
-    inter = _intersect(hom_span, fact_span)
+    inter = intersect_row_spaces(hom_span, fact_span)
     return hom_span.nrows - inter.nrows
-
-
-def _intersect(a_span, b_span):
-    from .exactlin import intersect_row_spaces
-
-    return intersect_row_spaces(a_span, b_span)
-
-
-_std_cache: dict = {}
-
-
-def injective_std(a: PresentedAlgebra, v) -> Representation:
-    key = (id(a), "I", str(v))
-    if key not in _std_cache:
-        from .modrep import injective
-
-        _std_cache[key] = injective(a, v)
-    return _std_cache[key]
-
-
-def projective_std(a: PresentedAlgebra, v) -> Representation:
-    key = (id(a), "P", str(v))
-    if key not in _std_cache:
-        _std_cache[key] = projective(a, v)
-    return _std_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +701,12 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
     g = ARQuiver(a)
     work = []
     for v in a.quiver.vertices:
-        ident, new = g.add(projective_std(a, v))
+        ident, new = g.add(projective(a, v))
         g.nodes[ident].projective_label = v
         if new:
             work.append(ident)
     for v in a.quiver.vertices:
-        ident, new = g.add(injective_std(a, v))
+        ident, new = g.add(injective(a, v))
         g.nodes[ident].injective_label = v
         if new:
             work.append(ident)
@@ -788,7 +740,7 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
         rep = node.rep
         if is_projective_rep(rep):
             for v in a.quiver.vertices:
-                if node.projective_label is None and is_isomorphic(rep, projective_std(a, v)):
+                if node.projective_label is None and is_isomorphic(rep, projective(a, v)):
                     node.projective_label = v
             rad, _incl = radical_rep(rep)
             for summand, mult in decompose(rad):
@@ -804,7 +756,7 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
                 g.set_arrow(left, mid, mult)
         if is_injective_rep(rep):
             for v in a.quiver.vertices:
-                if node.injective_label is None and is_isomorphic(rep, injective_std(a, v)):
+                if node.injective_label is None and is_isomorphic(rep, injective(a, v)):
                     node.injective_label = v
             soc, soc_incl = socle_rep(rep)
             quot, _proj = quotient_rep(rep, soc_incl)
@@ -908,7 +860,7 @@ def _radical_tower(x, y, power, universe):
                 for z in objs:
                     # morphisms u -> z in cur, then z -> v in rad1
                     for row in cur[(u, z)].rows:
-                        f = _morphism_from_flat(u, z, row)
+                        f = _morphism_from_vector(u, z, row)
                         for g in rad1_m[(z, v)]:
                             vecs.append(compose(g, f).flatten())
                 nxt[(u, v)] = span_matrix(fld, vecs, width_of(u, v))
@@ -923,19 +875,6 @@ def _radical_tower(x, y, power, universe):
                 break
             raise CapExceeded("radical tower did not stabilise")
     return cur[(x, y)]
-
-
-def _morphism_from_flat(u, v, flat):
-    fld = u.algebra.field
-    blocks = []
-    pos = 0
-    for dv_u, dv_v in zip(u.dims, v.dims):
-        block = [
-            [flat[pos + i * dv_u + j] for j in range(dv_u)] for i in range(dv_v)
-        ]
-        pos += dv_u * dv_v
-        blocks.append(Matrix(fld, block, dv_u))
-    return Morphism(u, v, blocks, _checked=True)
 
 
 def radical_power_dim(x, y, power, universe) -> int:

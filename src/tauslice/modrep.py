@@ -225,7 +225,13 @@ def simple(a: PresentedAlgebra, label) -> Representation:
 
 
 def projective(a: PresentedAlgebra, label) -> Representation:
-    """Indecomposable projective e_v A: fibres spanned by paths from v."""
+    """Indecomposable projective e_v A: fibres spanned by paths from v.
+
+    Memoised in the algebra's cache: every call returns the same object.
+    """
+    key = ("projective", str(label))
+    if key in a._cache:
+        return a._cache[key]
     q = a.quiver
     v = q.vertex_index[str(label)]
     words = [w for w in a.basis if w[0] == v]
@@ -248,12 +254,19 @@ def projective(a: PresentedAlgebra, label) -> Representation:
             for w2, c in prod.items():
                 mat[index[w2]][col] = c
         maps.append(Matrix(fld, mat, dims[x]))
-    return Representation(a, dims, maps)
+    a._cache[key] = Representation(a, dims, maps)
+    return a._cache[key]
 
 
 def injective(a: PresentedAlgebra, label) -> Representation:
-    """Indecomposable injective D(A e_v), via the opposite projective."""
-    return dual(projective(a.opposite(), label))
+    """Indecomposable injective D(A e_v), via the opposite projective.
+
+    Memoised in the algebra's cache, as :func:`projective` is.
+    """
+    key = ("injective", str(label))
+    if key not in a._cache:
+        a._cache[key] = dual(projective(a.opposite(), label))
+    return a._cache[key]
 
 
 def regular_module(a: PresentedAlgebra):
@@ -304,19 +317,17 @@ def direct_sum(a: PresentedAlgebra, summands):
 # hom spaces
 
 
-_hom_cache: dict = {}
-
-
 def hom_basis(m: Representation, n: Representation):
     """Echelonised basis of Hom(m, n) as a list of morphisms.
 
     Unknowns are the block entries (vertex order, row-major); the returned
     basis is the deterministic kernel basis of the intertwining system.
-    The morphisms run from m to n themselves: a cache hit computed for
-    earlier, equal objects is rebuilt on m and n with the same blocks.
+    The basis is memoised in the algebra's cache, on structural equality;
+    the morphisms run from m to n themselves: a hit computed for earlier,
+    equal objects is rebuilt on m and n with the same blocks.
     """
-    key = (m, n)
-    hit = _hom_cache.get(key)
+    key = ("hom", m, n)
+    hit = m.algebra._cache.get(key)
     if hit is not None:
         if hit and (hit[0].source is not m or hit[0].target is not n):
             return [Morphism(m, n, f.blocks, _checked=True) for f in hit]
@@ -360,7 +371,7 @@ def hom_basis(m: Representation, n: Representation):
         basis = [
             _morphism_from_vector(m, n, k.column_vector(0)) for k in mat.kernel_basis()
         ]
-    _hom_cache[key] = basis
+    a._cache[key] = basis
     return basis
 
 
@@ -631,9 +642,6 @@ def _iso_between_indecomposables(m: Representation, n: Representation) -> bool:
     return False
 
 
-_decompose_cache: dict = {}
-
-
 def decompose(m: Representation):
     """Indecomposable decomposition [(summand, multiplicity), ...].
 
@@ -642,7 +650,8 @@ def decompose(m: Representation):
     pairwise sums).  Raises :class:`DecompositionStalled` if End(m) is not
     local but no splitting is found.
     """
-    hit = _decompose_cache.get(m)
+    key = ("decompose", m)
+    hit = m.algebra._cache.get(key)
     if hit is not None:
         return hit
     pieces = _split_completely(m)
@@ -657,7 +666,7 @@ def decompose(m: Representation):
     result = [(rep, mult) for rep, mult in groups]
     if sum(rep.total_dim * mult for rep, mult in result) != m.total_dim:
         raise ArithmeticError("decomposition does not add up")
-    _decompose_cache[m] = result
+    m.algebra._cache[key] = result
     return result
 
 

@@ -61,6 +61,7 @@ from .modrep import (
     zero_rep,
     zero_morphism,
     dual,
+    _morphism_from_vector,
 )
 from .artheory import (
     ARQuiver,
@@ -77,7 +78,6 @@ from .artheory import (
     radical_hom_basis,
     tau,
     tau_inverse,
-    _morphism_from_flat,
     bimodule_right_rep,
     bimodule_dual_left_rep,
 )
@@ -510,7 +510,7 @@ class _Registry:
 
 
 def _span_morphisms(x0, z, span):
-    return [_morphism_from_flat(x0, z, row) for row in span.rows]
+    return [_morphism_from_vector(x0, z, row) for row in span.rows]
 
 
 def _can_still_reach(sigma, w, span_morphs):
@@ -1472,7 +1472,7 @@ def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
                 vecs = []
                 for z in range(n):
                     for row in cur[(i, z)].rows:
-                        f = _morphism_from_flat(objs[i], objs[z], row)
+                        f = _morphism_from_vector(objs[i], objs[z], row)
                         for g in rad1[(z, j)]:
                             vecs.append(compose(g, f).flatten())
                 nxt[(i, j)] = span_matrix(fld, vecs, width(i, j))

@@ -1,0 +1,47 @@
+"""Every memo lives in its algebra's ``_cache`` and dies with the algebra.
+
+A module-level dict would outlive the algebras whose modules it keys on and
+keep them alive; the library keeps none.
+"""
+
+import ast
+import gc
+import weakref
+from pathlib import Path
+
+from tauslice import fixtures as fixdata
+from tauslice.artheory import ar_quiver
+from tauslice.modrep import decompose, direct_sum, hom_basis, projective, simple
+from tauslice.tautilt import count_support_tau_tilting
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_dropped_algebra_is_freed():
+    a = fixdata.algebra("a3")
+    assert ar_quiver(a).count == 6
+    assert count_support_tau_tilting(a) == 14
+    assert len(hom_basis(projective(a, "1"), simple(a, "1"))) == 1
+    total, _incls, _projs = direct_sum(a, [simple(a, "1"), simple(a, "2")])
+    assert len(decompose(total)) == 2
+    refs = [weakref.ref(a), weakref.ref(a.opposite())]
+    del a, total, _incls, _projs
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def _is_empty_dict(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+def test_library_has_no_module_level_caches():
+    found = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and _is_empty_dict(node.value)]
+    assert found == []

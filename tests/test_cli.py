@@ -299,6 +299,7 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "info"
+    assert proc.stderr == ""
 
 
 def test_error_report_shape(capsys):
