@@ -136,13 +136,6 @@ def elt_iadd(elt, other, scalar, fld):
     return elt
 
 
-def elt_scale(elt, scalar, fld):
-    z = fld.zero()
-    if scalar == z:
-        return {}
-    return {w: fld.mul(scalar, c) for w, c in elt.items()}
-
-
 def elt_mul_free(quiver, e1, e2, fld):
     """Product in the free path algebra (no rewriting)."""
     out = {}

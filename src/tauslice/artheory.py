@@ -51,9 +51,9 @@ from .modrep import (
     zero_morphism,
     zero_rep,
     end_radical_morphisms,
+    _an_isomorphism,
     _iso_between_indecomposables,
     _morphism_from_vector,
-    is_isomorphic,
 )
 
 
@@ -61,13 +61,6 @@ class SocleNotOneDimensional(ArithmeticError):
     """The End-socle of Ext^1(M, tau M) is not simple; no almost split
     sequence can be extracted (input was not indecomposable non-projective,
     or the ground field is too small)."""
-
-
-def dual_morphism(f: Morphism) -> Morphism:
-    """D f: D(target) -> D(source) over the opposite algebra."""
-    return Morphism(
-        dual(f.target), dual(f.source), [b.transpose() for b in f.blocks], _checked=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +204,6 @@ def cosyzygy(m: Representation, power: int = 1) -> Representation:
     if m.is_zero():
         return m
     return dual(syzygy(dual(m), power))
-
-
-def injective_envelope_data(m: Representation):
-    """(envelope I, embedding m -> I): dual of the cover of D m."""
-    ps, cover = projective_cover_data(dual(m))
-    env = dual_morphism(cover)  # m -> D(P0)
-    return env.target, env
 
 
 def is_projective_rep(m: Representation) -> bool:
@@ -573,24 +559,23 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
 
 
 def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
-    """The almost split sequence 0 -> m -> E -> tau^{-1} m -> 0, via duality.
+    """The almost split sequence 0 -> m -> E -> tau^{-1} m -> 0.
 
-    The sequence starts at m itself: D D m equals m but is a copy, so the
-    left map is re-sourced on m with the same blocks.
+    It is the memoised sequence ending at tau^{-1} m, whose left end
+    tau tau^{-1} m is isomorphic to m but need not equal it; its left map is
+    precomposed with an isomorphism m -> tau tau^{-1} m, so the result starts
+    at m itself and shares E, tau^{-1} m and the middle summands with the
+    cached sequence.  Requires m indecomposable non-injective.
     """
-    if m.is_zero() or is_injective_rep(m):
+    if m.is_zero() or tau_inverse(m).is_zero():
         raise ValueError("almost split sequences start at non-injective modules")
-    ass_op = almost_split_sequence(dual(m))
-    mid = dual(ass_op.ses.middle)
-    right = dual(ass_op.ses.sub)  # = tau^{-1} m
-    left_map = dual_morphism(ass_op.ses.right_map)
-    ses = ShortExactSequence(
-        m, mid, right,
-        Morphism(m, mid, left_map.blocks, _checked=True),
-        dual_morphism(ass_op.ses.left_map),
-    )
+    ass = almost_split_sequence(tau_inverse(m))
+    iso = _an_isomorphism(m, ass.left)
+    if iso is None:
+        raise ArithmeticError("tau tau^{-1} m is not isomorphic to m; is m indecomposable?")
+    ses = replace(ass.ses, sub=m, left_map=compose(ass.ses.left_map, iso))
     ses.verify()
-    return AlmostSplitSequence(ses, m, right, [(dual(r), k) for r, k in ass_op.middle_summands])
+    return replace(ass, ses=ses, left=m)
 
 
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
@@ -629,9 +614,13 @@ class ARQuiver:
     """The Auslander-Reiten quiver of a representation-finite algebra.
 
     Nodes are iso-classes of indecomposables (stable ids in discovery order:
-    projectives, injectives, simples, then mesh closure).  ``arrows`` maps
-    (source id, target id) to the multiplicity of irreducible maps;
-    ``tau_link`` maps a non-projective node to its translate's node.
+    projectives, injectives, simples, then mesh closure); the ids are the
+    CLI's ``node:K`` selectors, so the discovery order must not change.
+    ``arrows`` maps (source id, target id) to the multiplicity of irreducible
+    maps; ``tau_link`` maps a non-projective node to its translate's node and
+    ``meshes`` to the almost split sequence ending at it.  Every mesh is
+    computed once, over the algebra itself: the arrows out of a node X come
+    from the sequence ending at tau^{-1} X.
     """
 
     def __init__(self, algebra):
@@ -730,6 +719,13 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
             work.append(ident)
         return ident
 
+    def mesh(left, right, ass):
+        g.tau_link[right] = left
+        for summand, mult in ass.middle_summands:
+            mid = admit(summand)
+            g.set_arrow(left, mid, mult)
+            g.set_arrow(mid, right, mult)
+
     processed = set()
     while work:
         ident = work.pop(0)
@@ -738,38 +734,24 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
         processed.add(ident)
         node = g.nodes[ident]
         rep = node.rep
-        if is_projective_rep(rep):
-            for v in a.quiver.vertices:
-                if node.projective_label is None and is_isomorphic(rep, projective(a, v)):
-                    node.projective_label = v
+        if node.projective_label is not None:
             rad, _incl = radical_rep(rep)
             for summand, mult in decompose(rad):
                 g.set_arrow(admit(summand), ident, mult)
         else:
             ass = almost_split_sequence(rep)
-            left = admit(ass.left)
-            g.tau_link[ident] = left
             g.meshes[ident] = ass
-            for summand, mult in ass.middle_summands:
-                mid = admit(summand)
-                g.set_arrow(mid, ident, mult)
-                g.set_arrow(left, mid, mult)
-        if is_injective_rep(rep):
-            for v in a.quiver.vertices:
-                if node.injective_label is None and is_isomorphic(rep, injective(a, v)):
-                    node.injective_label = v
+            mesh(admit(ass.left), ident, ass)
+        if node.injective_label is not None:
             soc, soc_incl = socle_rep(rep)
             quot, _proj = quotient_rep(rep, soc_incl)
             for summand, mult in decompose(quot):
                 g.set_arrow(ident, admit(summand), mult)
         else:
-            ass = almost_split_sequence_starting(rep)
-            right = admit(ass.right)
-            g.tau_link[right] = ident
-            for summand, mult in ass.middle_summands:
-                mid = admit(summand)
-                g.set_arrow(ident, mid, mult)
-                g.set_arrow(mid, right, mult)
+            # the mesh of tau^{-1} X's own representative: a fresh tau^{-1} X
+            # may be an isomorphic copy, on which the cache would miss
+            right = admit(tau_inverse(rep))
+            mesh(ident, right, almost_split_sequence(g.nodes[right].rep))
     a._cache[cache_key] = g
     return g
 
@@ -784,46 +766,13 @@ def radical_hom_basis(x: Representation, y: Representation):
     rad(x, y) is all of Hom when x and y are non-isomorphic, and rad End(x)
     otherwise.
     """
-    if _iso_between_indecomposables(x, y):
-        if x == y:
-            return end_radical_morphisms(x)
-        # transport rad End(y) along some iso x -> y
-        iso = _an_isomorphism(x, y)
-        return [compose(r, iso) for r in end_radical_morphisms(y)]
-    return hom_basis(x, y)
-
-
-def _an_isomorphism(x: Representation, y: Representation) -> Morphism:
-    fld = x.algebra.field
-    for f in hom_basis(x, y):
-        if all(b.inverse() is not None for b in f.blocks):
-            return f
-    # try small combinations
-    basis = hom_basis(x, y)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            f = basis[i] + basis[j]
-            if all(b.inverse() is not None for b in f.blocks):
-                return f
-    raise ArithmeticError("no isomorphism found between isomorphic modules")
-
-
-def radical_power_span(x, y, power, universe):
-    """Row span (flattened) of rad^power(x, y) over a finite universe.
-
-    ``universe`` is a list of pairwise non-isomorphic indecomposables;
-    ``power`` may be a positive integer or the string 'infinity' (the
-    stabilised power within the universe).  For power > 1 only composites
-    passing through the universe are seen, so on a representation-finite
-    algebra the universe should be all indecomposables.
-    """
-    fld = x.algebra.field
-    width = sum(dx * dy for dx, dy in zip(x.dims, y.dims))
-    if power == 1:
-        return span_matrix(
-            fld, [f.flatten() for f in radical_hom_basis(x, y)], width
-        )
-    return _radical_tower(x, y, power, universe)
+    if x == y:
+        return end_radical_morphisms(x)
+    iso = _an_isomorphism(x, y)
+    if iso is None:
+        return hom_basis(x, y)
+    # transport rad End(y) along the iso x -> y
+    return [compose(r, iso) for r in end_radical_morphisms(y)]
 
 
 def _radical_tower(x, y, power, universe):

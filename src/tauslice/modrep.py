@@ -343,31 +343,39 @@ def hom_basis(m: Representation, n: Representation):
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
 
-    def var(v, i, j):
-        return offsets[v] + i * m.dims[v] + j
-
+    # one row per entry (i, j) of f_y M_a - N_a f_x for each arrow a: x -> y;
+    # on a loop (x = y) both terms can hit the unknown f[i][j], so they add
+    p = fld.characteristic
+    z = fld.zero()
     rows = []
     for arw in range(len(q.arrows)):
         x, y = q.arrow_source[arw], q.arrow_target[arw]
-        ma, na = m.maps[arw], n.maps[arw]
+        ma, na = m.maps[arw].rows, n.maps[arw].rows
+        wx, wy = m.dims[x], m.dims[y]
         for i in range(n.dims[y]):
-            for j in range(m.dims[x]):
-                row = [fld.zero()] * total
+            start_y = offsets[y] + i * wy
+            for j in range(wx):
+                row = [z] * total
                 # (f_y M_a)_{ij} = sum_k f_y[i,k] Ma[k,j]
-                for k in range(m.dims[y]):
-                    row[var(y, i, k)] = fld.add(row[var(y, i, k)], ma.rows[k][j])
+                for k in range(wy):
+                    c = ma[k][j]
+                    if c:
+                        row[start_y + k] += c
                 # -(N_a f_x)_{ij} = -sum_k Na[i,k] f_x[k,j]
-                for k in range(n.dims[x]):
-                    row[var(x, k, j)] = fld.sub(row[var(x, k, j)], na.rows[i][k])
+                for k, c in enumerate(na[i]):
+                    if c:
+                        row[offsets[x] + k * wx + j] -= c
+                if p:
+                    row = [c % p for c in row]
                 if any(row):
-                    rows.append(row)
+                    rows.append(tuple(row))
     if total == 0:
         basis = []
     elif not rows:
         kern = Matrix.identity(fld, total).rows
         basis = [_morphism_from_vector(m, n, v) for v in kern]
     else:
-        mat = Matrix(fld, rows, total)
+        mat = Matrix._raw(fld, tuple(rows), total)
         basis = [
             _morphism_from_vector(m, n, k.column_vector(0)) for k in mat.kernel_basis()
         ]
@@ -623,23 +631,24 @@ def is_indecomposable(m: Representation) -> bool:
     return sc.dim - rad.nrows == 1
 
 
-def _iso_between_indecomposables(m: Representation, n: Representation) -> bool:
+def _an_isomorphism(m: Representation, n: Representation):
+    """Some isomorphism m -> n of indecomposables, or None if there is none.
+
+    It is the first element of ``hom_basis(m, n)`` whose blocks all have
+    full rank.  That suffices: if phi: m -> n is an isomorphism, then
+    Hom(m, n) = phi o End(m), and since End(m) is local the non-isomorphisms
+    are phi o rad End(m), a proper subspace, which no basis lies inside.
+    """
     if m.dims != n.dims:
-        return False
-    fwd = hom_basis(m, n)
-    bwd = hom_basis(n, m)
-    if not fwd or not bwd:
-        return m.total_dim == 0 and n.total_dim == 0
-    # m ~ n iff the composites n -> m -> n are not all in rad End(n).  End(n)
-    # is local, so its non-invertible elements are exactly rad End(n), and
-    # a subspace lies in rad End(n) iff each of its spanning composites does:
-    # m ~ n iff some basis composite is invertible, i.e. has full-rank
-    # (square) blocks at every vertex.
-    for f in fwd:
-        for g in bwd:
-            if all(b.rank() == b.nrows for b in compose(f, g).blocks):
-                return True
-    return False
+        return None
+    for f in hom_basis(m, n):
+        if all(b.rank() == b.nrows for b in f.blocks):
+            return f
+    return None
+
+
+def _iso_between_indecomposables(m: Representation, n: Representation) -> bool:
+    return _an_isomorphism(m, n) is not None
 
 
 def decompose(m: Representation):

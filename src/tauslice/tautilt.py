@@ -1411,35 +1411,6 @@ def is_simply_connected_component(arq: ARQuiver, seed=None) -> bool:
     return orbit_graph(arq, seed).is_tree()
 
 
-def is_convex_component(arq: ARQuiver, seed=None) -> bool:
-    """No chain of nonzero maps leaves the component and returns."""
-    comp = _component_or_all(arq, seed)
-    objs = arq.representatives()
-    n = len(objs)
-    succ = {k: [] for k in range(n)}
-    pred = {k: [] for k in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and hom_dim(objs[i], objs[j]) > 0:
-                succ[i].append(j)
-                pred[j].append(i)
-
-    def reach(starts, step):
-        out = set()
-        frontier = [t for s in starts for t in step[s]]
-        while frontier:
-            k = frontier.pop()
-            if k in out:
-                continue
-            out.add(k)
-            frontier.extend(step[k])
-        return out
-
-    down = reach(comp, succ)
-    up = reach(comp, pred)
-    return not ((down & up) - comp)
-
-
 def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
     """rad^infinity(X, Y) = 0 for all X, Y in the component.
 

@@ -15,11 +15,12 @@ from tauslice import fixtures as fixdata
 from tauslice.algebra import quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
-    projective, hom_dim, annihilator, fac_member, compose,
+    projective, hom_dim, annihilator, fac_member, compose, dual, is_isomorphic,
 )
 from tauslice.artheory import (
     ar_quiver, tau, end_algebra, ext_dim, stable_hom_dim_mod_injectives,
     radical_hom_basis, is_hereditary, is_projective_rep, is_injective_rep,
+    almost_split_sequence, almost_split_sequence_starting,
 )
 from tauslice.tautilt import (
     slice_candidate, boundary_neighbors, member_quiver, is_weakly_convex,
@@ -250,6 +251,36 @@ def mesh_additivity_failures(a):
         mid = sum(ass.ses.middle.dims)
         if mid != sum(ass.left.dims) + sum(ass.right.dims):
             bad.append(f"node {ident}: middle {mid} != left + right")
+    return bad
+
+
+def starting_sequence_duality_failures(a):
+    """The sequence starting at X against the dual of the one ending at D X.
+
+    D turns the almost split sequence 0 -> tau D X -> E' -> D X -> 0 over
+    the opposite algebra into 0 -> X -> D E' -> tau^{-1} X -> 0, so the
+    middle summands of the sequence starting at X must be the duals of the
+    middle summands of that sequence, up to isomorphism and with
+    multiplicities.  The library takes the sequence starting at X from the
+    one ending at tau^{-1} X instead, and never works over the opposite.
+    """
+    bad = []
+    for ident, node in enumerate(ar_quiver(a).nodes):
+        x = node.rep
+        if is_injective_rep(x):
+            continue
+        seq = almost_split_sequence_starting(x)
+        seq.ses.verify()
+        if not (seq.left is x and seq.ses.sub is x and seq.ses.left_map.source is x):
+            bad.append(f"node {ident}: the sequence does not start at the node itself")
+        unmatched = [[dual(r), k] for r, k in almost_split_sequence(dual(x)).middle_summands]
+        for r, k in seq.middle_summands:
+            hit = next((e for e in unmatched if e[1] == k and is_isomorphic(e[0], r)), None)
+            if hit is None:
+                bad.append(f"node {ident}: middle summand {r.dims} x{k} has no dual partner")
+            else:
+                unmatched.remove(hit)
+        bad += [f"node {ident}: dual summand {r.dims} x{k} is missing" for r, k in unmatched]
     return bad
 
 

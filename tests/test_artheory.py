@@ -18,6 +18,7 @@ from tauslice.artheory import (
 )
 
 from helpers import w, rep
+import properties
 
 
 def test_tau_on_line_quiver(a3):
@@ -98,8 +99,8 @@ def test_cached_results_end_at_their_own_argument(a3):
 
 
 def test_sequence_starting_at_m_begins_at_m_itself(a3):
-    # the sequence is computed over the opposite algebra and dualised back;
-    # D D m equals m, but the result must start at the object it was given
+    # the sequence is the cached one ending at tau^{-1} m, whose left end is
+    # only isomorphic to m; the result must start at the object it was given
     m = simple(a3, "2")
     seq = almost_split_sequence_starting(m)
     assert seq.left is m
@@ -108,6 +109,26 @@ def test_sequence_starting_at_m_begins_at_m_itself(a3):
     assert seq.ses.left_map.target is seq.ses.middle
     assert seq.right == tau_inverse(m)
     seq.ses.verify()
+
+
+@pytest.mark.parametrize("name", ["a3", "ex2", "fig1"])
+def test_starting_sequences_match_the_duality_oracle(algebras, name):
+    assert properties.starting_sequence_duality_failures(algebras[name]) == []
+
+
+def test_ar_quiver_computes_each_mesh_once_over_the_algebra():
+    # fresh algebras: one almost split sequence per non-projective node,
+    # and none over the opposite algebra
+    for name in fixdata.ALGEBRAS:
+        if name == "fig2":
+            continue
+        a = fixdata.algebra(name)
+        arq = ar_quiver(a)
+        keys = [k for k in a._cache if k[0] == "almost_split_sequence"]
+        nonprojective = [n for n in arq.nodes if n.projective_label is None]
+        assert len(keys) == len(nonprojective), name
+        assert {k[1] for k in keys} == {n.rep for n in nonprojective}, name
+        assert not [k for k in a.opposite()._cache if k[0] == "almost_split_sequence"], name
 
 
 def test_ar_quiver_counts(algebras):

@@ -45,3 +45,20 @@ def test_library_has_no_module_level_caches():
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
                   and node.value is not None and _is_empty_dict(node.value)]
     assert found == []
+
+
+def test_sibling_imports_are_used():
+    # a name imported from a sibling module and never used is a leftover of
+    # a deletion; __init__.py is exempt because it re-exports
+    unused = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno}:{alias.asname or alias.name}"
+                   for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in used]
+    assert unused == []

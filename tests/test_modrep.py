@@ -13,6 +13,7 @@ from tauslice.modrep import (
     is_isomorphic, is_indecomposable, dual,
     annihilator_span, is_faithful, is_sincere, fac_member, sub_member,
     inflate_along_quotient, restrict_along_quotient, extend_by_zero,
+    _an_isomorphism,
 )
 
 from helpers import w, rep, dims_multiset
@@ -132,6 +133,12 @@ def test_is_isomorphic_sees_through_base_change(algebras, name):
     for i, c in enumerate(copies):
         for j, x in enumerate(nodes):
             assert is_isomorphic(c, x) == (i == j), (name, i, j)
+            iso = _an_isomorphism(x, c)
+            if i != j:
+                assert iso is None, (name, i, j)
+                continue
+            assert iso.source is x and iso.target is c
+            assert all(b.inverse() is not None for b in iso.blocks), (name, i)
 
 
 def test_dual_exchanges_projective_and_injective(a3):
