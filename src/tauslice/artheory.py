@@ -51,9 +51,10 @@ from .modrep import (
     zero_morphism,
     zero_rep,
     end_radical_morphisms,
+    iso_index,
     _an_isomorphism,
-    _iso_between_indecomposables,
     _morphism_from_vector,
+    _register,
 )
 
 
@@ -197,6 +198,33 @@ def syzygy(m: Representation, power: int = 1) -> Representation:
             return out
         out = minimal_presentation(out).omega
     return out
+
+
+def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
+    """Omega(f): src.omega -> tgt.omega for f: src.module -> tgt.module.
+
+    f o cover_src lifts through cover_tgt to some hat f: P0 -> P0', whose
+    coordinates in the basis of Hom(P0, P0') are the solution with its free
+    variables set to 0; Omega(f) is the restriction of hat f to the
+    syzygies.  Omega^2(f) is Omega of Omega(f), on the next presentations.
+    """
+    basis = hom_basis(src.p0.rep, tgt.p0.rep)
+    coords = morphism_coordinates(
+        [compose(tgt.cover, h) for h in basis], compose(f, src.cover)
+    )
+    if coords is None:
+        raise ArithmeticError("morphism does not lift through the covers")
+    hat = zero_morphism(src.p0.rep, tgt.p0.rep)
+    for c, h in zip(coords, basis):
+        if c:
+            hat = hat + h.scale(c)
+    blocks = []
+    for v in range(len(src.omega.dims)):
+        sol = tgt.omega_incl.blocks[v].solve(hat.blocks[v] @ src.omega_incl.blocks[v])
+        if sol is None:
+            raise ArithmeticError("cover lift does not preserve the syzygy")
+        blocks.append(sol)
+    return Morphism(src.omega, tgt.omega, blocks, _checked=False)
 
 
 def cosyzygy(m: Representation, power: int = 1) -> Representation:
@@ -459,39 +487,6 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
 # almost split sequences
 
 
-def lift_endomorphism_to_cover(g: Morphism, pres: Presentation) -> Morphism:
-    """Some hat g: P0 -> P0 with cover o hat g = g o cover."""
-    p0 = pres.p0.rep
-    fld = p0.algebra.field
-    basis = hom_basis(p0, p0)
-    target = compose(g, pres.cover)
-    rows = [compose(pres.cover, h).flatten() for h in basis]
-    width = len(target.flatten())
-    mat = Matrix(fld, rows, width)
-    sol = mat.transpose().solve(Matrix.column(fld, target.flatten()))
-    if sol is None:
-        raise ArithmeticError("endomorphism does not lift to the cover")
-    out = zero_morphism(p0, p0)
-    for k, h in enumerate(basis):
-        c = sol.rows[k][0]
-        if c != fld.zero():
-            out = out + h.scale(c)
-    return out
-
-
-def restrict_to_syzygy(hat: Morphism, pres: Presentation) -> Morphism:
-    """Omega(g): the restriction of a cover lift to ker(cover)."""
-    fld = pres.module.algebra.field
-    blocks = []
-    for v in range(len(pres.module.dims)):
-        rhs = hat.blocks[v] @ pres.omega_incl.blocks[v]
-        sol = pres.omega_incl.blocks[v].solve(rhs)
-        if sol is None:
-            raise ArithmeticError("lift does not preserve the syzygy")
-        blocks.append(sol)
-    return Morphism(pres.omega, pres.omega, blocks, _checked=False)
-
-
 @dataclass
 class AlmostSplitSequence:
     ses: ShortExactSequence
@@ -526,7 +521,7 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     if rad_end:
         action_rows = []
         for g in rad_end:
-            omega_g = restrict_to_syzygy(lift_endomorphism_to_cover(g, pres), pres)
+            omega_g = syzygy_map(g, pres, pres)
             cols = []
             for k in range(ext.dim):
                 unit = tuple(
@@ -629,13 +624,9 @@ class ARQuiver:
         self.arrows: dict = {}
         self.tau_link: dict = {}
         self.meshes: dict = {}
-        self._by_dims: dict = {}
 
     def find(self, rep):
-        for ident in self._by_dims.get(rep.dims, []):
-            if _iso_between_indecomposables(self.nodes[ident].rep, rep):
-                return ident
-        return None
+        return iso_index(self.representatives(), rep)
 
     def add(self, rep):
         ident = self.find(rep)
@@ -643,7 +634,6 @@ class ARQuiver:
             return ident, False
         ident = len(self.nodes)
         self.nodes.append(ARNode(ident, rep))
-        self._by_dims.setdefault(rep.dims, []).append(ident)
         return ident, True
 
     def set_arrow(self, src, tgt, mult):
@@ -775,62 +765,55 @@ def radical_hom_basis(x: Representation, y: Representation):
     return [compose(r, iso) for r in end_radical_morphisms(y)]
 
 
-def _radical_tower(x, y, power, universe):
-    """Spans of rad^k(u, v) for all pairs over the universe, propagated."""
-    fld = x.algebra.field
-    objs = list(universe)
-    if all(not _iso_between_indecomposables(x, u) for u in objs):
-        objs.append(x)
-    if all(not _iso_between_indecomposables(y, u) for u in objs):
-        objs.append(y)
+def _radical_tower(objs, power):
+    """Spans of rad^power(objs[i], objs[j]) for indecomposables, keyed (i, j).
 
-    def width_of(u, v):
-        return sum(du * dv for du, dv in zip(u.dims, v.dims))
+    Starts from rad(u, v) and composes with rad on the right, through every
+    object, until ``power`` (an int, or "infinity") is reached or no span
+    changes.  The spans only shrink, so a step that changes none of them
+    has reached the fixed point that every higher power shares.
+    """
+    pairs = [(i, j) for i in range(len(objs)) for j in range(len(objs))]
+    rad1 = {(i, j): radical_hom_basis(objs[i], objs[j]) for i, j in pairs}
 
-    rad1_m = {}
-    for u in objs:
-        for v in objs:
-            rad1_m[(u, v)] = radical_hom_basis(u, v)
+    def span(i, j, morphisms):
+        width = sum(du * dv for du, dv in zip(objs[i].dims, objs[j].dims))
+        return span_matrix(objs[i].algebra.field, [f.flatten() for f in morphisms], width)
 
-    cur = {
-        (u, v): span_matrix(fld, [f.flatten() for f in rad1_m[(u, v)]], width_of(u, v))
-        for u in objs
-        for v in objs
-    }
+    cur = {(i, j): span(i, j, rad1[(i, j)]) for i, j in pairs}
     k = 1
-    while True:
-        if power != "infinity" and k == power:
+    while k != power:
+        # morphisms i -> z in cur, then z -> j in rad1
+        morphs = {
+            (i, z): [_morphism_from_vector(objs[i], objs[z], row) for row in cur[(i, z)].rows]
+            for i, z in pairs
+        }
+        nxt = {
+            (i, j): span(i, j, [
+                compose(g, f)
+                for z in range(len(objs))
+                for f in morphs[(i, z)]
+                for g in rad1[(z, j)]
+            ])
+            for i, j in pairs
+        }
+        if all(nxt[p].nrows == cur[p].nrows for p in pairs):
             break
-        nxt = {}
-        changed = False
-        for u in objs:
-            for v in objs:
-                vecs = []
-                for z in objs:
-                    # morphisms u -> z in cur, then z -> v in rad1
-                    for row in cur[(u, z)].rows:
-                        f = _morphism_from_vector(u, z, row)
-                        for g in rad1_m[(z, v)]:
-                            vecs.append(compose(g, f).flatten())
-                nxt[(u, v)] = span_matrix(fld, vecs, width_of(u, v))
-                if nxt[(u, v)].nrows != cur[(u, v)].nrows:
-                    changed = True
         cur = nxt
         k += 1
-        if power == "infinity" and not changed:
-            break
-        if k > 2 * len(objs) * max((o.total_dim for o in objs), default=1) + 4:
-            if power == "infinity":
-                break
-            raise CapExceeded("radical tower did not stabilise")
-    return cur[(x, y)]
+    return cur
 
 
 def radical_power_dim(x, y, power, universe) -> int:
+    """dim rad^power(x, y), composing radical maps through ``universe``.
+
+    x and y join the universe unless they are isomorphic to a member.
+    """
     if power == 1:
-        f = radical_hom_basis(x, y)
-        return len(f)
-    return _radical_tower(x, y, power, universe).nrows
+        return len(radical_hom_basis(x, y))
+    objs = list(universe)
+    ends = (_register(objs, x), _register(objs, y))
+    return _radical_tower(objs, power)[ends].nrows
 
 
 # ---------------------------------------------------------------------------
@@ -1172,17 +1155,6 @@ def _dc_left_multiplication(c: PresentedAlgebra, ps_op: ProjSum, dc, elt) -> Mor
     return Morphism(dc, dc, blocks, _checked=False)
 
 
-def lift_through_two_covers(f: Morphism, pres1: Presentation, pres2: Presentation) -> Morphism:
-    """Omega^2(f) for an endomorphism f of pres1.module.
-
-    pres1 presents the module and pres2 presents its syzygy.
-    """
-    hat = lift_endomorphism_to_cover(f, pres1)
-    omega_f = restrict_to_syzygy(hat, pres1)
-    hat2 = lift_endomorphism_to_cover(omega_f, pres2)
-    return restrict_to_syzygy(hat2, pres2)
-
-
 def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     """E = Ext^2_C(DC, C) with its C-C-bimodule structure.
 
@@ -1222,7 +1194,7 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
 
     def right_matrix(elt):
         eta = _dc_left_multiplication(c, ps_op, dc, elt)
-        omega2 = lift_through_two_covers(eta, pres1, pres2)
+        omega2 = syzygy_map(syzygy_map(eta, pres1, pres1), pres2, pres2)
         cols = [
             ext.class_coordinates(compose(phi, omega2)) for phi in unit_cocycles
         ]
@@ -1241,63 +1213,47 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     return bim
 
 
-def bimodule_right_rep(bim: Bimodule) -> Representation:
-    """The underlying right module of a bimodule, as a representation."""
-    c = bim.algebra
-    fld = c.field
+def _action_rep(alg: PresentedAlgebra, action, dim, side) -> Representation:
+    """The representation of alg on k^dim cut out by a one-sided action.
+
+    The fibre at v is the image of ``action[("e", v)]``; an arrow acts by
+    ``action[("arrow", name)]`` restricted to its source fibre.
+    """
+    fld = alg.field
     fibres = []
-    for v in c.quiver.vertices:
-        proj = bim.right[("e", v)]
+    for v in alg.quiver.vertices:
+        proj = action[("e", v)]
         cols = [proj.column_vector(j) for j in range(proj.ncols)]
-        fibres.append(span_matrix(fld, cols, bim.dim))
+        fibres.append(span_matrix(fld, cols, dim))
     dims = [f.nrows for f in fibres]
     maps = []
-    for j, ar in enumerate(c.quiver.arrows):
-        x = c.quiver.vertex_index[ar.source]
-        y = c.quiver.vertex_index[ar.target]
-        act = bim.right[("arrow", ar.name)]
+    for ar in alg.quiver.arrows:
+        x = alg.quiver.vertex_index[ar.source]
+        y = alg.quiver.vertex_index[ar.target]
+        act = action[("arrow", ar.name)]
         cols = []
         for row in fibres[x].rows:
             img = act @ Matrix.column(fld, row)
             co = coordinates_in_basis(fibres[y], tuple(img.column_vector(0)))
             if co is None:
-                raise ArithmeticError("right action does not respect the grading")
+                raise ArithmeticError(f"{side} action does not respect the grading")
             cols.append(co)
         if cols:
             maps.append(Matrix(fld, list(zip(*cols)), dims[x]))
         else:
             maps.append(Matrix.zero(fld, dims[y], 0))
-    return Representation(c, dims, maps)
+    return Representation(alg, dims, maps)
+
+
+def bimodule_right_rep(bim: Bimodule) -> Representation:
+    """The underlying right module of a bimodule, as a representation."""
+    return _action_rep(bim.algebra, bim.right, bim.dim, "right")
 
 
 def bimodule_dual_left_rep(bim: Bimodule) -> Representation:
-    """D(_C Q): the dual of the left structure, as a right C-module."""
-    c = bim.algebra
-    fld = c.field
-    # left structure of Q = right module over C^op with fibre projections
-    # from the left idempotents; dualising transposes the action.
-    op = c.opposite()
-    fibres = []
-    for v in op.quiver.vertices:
-        proj = bim.left[("e", v)]
-        cols = [proj.column_vector(j) for j in range(proj.ncols)]
-        fibres.append(span_matrix(fld, cols, bim.dim))
-    dims = [f.nrows for f in fibres]
-    maps = []
-    for ar in op.quiver.arrows:
-        x = op.quiver.vertex_index[ar.source]
-        y = op.quiver.vertex_index[ar.target]
-        act = bim.left[("arrow", ar.name)]  # q -> arrow.q moves e_tgt q to e_src side
-        cols = []
-        for row in fibres[x].rows:
-            img = act @ Matrix.column(fld, row)
-            co = coordinates_in_basis(fibres[y], tuple(img.column_vector(0)))
-            if co is None:
-                raise ArithmeticError("left action does not respect the grading")
-            cols.append(co)
-        if cols:
-            maps.append(Matrix(fld, list(zip(*cols)), dims[x]))
-        else:
-            maps.append(Matrix.zero(fld, dims[y], 0))
-    as_op_rep = Representation(op, dims, maps)
-    return dual(as_op_rep)
+    """D(_C Q): the dual of the left structure, as a right C-module.
+
+    The left structure of Q is a right module over C^op, with fibres cut
+    out by the left idempotents; dualising transposes the action.
+    """
+    return dual(_action_rep(bim.algebra.opposite(), bim.left, bim.dim, "left"))

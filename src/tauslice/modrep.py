@@ -11,6 +11,8 @@ every arrow a: x -> y.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import PresentedAlgebra, QuotientMap, word_key
 from .exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
 
@@ -632,12 +634,14 @@ def is_indecomposable(m: Representation) -> bool:
 
 
 def _an_isomorphism(m: Representation, n: Representation):
-    """Some isomorphism m -> n of indecomposables, or None if there is none.
+    """Some isomorphism m -> n, or None if there is none.
 
-    It is the first element of ``hom_basis(m, n)`` whose blocks all have
-    full rank.  That suffices: if phi: m -> n is an isomorphism, then
-    Hom(m, n) = phi o End(m), and since End(m) is local the non-isomorphisms
-    are phi o rad End(m), a proper subspace, which no basis lies inside.
+    Precondition: m, the stored side, is indecomposable; n may be any
+    module.  The answer is the first element of ``hom_basis(m, n)`` whose
+    blocks all have full rank.  That suffices: if phi: m -> n is an
+    isomorphism, then Hom(m, n) = phi o End(m), and since End(m) is local
+    the non-isomorphisms are phi o rad End(m), a proper subspace, which no
+    basis lies inside.  Two zero modules give None.
     """
     if m.dims != n.dims:
         return None
@@ -647,8 +651,29 @@ def _an_isomorphism(m: Representation, n: Representation):
     return None
 
 
-def _iso_between_indecomposables(m: Representation, n: Representation) -> bool:
-    return _an_isomorphism(m, n) is not None
+def iso_index(indecs, r: Representation):
+    """Position of the first module of ``indecs`` isomorphic to r, or None.
+
+    Precondition: every stored module, each one of ``indecs``, is
+    indecomposable; r may be any module, zero or decomposable included
+    (then the answer is None).  Each stored module with r's dimension
+    vector is tested by :func:`_an_isomorphism` with the stored module
+    first, which makes the answer exact.
+    """
+    for k, u in enumerate(indecs):
+        if u.dims == r.dims and _an_isomorphism(u, r) is not None:
+            return k
+    return None
+
+
+def _register(indecs, r: Representation) -> int:
+    """:func:`iso_index` of r in a list of indecomposables, appending r
+    first when it is new; r must then be indecomposable too."""
+    k = iso_index(indecs, r)
+    if k is None:
+        k = len(indecs)
+        indecs.append(r)
+    return k
 
 
 def decompose(m: Representation):
@@ -663,16 +688,9 @@ def decompose(m: Representation):
     hit = m.algebra._cache.get(key)
     if hit is not None:
         return hit
-    pieces = _split_completely(m)
-    groups = []
-    for p in pieces:
-        for entry in groups:
-            if _iso_between_indecomposables(entry[0], p):
-                entry[1] += 1
-                break
-        else:
-            groups.append([p, 1])
-    result = [(rep, mult) for rep, mult in groups]
+    reps = []
+    idents = [_register(reps, p) for p in _split_completely(m)]
+    result = [(rep, idents.count(k)) for k, rep in enumerate(reps)]
     if sum(rep.total_dim * mult for rep, mult in result) != m.total_dim:
         raise ArithmeticError("decomposition does not add up")
     m.algebra._cache[key] = result
@@ -688,15 +706,14 @@ def _split_completely(m: Representation):
     rad = radical_span(sc)
     if sc.dim - rad.nrows == 1:
         return [m]
-    fld = m.algebra.field
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append(basis[i] + basis[j])
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                candidates.append(basis[i] + basis[j].scale(fld.coerce(2)))
+    # the End basis, then pairwise sums: built one at a time, as tried
+    d = len(basis)
+    two = m.algebra.field.coerce(2)
+    candidates = itertools.chain(
+        basis,
+        (basis[i] + basis[j] for i in range(d) for j in range(i + 1, d)),
+        (basis[i] + basis[j].scale(two) for i in range(d) for j in range(d) if i != j),
+    )
     n = m.total_dim
     for f in candidates:
         power = f
@@ -716,25 +733,23 @@ def _split_completely(m: Representation):
     )
 
 
-def is_isomorphic(m: Representation, n: Representation) -> bool:
-    if m.algebra is not n.algebra:
+def _summands_match(left, right) -> bool:
+    """Whether two decompositions [(indecomposable, multiplicity), ...], each
+    with pairwise non-isomorphic summands, agree up to isomorphism."""
+    if len(left) != len(right):
         return False
-    if m.dims != n.dims:
-        return False
-    dm = [(rep, mult) for rep, mult in decompose(m)]
-    dn = [[rep, mult] for rep, mult in decompose(n)]
-    for rep, mult in dm:
-        found = False
-        for entry in dn:
-            if entry[1] > 0 and _iso_between_indecomposables(rep, entry[0]):
-                if entry[1] < mult:
-                    return False
-                entry[1] -= mult
-                found = True
-                break
-        if not found:
+    reps = [rep for rep, _mult in right]
+    for rep, mult in left:
+        k = iso_index(reps, rep)
+        if k is None or right[k][1] != mult:
             return False
-    return all(entry[1] == 0 for entry in dn)
+    return True
+
+
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    if m.algebra is not n.algebra or m.dims != n.dims:
+        return False
+    return _summands_match(decompose(m), decompose(n))
 
 
 # ---------------------------------------------------------------------------

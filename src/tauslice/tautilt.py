@@ -49,6 +49,7 @@ from .modrep import (
     hom_dim,
     is_isomorphic,
     is_indecomposable,
+    iso_index,
     is_sincere,
     is_faithful,
     inflate_along_quotient,
@@ -59,9 +60,10 @@ from .modrep import (
     radical_rep,
     socle_rep,
     zero_rep,
-    zero_morphism,
     dual,
     _morphism_from_vector,
+    _register,
+    _summands_match,
 )
 from .artheory import (
     ARQuiver,
@@ -80,6 +82,8 @@ from .artheory import (
     tau_inverse,
     bimodule_right_rep,
     bimodule_dual_left_rep,
+    syzygy_map,
+    _radical_tower,
 )
 
 
@@ -93,13 +97,6 @@ def _basic_summands(m):
     if any(mult > 1 for _rep, mult in summands):
         raise NotBasic("module has a repeated indecomposable summand")
     return [rep for rep, _mult in summands]
-
-
-def _require_pairwise_noniso(reps):
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if reps[i].dims == reps[j].dims and is_isomorphic(reps[i], reps[j]):
-                raise NotBasic("repeated member")
 
 
 def is_tau_rigid(m: Representation) -> bool:
@@ -250,10 +247,7 @@ class SliceCandidate:
         return self._module
 
     def member_index(self, x: Representation):
-        for i, u in enumerate(self.members):
-            if u.dims == x.dims and is_isomorphic(u, x):
-                return i
-        return None
+        return iso_index(self.members, x)
 
     def contains(self, x: Representation) -> bool:
         return self.member_index(x) is not None
@@ -271,7 +265,8 @@ def slice_candidate(algebra, members, check=True) -> SliceCandidate:
                 raise ValueError("member is not a module over the given algebra")
             if u.is_zero() or not is_indecomposable(u):
                 raise ValueError("slice members must be nonzero indecomposables")
-        _require_pairwise_noniso(members)
+        if any(iso_index(members[:i], u) is not None for i, u in enumerate(members)):
+            raise NotBasic("repeated member")
     return SliceCandidate(algebra, members)
 
 
@@ -384,24 +379,34 @@ def is_presection(sigma: SliceCandidate) -> bool:
     return _members_connected(sigma)
 
 
+def _reachable(frontier, step):
+    """Every node reachable from ``frontier``, the frontier included, along
+    ``step``, a dict from each node to its neighbours."""
+    seen = set()
+    frontier = list(frontier)
+    while frontier:
+        k = frontier.pop()
+        if k not in seen:
+            seen.add(k)
+            frontier.extend(step[k])
+    return seen
+
+
+def _undirected(nodes, edges):
+    """Neighbour sets of the undirected graph on ``nodes`` with ``edges``."""
+    adj = {k: set() for k in nodes}
+    for s, t in edges:
+        adj[s].add(t)
+        adj[t].add(s)
+    return adj
+
+
 def _members_connected(sigma: SliceCandidate) -> bool:
     n = len(sigma.members)
     if n <= 1:
         return True
-    adj = {i: set() for i in range(n)}
-    for i, j, _mult in member_quiver(sigma):
-        if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for j in adj[k]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+    adj = _undirected(range(n), [(i, j) for i, j, _mult in member_quiver(sigma)])
+    return len(_reachable([0], adj)) == n
 
 
 def is_tau_slice(sigma: SliceCandidate) -> bool:
@@ -440,13 +445,9 @@ def _dedupe_universe(a, universe, extra, max_nodes):
     else:
         objs = []
         for r in universe:
-            if all(
-                not (r.dims == o.dims and is_isomorphic(r, o)) for o in objs
-            ):
-                objs.append(r)
+            _register(objs, r)
     for r in extra:
-        if all(not (r.dims == o.dims and is_isomorphic(r, o)) for o in objs):
-            objs.append(r)
+        _register(objs, r)
     return objs
 
 
@@ -474,39 +475,11 @@ def convex_in_mod_a_witness(sigma: SliceCandidate, universe=None, max_nodes=512)
                 succ[i].append(j)
                 pred[j].append(i)
 
-    def reach(starts, step):
-        seen = set()
-        frontier = [t for s in starts for t in step[s]]
-        while frontier:
-            k = frontier.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            frontier.extend(step[k])
-        return seen
-
-    down = reach(member_ids, succ)
-    up = reach(member_ids, pred)
+    down = _reachable([t for s in member_ids for t in succ[s]], succ)
+    up = _reachable([t for s in member_ids for t in pred[s]], pred)
     for k in sorted((down & up) - member_ids):
         return False, objs[k]
     return True, None
-
-
-class _Registry:
-    """Iso-class registry for locally discovered indecomposables."""
-
-    def __init__(self):
-        self.reps = []
-        self._by_dims = {}
-
-    def ident(self, rep):
-        for k in self._by_dims.get(rep.dims, []):
-            if is_isomorphic(self.reps[k], rep):
-                return k
-        k = len(self.reps)
-        self.reps.append(rep)
-        self._by_dims.setdefault(rep.dims, []).append(k)
-        return k
 
 
 def _span_morphisms(x0, z, span):
@@ -535,7 +508,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
     through an outsider.  Raises CapExceeded past ``max_states``.
     """
     fld = sigma.algebra.field
-    reg = _Registry()
+    reps = []  # the modules reached, up to isomorphism
     acc = {}  # (member idx, node ident, flag) -> accumulated row span
 
     def subsumed(key, span):
@@ -559,7 +532,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
             span = span_matrix(fld, rows, width)
             if span.nrows == 0:
                 continue
-            yid = reg.ident(y)
+            yid = _register(reps, y)
             flag = not sigma.contains(y)
             key = (s_idx, yid, flag)
             if subsumed(key, span):
@@ -574,7 +547,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
         if explored > max_states:
             raise CapExceeded("weak convexity search exceeded its state budget")
         x0 = sigma.members[s_idx]
-        z = reg.reps[zid]
+        z = reps[zid]
         morphs = _span_morphisms(x0, z, span)
         for w, _mult in local_out_neighbors(z):
             rad = radical_hom_basis(z, w)
@@ -590,7 +563,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
                 nflag = False
             else:
                 nflag = True
-            wid = reg.ident(w)
+            wid = _register(reps, w)
             key = (s_idx, wid, nflag)
             if nflag and subsumed(key, nspan):
                 continue
@@ -616,13 +589,13 @@ def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
     surviving path must still reach a member through a nonzero morphism,
     which prunes the search on infinite components.
     """
-    reg = _Registry()
+    reps = []  # the modules reached, up to isomorphism
     visited = set()
     queue = []
     for s_idx, x0 in enumerate(sigma.members):
-        x0id = reg.ident(x0)
+        x0id = _register(reps, x0)
         for y, _mult in local_out_neighbors(x0):
-            yid = reg.ident(y)
+            yid = _register(reps, y)
             flag = not sigma.contains(y)
             state = (s_idx, x0id, yid, flag)
             if state in visited:
@@ -636,10 +609,10 @@ def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
         explored += 1
         if explored > max_states:
             raise CapExceeded("sectional convexity search exceeded its state budget")
-        prev = reg.reps[pid]
-        z = reg.reps[zid]
+        prev = reps[pid]
+        z = reps[zid]
         for w, _mult in local_out_neighbors(z):
-            if not is_projective_rep(w) and is_isomorphic(prev, tau(w)):
+            if not is_projective_rep(w) and iso_index([prev], tau(w)) is not None:
                 continue  # not sectional
             wpath = path + [w.dims]
             if sigma.contains(w):
@@ -650,7 +623,7 @@ def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
                 nflag = True
                 if not any(hom_dim(w, y) > 0 for y in sigma.members):
                     continue  # no sectional continuation can reach the candidate
-            wid = reg.ident(w)
+            wid = _register(reps, w)
             state = (s_idx, zid, wid, nflag)
             if state in visited:
                 continue
@@ -686,19 +659,7 @@ def convexity_suite(sigma: SliceCandidate, universe=None, max_states=4096):
 
 def component_idents(arq: ARQuiver, seed_ident: int):
     """Node idents of the connected component of the AR quiver at a seed."""
-    adj = {k: set() for k in range(arq.count)}
-    for (s, t) in arq.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = {seed_ident}
-    stack = [seed_ident]
-    while stack:
-        k = stack.pop()
-        for j in adj[k]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+    return _reachable([seed_ident], _undirected(range(arq.count), arq.arrows))
 
 
 def tau_orbits(arq: ARQuiver, idents=None):
@@ -736,20 +697,8 @@ def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
         return False
     idset = set(ids)
     # connected
-    adj = {k: set() for k in idset}
-    for (s, t) in arq.arrows:
-        if s in idset and t in idset:
-            adj[s].add(t)
-            adj[t].add(s)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        k = stack.pop()
-        for j in adj[k]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != len(idset):
+    inner = [(s, t) for (s, t) in arq.arrows if s in idset and t in idset]
+    if len(_reachable([ids[0]], _undirected(idset, inner))) != len(idset):
         return False
     # acyclic inside the candidate
     colour = {}
@@ -776,19 +725,8 @@ def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
             succ[s].append(t)
             pred[t].append(s)
 
-    def reach(starts, step):
-        out = set()
-        frontier = [t for s in starts for t in step[s]]
-        while frontier:
-            k = frontier.pop()
-            if k in out:
-                continue
-            out.add(k)
-            frontier.extend(step[k])
-        return out
-
-    down = reach(idset, succ)
-    up = reach(idset, pred)
+    down = _reachable([t for s in idset for t in succ[s]], succ)
+    up = _reachable([t for s in idset for t in pred[s]], pred)
     if (down & up) - idset:
         return False
     # one node per tau-orbit of the component
@@ -889,40 +827,6 @@ def torsion_pair_of(m: Representation, universe=None, max_nodes=512) -> TorsionP
 # the Ext functor into modules over the endomorphism algebra
 
 
-def _lift_to_covers(f: Morphism, src_pres, tgt_pres):
-    """Lift f through the projective covers: hat with cover_tgt o hat = f o
-    cover_src, together with its restriction Omega(src) -> Omega(tgt)."""
-    fld = f.source.algebra.field
-    p0s, p0t = src_pres.p0.rep, tgt_pres.p0.rep
-    basis = hom_basis(p0s, p0t)
-    target = compose(f, src_pres.cover)
-    flat = list(target.flatten())
-    if not basis:
-        if any(c != fld.zero() for c in flat):
-            raise ArithmeticError("morphism does not lift through the covers")
-        hat = zero_morphism(p0s, p0t)
-    else:
-        rows = [compose(tgt_pres.cover, h).flatten() for h in basis]
-        mat = Matrix(fld, rows, len(flat))
-        sol = mat.transpose().solve(Matrix.column(fld, flat))
-        if sol is None:
-            raise ArithmeticError("morphism does not lift through the covers")
-        hat = zero_morphism(p0s, p0t)
-        for k, h in enumerate(basis):
-            c = sol.rows[k][0]
-            if c != fld.zero():
-                hat = hat + h.scale(c)
-    blocks = []
-    for v in range(len(src_pres.omega.dims)):
-        rhs = hat.blocks[v] @ src_pres.omega_incl.blocks[v]
-        solb = tgt_pres.omega_incl.blocks[v].solve(rhs)
-        if solb is None:
-            raise ArithmeticError("cover lift does not preserve the syzygy")
-        blocks.append(solb)
-    omega_map = Morphism(src_pres.omega, tgt_pres.omega, blocks, _checked=False)
-    return hat, omega_map
-
-
 def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
     """Ext^1(M, x) as a right End(M)-module.
 
@@ -943,7 +847,7 @@ def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
             maps.append(Matrix.zero(fld, dims[j], dims[i]))
             continue
         f_b = er.arrow_morphisms[ar.name]  # M_j -> M_i
-        _hat, omega_map = _lift_to_covers(f_b, press[j], press[i])
+        omega_map = syzygy_map(f_b, press[j], press[i])
         cols = []
         for k in range(dims[i]):
             coords = tuple(
@@ -957,13 +861,6 @@ def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
 
 # ---------------------------------------------------------------------------
 # the two-functor comparison engine
-
-
-def _find_iso_index(objs, r):
-    for k, o in enumerate(objs):
-        if o.dims == r.dims and is_isomorphic(o, r):
-            return k
-    return None
 
 
 def _endo_total_matrix(g: Morphism) -> Matrix:
@@ -1127,9 +1024,9 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
     for idx, x in enumerate(fac):
         h = er.hom_functor(x)
         hom_images.append(h)
-        j = _find_iso_index(ys, h)
+        j = iso_index(ys, h)
         back, *_rest = er.tensor_functor(h)
-        ok = j is not None and j not in used and is_isomorphic(back, x)
+        ok = j is not None and j not in used and iso_index([x], back) is not None
         if j is not None:
             used.add(j)
         hom_table.append((idx, j))
@@ -1139,7 +1036,7 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
         t, *_rest = er.tensor_functor(y)
         hom_ok = hom_ok and fac_member(t, m)
         h2 = er.hom_functor(t)
-        hom_ok = hom_ok and is_isomorphic(h2, y)
+        hom_ok = hom_ok and iso_index([y], h2) is not None
     checked = 0
     for x1, h1 in zip(fac, hom_images):
         for x2, h2 in zip(fac, hom_images):
@@ -1154,8 +1051,8 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
     used2 = set()
     for idx, x in enumerate(sub_a):
         e = ext_functor(er, x)
-        j = _find_iso_index(xs, e)
-        ok = j is not None and j not in used2 and is_isomorphic(er.tor1(e), x)
+        j = iso_index(xs, e)
+        ok = j is not None and j not in used2 and iso_index([x], er.tor1(e)) is not None
         if j is not None:
             used2.add(j)
         ext_table.append((idx, j))
@@ -1165,7 +1062,7 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
         t1 = er.tor1(xb)
         ext_ok = ext_ok and sub_member(t1, tau_a)
         if not t1.is_zero():
-            ext_ok = ext_ok and is_isomorphic(ext_functor(er, t1), xb)
+            ext_ok = ext_ok and iso_index([xb], ext_functor(er, t1)) is not None
 
     witness = None
     if not tau_agree:
@@ -1208,19 +1105,6 @@ def bb_verify_dual(m: Representation, max_nodes=512, sample_pairs=50) -> BBRepor
 
 # ---------------------------------------------------------------------------
 # quotients preserving slices
-
-
-def _summand_lists_match(left, right):
-    """Multiset equality of [(rep, mult)] lists up to isomorphism."""
-    remaining = [[r, mult] for r, mult in right]
-    for r, mult in left:
-        for entry in remaining:
-            if entry[0].dims == r.dims and is_isomorphic(entry[0], r):
-                entry[1] -= mult
-                break
-        else:
-            return False
-    return all(entry[1] == 0 for entry in remaining)
 
 
 @dataclass
@@ -1286,7 +1170,7 @@ def quotient_preservation_check(
                 (restrict_along_quotient(r, qmap), mult)
                 for r, mult in sb.middle_summands
             ]
-            end_ok = end_ok and _summand_lists_match(sa.middle_summands, back)
+            end_ok = end_ok and _summands_match(sa.middle_summands, back)
         ja, jb = is_injective_rep(u), is_injective_rep(ub)
         if ja != jb:
             start_ok = False
@@ -1297,7 +1181,7 @@ def quotient_preservation_check(
                 (restrict_along_quotient(r, qmap), mult)
                 for r, mult in sb.middle_summands
             ]
-            start_ok = start_ok and _summand_lists_match(sa.middle_summands, back)
+            start_ok = start_ok and _summands_match(sa.middle_summands, back)
 
     return QuotientPreservationReport(
         qmap=qmap,
@@ -1336,19 +1220,7 @@ class OrbitGraph:
             return False
         if len(self.edges) != n - 1:
             return False
-        adj = {k: set() for k in range(n)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            for j in adj[k]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+        return len(_reachable([0], _undirected(range(n), self.edges))) == n
 
 
 def _component_or_all(arq: ARQuiver, seed):
@@ -1419,40 +1291,8 @@ def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
     component.
     """
     comp = sorted(_component_or_all(arq, seed))
-    objs = arq.representatives()
-    fld = arq.algebra.field
-    n = len(objs)
-
-    def width(i, j):
-        return sum(du * dv for du, dv in zip(objs[i].dims, objs[j].dims))
-
-    rad1 = {}
-    for i in range(n):
-        for j in range(n):
-            rad1[(i, j)] = radical_hom_basis(objs[i], objs[j])
-    cur = {
-        (i, j): span_matrix(fld, [f.flatten() for f in rad1[(i, j)]], width(i, j))
-        for i in range(n)
-        for j in range(n)
-    }
-    while True:
-        nxt = {}
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                vecs = []
-                for z in range(n):
-                    for row in cur[(i, z)].rows:
-                        f = _morphism_from_vector(objs[i], objs[z], row)
-                        for g in rad1[(z, j)]:
-                            vecs.append(compose(g, f).flatten())
-                nxt[(i, j)] = span_matrix(fld, vecs, width(i, j))
-                if nxt[(i, j)].nrows != cur[(i, j)].nrows:
-                    changed = True
-        cur = nxt
-        if not changed:
-            break
-    return all(cur[(i, j)].nrows == 0 for i in comp for j in comp)
+    tower = _radical_tower(arq.representatives(), "infinity")
+    return all(tower[(i, j)].nrows == 0 for i in comp for j in comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1545,9 +1385,7 @@ def onepoint_slice_extend(
     """
     if sigma.algebra is not a or x.algebra is not a:
         raise ValueError("slice and extension module must live over the algebra")
-    strong = any(
-        u.dims == x.dims and is_isomorphic(u, x) for u in sigma.members
-    )
+    strong = sigma.contains(x)
     if not strong and not fac_member(x, tau_inverse_module(sigma)):
         raise ValueError(
             "extension module is neither in add(sigma) nor in Fac(tau^{-1} sigma)"

@@ -190,7 +190,14 @@ def test_radical_power_dim_on_ar_universe(a3):
     assert radical_power_dim(p3, p1, 1, universe) == 1
     assert radical_power_dim(p3, p1, 2, universe) == 1
     assert radical_power_dim(p3, p1, 3, universe) == 0
+    # the tower stops once no span changes, so any higher power answers too
+    assert radical_power_dim(p3, p1, 41, universe) == 0
+    assert radical_power_dim(p3, p1, 100, universe) == 0
     assert radical_power_dim(p3, p1, "infinity", universe) == 0
+    # an isomorphic copy of P1 that is not equal to the universe's P1
+    p1_copy = rep(a3, p1.dims, a=[[3]], b=[[5]])
+    assert p1_copy != p1
+    assert radical_power_dim(p3, p1_copy, 2, universe) == 1
 
 
 def test_relation_extension_bimodule(ex5_c):

@@ -62,3 +62,24 @@ def test_sibling_imports_are_used():
                    for alias in node.names
                    if (alias.asname or alias.name) not in used]
     assert unused == []
+
+
+def test_private_helpers_have_callers():
+    # a private top-level function or class that nothing else in the package
+    # names is a leftover of a deletion; uses inside its own body (recursion,
+    # a class naming itself) do not count
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.endswith("__")):
+                defined.append((path.name, stmt.lineno, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    assert [f"{f}:{line}:{name}" for f, line, name in defined
+            if name not in used] == []

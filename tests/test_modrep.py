@@ -13,7 +13,7 @@ from tauslice.modrep import (
     is_isomorphic, is_indecomposable, dual,
     annihilator_span, is_faithful, is_sincere, fac_member, sub_member,
     inflate_along_quotient, restrict_along_quotient, extend_by_zero,
-    _an_isomorphism,
+    iso_index, zero_rep, _an_isomorphism,
 )
 
 from helpers import w, rep, dims_multiset
@@ -139,6 +139,17 @@ def test_is_isomorphic_sees_through_base_change(algebras, name):
                 continue
             assert iso.source is x and iso.target is c
             assert all(b.inverse() is not None for b in iso.blocks), (name, i)
+    # the lookup is exact whatever the query is: a conjugated copy finds its
+    # node, while the zero module and a decomposable module find none, even
+    # with the dimension vector of a node
+    assert [iso_index(nodes, c) for c in copies] == list(range(len(nodes)))
+    assert iso_index(nodes, zero_rep(a)) is None
+    a3 = algebras["a3"]
+    split = direct_sum(a3, [simple(a3, "1"), simple(a3, "2")])[0]
+    nodes3 = ar_quiver(a3).representatives()
+    assert split.dims == (1, 1, 0)
+    assert split.dims in [x.dims for x in nodes3]
+    assert iso_index(nodes3, split) is None
 
 
 def test_dual_exchanges_projective_and_injective(a3):
