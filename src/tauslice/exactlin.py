@@ -2,8 +2,9 @@
 
 Everything downstream (path algebra arithmetic, Hom spaces, AR translates)
 reduces to row reduction of smallish dense matrices, so this module keeps a
-deliberately plain implementation: immutable matrices, fraction/int entries,
-deterministic leftmost-pivot elimination.  No floating point anywhere.
+deliberately plain implementation: immutable matrices, int entries over
+GF(p) and int/``Fraction`` entries over Q, deterministic leftmost-pivot
+elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -58,43 +59,61 @@ class Field:
         return str(a)
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+def _canon(x):
+    """Canonical form of a rational: ``Fraction(n, 1)`` becomes the int n."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class RationalField(Field):
+    """Q, each element in canonical form: an ``int``, or a ``Fraction``
+    whose denominator is not 1.
+
+    ``int`` and ``Fraction`` compare equal, hash equal and print the same, so
+    the form changes no result; it keeps integral arithmetic on ``int``.
+    """
+
     characteristic = 0
 
     def zero(self):
-        return _Q_ZERO
+        return 0
 
     def one(self):
-        return _Q_ONE
+        return 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return _canon(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return self.parse(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return _canon(Fraction(1, a))
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by 0 in Q")
+        return _canon(Fraction(a, b))
 
     def parse(self, text):
-        return Fraction(text)
+        return _canon(Fraction(text))
 
     def __repr__(self):
         return "QQ"
@@ -169,10 +188,12 @@ class Matrix:
     A matrix representing a linear map k^c -> k^r has shape (r, c) and acts
     on column vectors.
 
-    The kernels below test for zero by truthiness (``Fraction(0)`` and the
-    int 0 of ``GF(p)`` are the only falsy field elements) and do their
-    arithmetic inline: plain ``Fraction`` operators over Q, int arithmetic
-    with one ``% p`` per computed entry over ``GF(p)``.
+    The kernels below test for zero by truthiness (the int 0 is the only
+    falsy field element) and do their arithmetic inline.  Over Q entries are
+    in canonical form (see :class:`RationalField`): plain operators, with a
+    result demoted to ``int`` wherever a ``Fraction`` operand can make it
+    integral, so all-integer work never builds a ``Fraction``.  Over
+    ``GF(p)``: int arithmetic with one ``% p`` per computed entry.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
@@ -276,7 +297,8 @@ class Matrix:
             )
         else:
             rows = tuple(
-                tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+                tuple(_canon(a + b) for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
             )
         return Matrix._raw(self.field, rows, self.ncols)
 
@@ -293,7 +315,7 @@ class Matrix:
         if p:
             rows = tuple(tuple(c * x % p for x in row) for row in self.rows)
         else:
-            rows = tuple(tuple(c * x for x in row) for row in self.rows)
+            rows = tuple(tuple(_canon(c * x) for x in row) for row in self.rows)
         return Matrix._raw(f, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -313,7 +335,12 @@ class Matrix:
                 if a:
                     for j, b in brow:
                         acc[j] += a * b
-            out.append(tuple(x % p for x in acc) if p else tuple(acc))
+            if p:
+                out.append(tuple(x % p for x in acc))
+            elif Fraction in map(type, acc):
+                out.append(tuple(map(_canon, acc)))
+            else:
+                out.append(tuple(acc))
         return Matrix._raw(f, tuple(out), n)
 
     def transpose(self) -> "Matrix":
@@ -402,9 +429,16 @@ class Matrix:
                     inv = pow(piv, -1, p)
                     for j in nz:
                         prow[j] = prow[j] * inv % p
+                elif piv == -1:
+                    for j in nz:
+                        prow[j] = -prow[j]
                 else:
                     for j in nz:
-                        prow[j] = prow[j] / piv
+                        prow[j] = _canon(Fraction(prow[j], piv))
+            # Over Q, row - fac * prow needs no demoting when fac and prow are
+            # ints: an int stays int, a non-integral Fraction minus an int
+            # stays non-integral.
+            int_prow = not p and Fraction not in map(type, map(prow.__getitem__, nz))
             for i in range(nrows):
                 row = rows[i]
                 fac = row[c]
@@ -412,9 +446,12 @@ class Matrix:
                     if p:
                         for j in nz:
                             row[j] = (row[j] - fac * prow[j]) % p
-                    else:
+                    elif int_prow and type(fac) is int:
                         for j in nz:
                             row[j] = row[j] - fac * prow[j]
+                    else:
+                        for j in nz:
+                            row[j] = _canon(row[j] - fac * prow[j])
             pivots.append(c)
             r += 1
         return Matrix._raw(f, tuple(map(tuple, rows)), ncols), tuple(pivots)

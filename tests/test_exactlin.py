@@ -158,12 +158,17 @@ FIELDS = [QQ, F2, F5]
 DEGENERATE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1)]
 
 
+#: small rationals, integral ones included, for the Q-only checks
+fractional_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
 @st.composite
-def sparse_matrices(draw, field, max_rows=5, max_cols=5, shape=None):
+def sparse_matrices(draw, field, max_rows=5, max_cols=5, shape=None,
+                    entries=st.integers(-4, 4)):
     nrows, ncols = shape if shape else (
         draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
     )
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    entry = st.one_of(st.just(0), st.just(0), entries)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
@@ -301,7 +306,122 @@ def test_degenerate_shapes(field, shape):
 
 
 def test_public_constructor_coerces():
-    assert isinstance(Matrix(QQ, [[1]])[0][0], Fraction)
+    row = Matrix(QQ, [[1, Fraction(4, 2), "6/3", "1/2", True]])[0]
+    assert row == (1, 2, 2, Fraction(1, 2), 1)
+    assert [type(x) for x in row] == [int, int, int, Fraction, int]
+    assert type((Matrix(QQ, [[1, 2]]) @ Matrix(QQ, [[3], [4]]))[0][0]) is int
+    with pytest.raises(FieldError):
+        Matrix(QQ, [[0.5]])
     assert Matrix(F5, [[7]])[0][0] == 2
     assert Matrix(F5, [[Fraction(1, 2)]])[0][0] == 3
-    assert isinstance((Matrix(QQ, [[1, 2]]) @ Matrix(QQ, [[3], [4]]))[0][0], Fraction)
+
+
+# --- canonical form over Q ------------------------------------------------
+#
+# Every rational the kernels return is an int, or a Fraction whose
+# denominator is not 1; the values are those of Gauss-Jordan elimination
+# written here with Fraction arithmetic only.
+
+
+def is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def fraction_rref(rows, ncols):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                fac = rows[i][c]
+                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_solve(m, b):
+    rows, pivots = fraction_rref([r1 + r2 for r1, r2 in zip(m.rows, b.rows)],
+                                 m.ncols + b.ncols)
+    if pivots and pivots[-1] >= m.ncols:
+        return None
+    sol = [(Fraction(0),) * b.ncols] * m.ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = tuple(rows[r][m.ncols:])
+    return sol
+
+
+def fraction_kernel(rows, pivots, ncols):
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_product(a, b):
+    return [tuple(sum((Fraction(a.rows[i][t]) * b.rows[t][j] for t in range(a.ncols)),
+                      Fraction(0))
+                  for j in range(b.ncols))
+            for i in range(a.nrows)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_outputs_are_canonical(data):
+    def draw(shape=None):
+        return data.draw(sparse_matrices(QQ, shape=shape, entries=fractional_entries))
+
+    m = draw()
+    k = data.draw(st.integers(1, 2))
+    b, c = draw((m.nrows, k)), draw((m.ncols, k))
+    n = data.draw(st.integers(0, 4))
+    sq = draw((n, n))
+    # unit upper triangular, so invertible
+    tri = Matrix(QQ, [[1 if i == j else x if j > i else 0 for j, x in enumerate(row)]
+                      for i, row in enumerate(sq.rows)], n)
+    outputs = []
+
+    r, pivots = m.rref()
+    ref, ref_pivots = fraction_rref(m.rows, m.ncols)
+    assert list(pivots) == ref_pivots and list(r.rows) == list(map(tuple, ref))
+    kern = m.kernel_basis()
+    assert [v.column_vector(0) for v in kern] == fraction_kernel(ref, ref_pivots, m.ncols)
+    prod = m @ c
+    assert list(prod.rows) == fraction_product(m, c)
+    outputs += [r, prod, *kern]
+
+    for rhs in (b, prod):
+        x, ref_x = m.solve(rhs), fraction_solve(m, rhs)
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert list(x.rows) == ref_x
+            outputs.append(x)
+    for a in (sq, tri):
+        inv = a.inverse()
+        # a @ x = I is consistent exactly when a is invertible
+        ref_inv = fraction_solve(a, Matrix.identity(QQ, n))
+        assert (inv is None) == (ref_inv is None)
+        if inv is not None:
+            assert list(inv.rows) == ref_inv
+            outputs.append(inv)
+    assert tri.inverse() is not None
+
+    assert all(is_canonical(x) for out in outputs for row in out.rows for x in row)
+
+
+def test_rational_field_returns_ints():
+    from tauslice.cli import parse_scalar
+
+    for value, expected in ((QQ.inv(-1), -1), (QQ.div(4, 2), 2),
+                            (parse_scalar(QQ, "4/2"), 2), (QQ.zero(), 0), (QQ.one(), 1)):
+        assert type(value) is int and value == expected
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)

@@ -2,7 +2,8 @@
 
 ``assert`` statements are stripped under ``-O``, so the library raises
 errors for its consistency checks instead; the worked-examples script, which
-runs them all, must still pass with assertions stripped.
+runs them all, must still pass with assertions stripped.  The library also
+uses no true division, which could turn exact rationals into floats.
 """
 
 import ast
@@ -20,6 +21,17 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_has_no_true_division():
+    """Over Q an integral value is an ``int``, so ``a / b`` would give a float."""
+    found = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)]
     assert found == []
 
 
