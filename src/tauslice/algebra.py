@@ -24,7 +24,6 @@ from .exactlin import (
     Field,
     Matrix,
     QQ,
-    complement_basis,
     coordinates_in_basis,
     intersect_row_spaces,
     span_matrix,
@@ -341,9 +340,6 @@ class PresentedAlgebra:
         z = self.field.zero()
         return {self.basis[i]: c for i, c in enumerate(coords) if c != z}
 
-    def word_source(self, word):
-        return word[0]
-
     def word_target(self, word):
         return word_target(self.quiver, word)
 
@@ -445,9 +441,6 @@ class PresentedAlgebra:
         )
         return StructureConstants(self.field, self.dim, table, self.coords(self.unit()))
 
-    def arrow_ideal_basis_indices(self):
-        return [i for i, w in enumerate(self.basis) if w[1]]
-
     def __repr__(self):
         return (
             f"PresentedAlgebra(|Q0|={self.quiver.n_vertices}, "
@@ -530,11 +523,6 @@ class StructureConstants:
     table: tuple  # table[i][j] = coords of b_i * b_j
     unit: tuple
 
-    def basis_vector(self, i):
-        return tuple(
-            self.field.one() if k == i else self.field.zero() for k in range(self.dim)
-        )
-
     def multiply(self, u, v):
         fld = self.field
         out = [fld.zero()] * self.dim
@@ -549,10 +537,6 @@ class StructureConstants:
                     if t:
                         out[k] = fld.add(out[k], fld.mul(c, t))
         return tuple(out)
-
-    def right_mult_matrix(self, u) -> Matrix:
-        cols = [self.multiply(self.basis_vector(j), u) for j in range(self.dim)]
-        return Matrix(self.field, list(zip(*cols)), self.dim)
 
     def power_span(self, span: Matrix) -> Matrix:
         """Row span of {u*v : u, v in span}."""
@@ -585,108 +569,6 @@ def radical_span(sc: StructureConstants) -> Matrix:
     return span_matrix(fld, [k.column_vector(0) for k in kern], sc.dim)
 
 
-# -- small univariate polynomial helpers (coefficient lists, low to high) --
-
-
-def _poly_trim(fld, p):
-    while p and p[-1] == fld.zero():
-        p.pop()
-    return p
-
-
-def _poly_divmod(fld, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    quo = [fld.zero()] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        c = fld.div(a[-1], lb)
-        quo[shift] = c
-        for i in range(db + 1):
-            a[shift + i] = fld.sub(a[shift + i], fld.mul(c, b[i]))
-        _poly_trim(fld, a)
-        if not a:
-            break
-    return quo, a
-
-
-def _poly_mul(fld, a, b):
-    out = [fld.zero()] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = fld.add(out[i + j], fld.mul(x, y))
-    return _poly_trim(fld, out)
-
-
-def _poly_ext_gcd(fld, a, b):
-    """(g, u, v) with u*a + v*b = g, all coefficient lists."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [fld.one()], []
-    t0, t1 = [], [fld.one()]
-
-    def sub(p, q):
-        out = list(p) + [fld.zero()] * max(0, len(q) - len(p))
-        for i, c in enumerate(q):
-            out[i] = fld.sub(out[i], c)
-        return _poly_trim(fld, out)
-
-    while r1:
-        q, r = _poly_divmod(fld, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, _poly_mul(fld, q, s1))
-        t0, t1 = t1, sub(t0, _poly_mul(fld, q, t1))
-    return r0, s0, t0
-
-
-def _poly_roots(fld: Field, coeffs):
-    """All roots in the field of the polynomial sum(coeffs[i] x^i)."""
-    if fld.characteristic > 0:
-        p = fld.characteristic
-        roots = []
-        for cand in range(p):
-            acc = fld.zero()
-            for c in reversed(coeffs):
-                acc = fld.add(fld.mul(acc, cand), c)
-            if acc == fld.zero():
-                roots.append(cand)
-        return roots
-    from fractions import Fraction
-
-    coeffs = [Fraction(c) for c in coeffs]
-    roots = []
-    while coeffs and coeffs[0] == 0:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return roots
-    denom = 1
-    for c in coeffs:
-        g = _gcd(denom, c.denominator)
-        denom = denom * c.denominator // g
-    ints = [int(c * denom) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        return [d for d in range(1, n + 1) if n % d == 0]
-
-    for r in divisors(a0):
-        for s in divisors(an):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 @dataclass
 class QuiverizeResult:
     algebra: PresentedAlgebra
@@ -695,195 +577,38 @@ class QuiverizeResult:
     change_of_basis: Matrix  # rows: images of the presentation basis
 
 
-def _minimal_polynomial(fld, op: Matrix):
-    """Monic minimal polynomial of a square matrix, low-to-high coeffs."""
-    n = op.nrows
-    powers = [Matrix.identity(fld, n)]
-    while True:
-        rows = [m.flatten() for m in powers]
-        mat = Matrix(fld, rows, n * n)
-        if mat.rank() < len(rows):
-            combo = mat.transpose().kernel_basis()[0]
-            return [combo.rows[i][0] for i in range(len(rows))]
-        powers.append(powers[-1] @ op)
-
-
-def _find_primitive_idempotents(sc: StructureConstants, rad: Matrix):
-    fld = sc.field
-    n = sc.dim
-    # semisimple quotient S = A / rad with a chosen vector-space section
-    comp = complement_basis(rad)
-    s_dim = len(comp)
-    section = Matrix(fld, comp, n)
-    full = section.vstack(rad) if rad.nrows else section
-
-    def lift_vec(u):
-        out = [fld.zero()] * n
-        for c, row in zip(u, section.rows):
-            if c != fld.zero():
-                out = [fld.add(x, fld.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
-
-    def project(vec):
-        co = coordinates_in_basis(full, vec)
-        return tuple(co[:s_dim])
-
-    def s_mult(u, v):
-        return project(sc.multiply(lift_vec(u), lift_vec(v)))
-
-    s_basis = [
-        tuple(fld.one() if k == i else fld.zero() for k in range(s_dim))
-        for i in range(s_dim)
-    ]
-    unit_s = project(sc.unit)
-
-    # center of S: solve z*b = b*z for all basis elements b
-    ops = []
-    for b in s_basis:
-        cols = []
-        for ej in s_basis:
-            diff = tuple(fld.sub(x, y) for x, y in zip(s_mult(ej, b), s_mult(b, ej)))
-            cols.append(diff)
-        ops.append(Matrix(fld, list(zip(*cols)), s_dim))
-    stacked = ops[0]
-    for m in ops[1:]:
-        stacked = stacked.vstack(m)
-    z_basis = [k.column_vector(0) for k in stacked.kernel_basis()]
-
-    # split the commutative semisimple span of z_basis into 1-dim blocks;
-    # a block is (span matrix of the block, its unit idempotent)
-    blocks = [(span_matrix(fld, z_basis, s_dim), unit_s)]
-
-    def poly_eval_at(poly, g, unit_b):
-        """Evaluate a polynomial at g inside the commutative block algebra."""
-        acc = tuple(fld.zero() for _ in range(s_dim))
-        for c in reversed(poly):
-            acc = s_mult(acc, g)
-            acc = tuple(fld.add(x, fld.mul(c, u)) for x, u in zip(acc, unit_b))
-        return acc
-
-    def split_block(block):
-        basis_m, unit_b = block
-        d = basis_m.nrows
-        if d <= 1:
-            return None
-        for gz in z_basis:
-            g = s_mult(gz, unit_b)
-            cols = []
-            for row in basis_m.rows:
-                co = coordinates_in_basis(basis_m, s_mult(g, row))
-                cols.append(co)
-            op = Matrix(fld, list(zip(*cols)), d)
-            minpoly = _minimal_polynomial(fld, op)
-            if len(minpoly) - 1 <= 1:
-                continue
-            roots = _poly_roots(fld, minpoly)
-            if not roots:
-                continue
-            lam = sorted(roots)[0]
-            lin = [fld.neg(fld.coerce(lam)), fld.one()]  # x - lam
-            quo, rem = _poly_divmod(fld, minpoly, lin)
-            if rem:
-                raise ArithmeticError("root does not divide the minimal polynomial")
-            gcd, u, v = _poly_ext_gcd(fld, lin, quo)
-            if len(gcd) != 1:
-                # (x - lam) divides minpoly twice: not semisimple, should not happen
-                raise ArithmeticError("minimal polynomial not squarefree")
-            inv = fld.inv(gcd[0])
-            vq = _poly_mul(fld, [fld.mul(inv, c) for c in v], quo)
-            e1 = poly_eval_at(vq, g, unit_b)  # idempotent: the (g = lam) part
-            e2 = tuple(fld.sub(x, y) for x, y in zip(unit_b, e1))
-            out = []
-            for e in (e1, e2):
-                if all(c == fld.zero() for c in e):
-                    continue
-                sub = span_matrix(fld, [s_mult(e, r) for r in basis_m.rows], s_dim)
-                out.append((sub, e))
-            if len(out) >= 2:
-                return out
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for idx, block in enumerate(blocks):
-            res = split_block(block)
-            if res is not None:
-                blocks = blocks[:idx] + res + blocks[idx + 1 :]
-                changed = True
-                break
-    for basis_m, _unit_b in blocks:
-        if basis_m.nrows > 1:
-            raise NotBasic(
-                "central block not split over the base field "
-                "(matrix block or field extension)"
-            )
-
-    # lift the central block units through the radical, sequentially orthogonal
-    lifted = []
-    f = tuple(fld.zero() for _ in range(n))
-    one = sc.unit
-    for _basis_m, unit_b in blocks:
-        lift = lift_vec(unit_b)
-        cof = tuple(fld.sub(x, y) for x, y in zip(one, f))
-        x = sc.multiply(sc.multiply(cof, lift), cof)
-        for _ in range(2 * n + 8):
-            x2 = sc.multiply(x, x)
-            if x2 == x:
-                break
-            x3 = sc.multiply(x2, x)
-            x = tuple(
-                fld.sub(fld.mul(fld.coerce(3), a), fld.mul(fld.coerce(2), b))
-                for a, b in zip(x2, x3)
-            )
-        else:
-            raise ArithmeticError("idempotent lifting did not converge")
-        lifted.append(x)
-        f = tuple(fld.add(a, b) for a, b in zip(f, x))
-    if f != one:
-        raise ArithmeticError("lifted idempotents do not sum to the unit")
-    for e1, e2 in itertools.combinations(lifted, 2):
-        if any(c != fld.zero() for c in sc.multiply(e1, e2)):
-            raise ArithmeticError("lifted idempotents are not orthogonal")
-    return lifted
-
-
 def quiverize(
     sc: StructureConstants,
+    idempotents,
     labels=None,
-    idempotents=None,
     arrow_prefix: str = "a",
     length_cap: int = 16,
 ) -> QuiverizeResult:
     """Recover a bound quiver presentation from structure constants.
 
-    Computes the radical by the trace form, splits the semisimple quotient
-    into one dimensional blocks, lifts a complete set of primitive orthogonal
-    idempotents, reads the Gabriel quiver off rad/rad^2 and presents the
-    algebra by the kernel of the induced surjection kQ -> A.  The returned
-    presentation is certified: equal dimension and matching structure
-    constants under the change of basis, else an error is raised.
-
-    ``idempotents`` may supply a known complete orthogonal set (fixing the
-    vertex order); primitivity is still verified.
+    ``idempotents`` is a complete set of orthogonal idempotents (coordinate
+    vectors, in vertex order).  Each is verified to be idempotent, the set
+    to be orthogonal and to sum to the unit, and each member to be
+    primitive against the trace-form radical.  The Gabriel quiver is read
+    off rad/rad^2 and the algebra presented by the kernel of the induced
+    surjection kQ -> A.  The returned presentation is certified: equal
+    dimension and matching structure constants under the change of basis,
+    else an error is raised.
     """
     fld = sc.field
     n = sc.dim
     rad = radical_span(sc)
-    if idempotents is None:
-        idems = _find_primitive_idempotents(sc, rad)
-    else:
-        idems = [tuple(fld.coerce(c) for c in e) for e in idempotents]
-        total = tuple(fld.zero() for _ in range(n))
-        for e in idems:
-            if sc.multiply(e, e) != e:
-                raise ValueError("supplied idempotent is not idempotent")
-            total = tuple(fld.add(a, b) for a, b in zip(total, e))
-        if total != sc.unit:
-            raise ValueError("supplied idempotents do not sum to the unit")
-        for e1, e2 in itertools.combinations(idems, 2):
-            if any(c != fld.zero() for c in sc.multiply(e1, e2)):
-                raise ValueError("supplied idempotents are not orthogonal")
+    idems = [tuple(fld.coerce(c) for c in e) for e in idempotents]
+    total = tuple(fld.zero() for _ in range(n))
+    for e in idems:
+        if sc.multiply(e, e) != e:
+            raise ValueError("supplied idempotent is not idempotent")
+        total = tuple(fld.add(a, b) for a, b in zip(total, e))
+    if total != sc.unit:
+        raise ValueError("supplied idempotents do not sum to the unit")
+    for e1, e2 in itertools.combinations(idems, 2):
+        if any(c != fld.zero() for c in sc.multiply(e1, e2)):
+            raise ValueError("supplied idempotents are not orthogonal")
     m = len(idems)
     if labels is None:
         labels = [str(i + 1) for i in range(m)]

@@ -644,21 +644,6 @@ class ARQuiver:
             )
         self.arrows[(src, tgt)] = mult
 
-    def tau_of(self, ident):
-        return self.tau_link.get(ident)
-
-    def tau_inv_of(self, ident):
-        for a, b in self.tau_link.items():
-            if b == ident:
-                return a
-        return None
-
-    def predecessors(self, ident):
-        return sorted((s, m) for (s, t), m in self.arrows.items() if t == ident)
-
-    def successors(self, ident):
-        return sorted((t, m) for (s, t), m in self.arrows.items() if s == ident)
-
     @property
     def count(self):
         return len(self.nodes)
@@ -862,28 +847,6 @@ class EndAlgebraResult:
                 maps.append(Matrix.zero(fld, dims[j], dims[i]))
         return Representation(b, dims, maps)
 
-    def hom_functor_on_map(self, f: Morphism):
-        """Hom_A(M, f): natural map between the hom-functor images."""
-        b = self.algebra
-        fld = b.field
-        src = self.hom_functor(f.source)
-        tgt = self.hom_functor(f.target)
-        src_bases = [hom_basis(s, f.source) for s in self.summands]
-        tgt_bases = [hom_basis(s, f.target) for s in self.summands]
-        blocks = []
-        for i in range(len(self.summands)):
-            cols = []
-            for phi in src_bases[i]:
-                co = morphism_coordinates(tgt_bases[i], compose(f, phi))
-                if co is None:
-                    raise ArithmeticError("hom functor: image escaped the basis")
-                cols.append(co)
-            if cols:
-                blocks.append(Matrix(fld, list(zip(*cols)), len(src_bases[i])))
-            else:
-                blocks.append(Matrix.zero(fld, len(tgt_bases[i]), 0))
-        return Morphism(src, tgt, blocks, _checked=False), src, tgt
-
     # -- tensor side --------------------------------------------------
 
     def _tensor_layout(self, y: Representation):
@@ -1065,13 +1028,6 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
             gmor = block_basis[(k, ell)][qq]
             row.append(coords_of(i, ell, compose(f, gmor)))
         table.append(tuple(row))
-    unit = [fld.zero()] * dim
-    for i in range(n):
-        co = morphism_coordinates(block_basis[(i, i)], identity_morphism(summands[i]))
-        for pos, c in enumerate(co):
-            unit[index_of[(i, i, pos)]] = c
-    sc = StructureConstants(fld, dim, tuple(table), tuple(unit))
-
     idems = []
     for i in range(n):
         vec = [fld.zero()] * dim
@@ -1079,6 +1035,9 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
         for pos, c in enumerate(co):
             vec[index_of[(i, i, pos)]] = c
         idems.append(tuple(vec))
+    # the idempotents sit in disjoint positions, so their sum is the unit
+    unit = tuple(sum(col, fld.zero()) for col in zip(*idems))
+    sc = StructureConstants(fld, dim, tuple(table), unit)
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
     qr = quiverize(sc, labels=labels, idempotents=idems, arrow_prefix="b")

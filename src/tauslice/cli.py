@@ -55,7 +55,7 @@ from .algebra import (
     quotient,
     split_extension,
 )
-from .modrep import Representation, direct_sum
+from .modrep import DecompositionStalled, Representation, direct_sum
 from .artheory import (
     ar_quiver,
     end_algebra,
@@ -910,7 +910,8 @@ def main(argv=None) -> int:
     except CliError as e:
         print(json.dumps({"command": args.command, "error": str(e)}, indent=2))
         return 2
-    except (CapExceeded, NotBasic, NotNilpotent, FieldError, ValueError) as e:
+    except (CapExceeded, NotBasic, NotNilpotent, FieldError, ValueError,
+            DecompositionStalled, ArithmeticError) as e:
         print(json.dumps({
             "command": args.command,
             "error": f"{type(e).__name__}: {e}",

@@ -242,10 +242,6 @@ class Matrix:
         )
 
     @staticmethod
-    def from_rows(field: Field, rows, ncols: int | None = None) -> "Matrix":
-        return Matrix(field, rows, ncols)
-
-    @staticmethod
     def column(field: Field, entries) -> "Matrix":
         return Matrix(field, [[x] for x in entries], 1)
 
@@ -547,24 +543,20 @@ def complement_basis(span: Matrix) -> list:
     """Standard-vector completion of a row span to all of k^n.
 
     Deterministically picks those standard basis vectors e_i that are
-    independent from ``span``, scanning i = 0, 1, ....  Returns row tuples.
+    independent from ``span`` and the e_j picked before, scanning
+    i = 0, 1, ....  That is e_i exactly when column n-1-i is not a pivot
+    of the span with its columns reversed, so one ``rref`` decides all of
+    them.  Returns row tuples.
     """
     f = span.field
     n = span.ncols
-    current = [list(r) for r in row_space_basis(span)]
-    rank = len(current)
-    out = []
-    for i in range(n):
-        if rank == n:
-            break
-        e = [f.zero()] * n
-        e[i] = f.one()
-        cand = Matrix(f, current + [e], n)
-        if cand.rank() > rank:
-            current.append(e)
-            rank += 1
-            out.append(tuple(e))
-    return out
+    _r, pivots = Matrix._raw(f, tuple(r[::-1] for r in span.rows), n).rref()
+    pivots = set(pivots)
+    z, o = f.zero(), f.one()
+    return [
+        tuple(o if j == i else z for j in range(n))
+        for i in range(n) if n - 1 - i not in pivots
+    ]
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:

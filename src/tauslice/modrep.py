@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import PresentedAlgebra, QuotientMap, word_key
+from .algebra import (
+    PresentedAlgebra,
+    QuotientMap,
+    StructureConstants,
+    radical_span,
+    word_key,
+)
 from .exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
 
 
@@ -102,9 +108,6 @@ class Representation:
 
     def is_zero(self):
         return self.total_dim == 0
-
-    def dim_vector(self):
-        return self.dims
 
     def __eq__(self, other):
         return (
@@ -392,9 +395,9 @@ def _morphism_from_vector(m, n, vec):
     pos = 0
     for v in range(q.n_vertices):
         h, w = n.dims[v], m.dims[v]
-        block = [[vec[pos + i * w + j] for j in range(w)] for i in range(h)]
+        block = tuple(tuple(vec[pos + i * w: pos + (i + 1) * w]) for i in range(h))
         pos += h * w
-        blocks.append(Matrix(fld, block, w))
+        blocks.append(Matrix._raw(fld, block, w))
     return Morphism(m, n, blocks, _checked=True)
 
 
@@ -583,8 +586,6 @@ def top_data(m: Representation):
 
 def end_structure(m: Representation):
     """(basis, StructureConstants) for End(m) in its hom basis."""
-    from .algebra import StructureConstants
-
     basis = hom_basis(m, m)
     fld = m.algebra.field
     d = len(basis)
@@ -604,33 +605,37 @@ def end_structure(m: Representation):
     return basis, StructureConstants(fld, d, tuple(table), tuple(unit))
 
 
+def _end_radical(m: Representation):
+    """Rows of rad End(m), in coordinates over ``hom_basis(m, m)``.
+
+    One product solve and one trace-form radical per module, memoised in
+    the algebra's cache on structural equality.  Coordinates, not
+    morphisms, are kept, so a hit serves an equal module as well.
+    """
+    key = ("end_radical", m)
+    cache = m.algebra._cache
+    if key not in cache:
+        _basis, sc = end_structure(m)
+        cache[key] = radical_span(sc).rows if sc.dim else ()
+    return cache[key]
+
+
 def end_radical_morphisms(m: Representation):
     """Basis of rad End(m) as morphisms."""
-    from .algebra import radical_span
-
-    basis, sc = end_structure(m)
-    if sc.dim == 0:
+    rad = _end_radical(m)
+    if not rad:
         return []
-    rad = radical_span(sc)
-    out = []
-    for row in rad.rows:
-        f = zero_morphism(m, m)
-        for c, g in zip(row, basis):
-            if c != m.algebra.field.zero():
-                f = f + g.scale(c)
-        out.append(f)
-    return out
+    fld = m.algebra.field
+    flat = [g.flatten() for g in hom_basis(m, m)]
+    prod = Matrix._raw(fld, rad, len(flat)) @ Matrix._raw(fld, tuple(flat), len(flat[0]))
+    return [_morphism_from_vector(m, m, row) for row in prod.rows]
 
 
 def is_indecomposable(m: Representation) -> bool:
     """End(m) local, i.e. dim End/rad End = 1 (m nonzero)."""
     if m.is_zero():
         return False
-    basis, sc = end_structure(m)
-    from .algebra import radical_span
-
-    rad = radical_span(sc)
-    return sc.dim - rad.nrows == 1
+    return len(hom_basis(m, m)) - len(_end_radical(m)) == 1
 
 
 def _an_isomorphism(m: Representation, n: Representation):
@@ -700,12 +705,9 @@ def decompose(m: Representation):
 def _split_completely(m: Representation):
     if m.is_zero():
         return []
-    basis, sc = end_structure(m)
-    from .algebra import radical_span
-
-    rad = radical_span(sc)
-    if sc.dim - rad.nrows == 1:
+    if is_indecomposable(m):
         return [m]
+    basis = hom_basis(m, m)
     # the End basis, then pairwise sums: built one at a time, as tried
     d = len(basis)
     two = m.algebra.field.coerce(2)
@@ -728,7 +730,7 @@ def _split_completely(m: Representation):
                 continue  # not yet a Fitting splitting (should not happen)
             return _split_completely(k) + _split_completely(img)
     raise DecompositionStalled(
-        f"End has dim {sc.dim}, top dim {sc.dim - rad.nrows} > 1, "
+        f"End has dim {d}, top dim {d - len(_end_radical(m))} > 1, "
         "but no splitting endomorphism was found"
     )
 

@@ -161,7 +161,9 @@ def test_presentation_isomorphism_rejects_different_algebras():
 
 
 def test_quiverize_recovers_presentation(ex5_aprime):
-    res = quiverize(ex5_aprime.structure_constants())
+    a = ex5_aprime
+    idems = [a.coords(a.idempotent(v)) for v in a.quiver.vertices]
+    res = quiverize(a.structure_constants(), idempotents=idems)
     assert res.algebra.dim == ex5_aprime.dim
     assert presentation_isomorphism(res.algebra, ex5_aprime) is not None
 

@@ -83,3 +83,28 @@ def test_private_helpers_have_callers():
                     used.add(name)
     assert [f"{f}:{line}:{name}" for f, line, name in defined
             if name not in used] == []
+
+
+def test_methods_have_callers():
+    # a method that nothing in the source tree, the tests, the scripts or
+    # the benchmark names (as an attribute, a name or a string) is a
+    # leftover of a deletion; dunder methods are called by the protocol
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, item.lineno, item.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    assert [f"{f}:{line}:{name}" for f, line, name in defined
+            if name not in used] == []

@@ -306,3 +306,18 @@ def test_error_report_shape(capsys):
     code, out = run_json(capsys, "info", "/nonexistent/thing.alg")
     assert code == 2
     assert "error" in out
+
+
+def test_stalled_decomposition_exits_2_with_reason(tmp_path, capsys):
+    # Kronecker module x = I, y = rotation by a quarter turn: End is Q(i),
+    # which has no idempotent to split by, so the decomposition stalls
+    alg = tmp_path / "kronecker.alg"
+    alg.write_text("field Q\nvertex 1\nvertex 2\narrow x: 1 -> 2\narrow y: 1 -> 2\n")
+    mod = tmp_path / "rotation.rep"
+    mod.write_text("dim 1=2\ndim 2=2\nmap x = [[1, 0], [0, 1]]\n"
+                   "map y = [[0, -1], [1, 0]]\n")
+    code = main(["check", "tau-tilting", str(alg), "-m", str(mod)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"].startswith("DecompositionStalled: ")
+    assert captured.err == ""

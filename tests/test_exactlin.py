@@ -291,6 +291,30 @@ def test_product_matches_triple_loop(field, data):
     check_product(a, b)
 
 
+def greedy_complement(m):
+    """Standard vectors e_0, e_1, ... kept when they raise the rank of the
+    span and those kept before."""
+    f, n = m.field, m.ncols
+    rows = [list(r) for r in m.rows]
+    rank = reference_rank(f, rows, n)
+    out = []
+    for i in range(n):
+        e = [f.one() if j == i else f.zero() for j in range(n)]
+        if reference_rank(f, rows + [e], n) > rank:
+            rows.append(e)
+            rank += 1
+            out.append(tuple(e))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_complement_basis_matches_greedy_scan(field, data):
+    m = data.draw(sparse_matrices(field))
+    assert complement_basis(m) == greedy_complement(m)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("shape", DEGENERATE_SHAPES, ids=str)
 def test_degenerate_shapes(field, shape):

@@ -5,9 +5,11 @@ import pytest
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import Matrix, QQ
 from tauslice.algebra import quotient
+from tauslice import algebra as algebra_module
+from tauslice import modrep as modrep_module
 from tauslice.artheory import ar_quiver
 from tauslice.modrep import (
-    Representation, simple, projective, injective, regular_module,
+    Representation, end_radical_morphisms, simple, projective, injective, regular_module,
     direct_sum, decompose, hom_dim, hom_basis, compose, kernel, image, cokernel,
     radical_rep, socle_rep, top_rep, top_data, submodule,
     is_isomorphic, is_indecomposable, dual,
@@ -234,3 +236,28 @@ def test_hom_basis_runs_between_its_own_arguments(a3):
     for n in (x, y):
         assert all(f.source is n and f.target is i for f in hom_basis(n, i))
     assert [f.blocks for f in hom_basis(p, x)] == [f.blocks for f in hom_basis(p, y)]
+
+
+@pytest.mark.parametrize("name", ["a3", "fig1"])
+def test_end_radical_computed_once_per_module(name, monkeypatch):
+    # decompose, is_indecomposable and end_radical_morphisms share one
+    # rad End(M); the nodes are rebuilt over a fresh algebra, whose caches
+    # hold nothing yet
+    nodes = ar_quiver(fixdata.algebra(name)).representatives()
+    fresh = fixdata.algebra(name)
+    calls = []
+    original = algebra_module.radical_span
+
+    def counted(sc):
+        calls.append(sc.dim)
+        return original(sc)
+
+    monkeypatch.setattr(algebra_module, "radical_span", counted)
+    monkeypatch.setattr(modrep_module, "radical_span", counted, raising=False)
+    for node in nodes:
+        m = Representation(fresh, node.dims, node.maps)
+        calls.clear()
+        assert decompose(m) == [(m, 1)]
+        assert is_indecomposable(m)
+        assert len(end_radical_morphisms(m)) == len(hom_basis(m, m)) - 1
+        assert len(calls) == 1, node
