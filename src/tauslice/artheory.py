@@ -10,6 +10,7 @@ module over End(M).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from .algebra import (
@@ -38,12 +39,10 @@ from .modrep import (
     dual,
     hom_basis,
     identity_morphism,
-    image,
     injective,
     kernel,
     morphism_coordinates,
     projective,
-    quotient_rep,
     radical_rep,
     simple,
     socle_rep,
@@ -53,6 +52,9 @@ from .modrep import (
     end_radical_morphisms,
     iso_index,
     _an_isomorphism,
+    _descend,
+    _direct_sum_rep,
+    _linear_combinations,
     _morphism_from_vector,
     _register,
 )
@@ -94,18 +96,8 @@ class ProjSum:
                 self.fibre_words[tgt].append((k, word))
                 fibre_count[tgt] += 1
         self.dims = tuple(fibre_count)
-        fld = algebra.field
-        maps = []
-        for j in range(len(q.arrows)):
-            x, y = q.arrow_source[j], q.arrow_target[j]
-            mat = [[fld.zero()] * self.dims[x] for _ in range(self.dims[y])]
-            for (k, word) in self.fibre_words[x]:
-                col = self.fibre_index[(k, word)]
-                prod = algebra.normal_form({(word[0], word[1] + (j,)): fld.one()})
-                for w2, c in prod.items():
-                    mat[self.fibre_index[(k, w2)]][col] = c
-            maps.append(Matrix(fld, mat, self.dims[x]))
-        self.rep = Representation(algebra, self.dims, maps, _checked=True)
+        # each summand's fibres are ordered as projective() orders them
+        self.rep = _direct_sum_rep(algebra, [projective(algebra, v) for v in self.vertex_list])
 
     def generator_position(self, k):
         """Fibre position of the generator e_v of summand k (at vertex v)."""
@@ -214,10 +206,7 @@ def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
     )
     if coords is None:
         raise ArithmeticError("morphism does not lift through the covers")
-    hat = zero_morphism(src.p0.rep, tgt.p0.rep)
-    for c, h in zip(coords, basis):
-        if c:
-            hat = hat + h.scale(c)
+    hat, = _linear_combinations(src.p0.rep, tgt.p0.rep, basis, [coords])
     blocks = []
     for v in range(len(src.omega.dims)):
         sol = tgt.omega_incl.blocks[v].solve(hat.blocks[v] @ src.omega_incl.blocks[v])
@@ -358,30 +347,30 @@ class ExtData:
         return len(self.reps)
 
     def cocycle(self, coords) -> Morphism:
-        fld = self.source.algebra.field
-        f = zero_morphism(self.omega, self.target)
-        for c, row in zip(coords, self.reps):
-            if c == fld.zero():
-                continue
-            for ch, h in zip(row, self.hom):
-                if ch != fld.zero():
-                    f = f + h.scale(fld.mul(c, ch))
-        return f
+        """The cocycle with the given class coordinates."""
+        return _linear_combinations(self.omega, self.target, self.basis_cocycles(), [coords])[0]
 
-    def class_coordinates(self, f: Morphism):
-        """Coordinates of [f] in the chosen complement basis."""
+    def basis_cocycles(self) -> list:
+        """The cocycles of the class basis, one per complement row."""
+        return _linear_combinations(self.omega, self.target, self.hom, self.reps)
+
+    def matrix_of(self, cocycles) -> Matrix:
+        """Class coordinates of the given cocycles, as the columns of a
+        dim x len(cocycles) matrix: one solve for their hom coordinates and
+        one against cobound + complement, for all columns at once."""
         fld = self.source.algebra.field
-        co = morphism_coordinates(self.hom, f)
+        if not self.reps or not cocycles:
+            return Matrix.zero(fld, self.dim, len(cocycles))
+        flat = tuple(zip(*(h.flatten() for h in self.hom)))
+        rhs = Matrix._raw(fld, tuple(zip(*(f.flatten() for f in cocycles))), len(cocycles))
+        co = Matrix._raw(fld, flat, len(self.hom)).solve(rhs)
         if co is None:
             raise ValueError("morphism does not lie in Hom(Omega^d, n)")
-        if not self.reps:
-            return ()
-        rows = list(self.cobound.rows) + list(self.reps)
-        basis = Matrix(fld, rows, len(self.hom))
-        full = coordinates_in_basis(basis, co)
+        basis_t = Matrix._raw(fld, self.cobound.rows + tuple(self.reps), len(self.hom)).transpose()
+        full = basis_t.solve(co)
         if full is None:
             raise ArithmeticError("hom coordinates escaped cobound + complement")
-        return tuple(full[self.cobound.nrows :])
+        return full.submatrix(range(self.cobound.nrows, len(self.hom)), range(len(cocycles)))
 
 
 def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
@@ -461,24 +450,14 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
         ],
         _checked=False,
     )
-    img, img_incl = image(graft)
-    e, proj = quotient_rep(big, img_incl)
+    e, proj = cokernel(graft)
     left_map = compose(proj, incls[0])
-    # right map: descend (0 | cover): big -> m through the quotient
-    sec_blocks = []
-    for v in range(a.quiver.n_vertices):
-        # a section of proj: solve proj * s = id
-        s = proj.blocks[v].solve(Matrix.identity(a.field, e.dims[v]))
-        if s is None:
-            raise ArithmeticError("quotient projection has no section")
-        sec_blocks.append(s)
-    fblocks = []
-    for v in range(a.quiver.n_vertices):
-        zero_part = Matrix.zero(a.field, m.dims[v], n.dims[v])
-        fb = zero_part.hstack(pres.cover.blocks[v])
-        fblocks.append(fb @ sec_blocks[v])
-    right_map = Morphism(e, m, fblocks, _checked=False)
-    ses = ShortExactSequence(n, e, m, left_map, right_map)
+    # right map: (0 | cover): big -> m descends through the quotient
+    zero_cover = Morphism(big, m, [
+        Matrix.zero(a.field, m.dims[v], n.dims[v]).hstack(pres.cover.blocks[v])
+        for v in range(a.quiver.n_vertices)
+    ], _checked=True)
+    ses = ShortExactSequence(n, e, m, left_map, _descend(zero_cover, proj))
     ses.verify()
     return ses
 
@@ -519,20 +498,15 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     pres = minimal_presentation(m)
     rad_end = end_radical_morphisms(m)
     if rad_end:
-        action_rows = []
-        for g in rad_end:
-            omega_g = syzygy_map(g, pres, pres)
-            cols = []
-            for k in range(ext.dim):
-                unit = tuple(
-                    fld.one() if i == k else fld.zero() for i in range(ext.dim)
-                )
-                phi = ext.cocycle(unit)
-                cols.append(ext.class_coordinates(compose(phi, omega_g)))
-            action_rows.append(Matrix(fld, list(zip(*cols)), ext.dim))
-        stacked = action_rows[0]
-        for mtx in action_rows[1:]:
-            stacked = stacked.vstack(mtx)
+        # the action matrices of all of rad End(m), side by side, from one
+        # batched call; the socle is their common kernel
+        d = ext.dim
+        basis = ext.basis_cocycles()
+        omegas = [syzygy_map(g, pres, pres) for g in rad_end]
+        side = ext.matrix_of([compose(phi, w) for w in omegas for phi in basis])
+        stacked = Matrix._raw(fld, tuple(
+            row[k * d:(k + 1) * d] for k in range(len(rad_end)) for row in side.rows
+        ), d)
         kern = stacked.kernel_basis()
     else:
         # End(m) = k: the socle is all of Ext^1(m, tau m)
@@ -718,8 +692,8 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
             g.meshes[ident] = ass
             mesh(admit(ass.left), ident, ass)
         if node.injective_label is not None:
-            soc, soc_incl = socle_rep(rep)
-            quot, _proj = quotient_rep(rep, soc_incl)
+            _soc, soc_incl = socle_rep(rep)
+            quot, _proj = cokernel(soc_incl)
             for summand, mult in decompose(quot):
                 g.set_arrow(ident, admit(summand), mult)
         else:
@@ -849,132 +823,76 @@ class EndAlgebraResult:
 
     # -- tensor side --------------------------------------------------
 
-    def _tensor_layout(self, y: Representation):
-        """Per A-vertex: coordinates of + y_i (x) (M_i)_v and the relation
-        subspace from y.b (x) m = y (x) b.m."""
+    def tensor_functor(self, y: Representation):
+        """(y (x)_B M, proj) as a right A-module.
+
+        The tensor product is the cokernel of ``rel``, whose target
+        + y_i (x) M_i holds dim y_i copies of each M_i, and whose source
+        holds one copy of M_j per arrow b: i -> j of End(M) and basis vector
+        e of y_i, sent to y.b (x) m - e (x) b.m.
+        """
         a = self.module.algebra
         b = self.algebra
         fld = a.field
-        n = len(self.summands)
-        offsets = []
-        total = []
-        for v in range(a.quiver.n_vertices):
-            offs = []
-            run = 0
-            for i in range(n):
-                offs.append(run)
-                run += y.dims[i] * self.summands[i].dims[v]
-            offsets.append(offs)
-            total.append(run)
-        rel = {v: [] for v in range(a.quiver.n_vertices)}
-        for ar in b.quiver.arrows:
-            i = b.quiver.vertex_index[ar.source]
-            j = b.quiver.vertex_index[ar.target]
-            yb = y.maps[b.quiver.arrow_index[ar.name]]  # y_i -> y_j
-            f_b = self.arrow_morphisms[ar.name]  # M_j -> M_i
-            for v in range(a.quiver.n_vertices):
-                mj = self.summands[j].dims[v]
-                mi = self.summands[i].dims[v]
-                for e_y in range(y.dims[i]):
-                    for e_m in range(mj):
-                        vec = [fld.zero()] * total[v]
-                        # (y.b (x) m) in block j
-                        for r in range(y.dims[j]):
-                            c = yb.rows[r][e_y]
-                            if c != fld.zero():
-                                vec[offsets[v][j] + r * mj + e_m] = fld.add(
-                                    vec[offsets[v][j] + r * mj + e_m], c
-                                )
-                        # -(y (x) b.m) in block i
-                        for r in range(mi):
-                            c = f_b.blocks[v].rows[r][e_m]
-                            if c != fld.zero():
-                                pos = offsets[v][i] + e_y * mi + r
-                                vec[pos] = fld.sub(vec[pos], c)
-                        if any(c != fld.zero() for c in vec):
-                            rel[v].append(vec)
-        return offsets, total, rel
-
-    def tensor_functor(self, y: Representation):
-        """y (x)_B M as a right A-module, with the projection data."""
-        a = self.module.algebra
-        fld = a.field
-        if y.algebra is not self.algebra:
+        if y.algebra is not b:
             raise ValueError("tensor argument is not a module over End(M)")
-        offsets, total, rel = self._tensor_layout(y)
-        projs, secs, dims = [], [], []
-        for v in range(a.quiver.n_vertices):
-            rel_span = span_matrix(fld, rel[v], total[v])
-            comp = complement_basis(rel_span)
-            dims.append(len(comp))
-            if total[v] == 0:
-                projs.append(Matrix.zero(fld, 0, 0))
-                secs.append(Matrix.zero(fld, 0, 0))
-                continue
-            rows = list(rel_span.rows) + list(comp)
-            bmat = Matrix(fld, rows, total[v])
-            binv = bmat.transpose().inverse()
-            projs.append(binv.submatrix(range(rel_span.nrows, total[v]), range(total[v])))
-            secs.append(
-                Matrix(fld, comp, total[v]).transpose()
-                if comp
-                else Matrix.zero(fld, total[v], 0)
-            )
-        n = len(self.summands)
-        maps = []
-        for j_arrow in range(len(a.quiver.arrows)):
-            x_v = a.quiver.arrow_source[j_arrow]
-            y_v = a.quiver.arrow_target[j_arrow]
-            big = Matrix.zero(fld, total[y_v], total[x_v])
-            rows = [list(r) for r in big.rows]
-            for i in range(n):
-                mmat = self.summands[i].maps[j_arrow]
-                for e_y in range(y.dims[i]):
-                    for r in range(mmat.nrows):
-                        for ccol in range(mmat.ncols):
-                            c = mmat.rows[r][ccol]
-                            if c != fld.zero():
-                                rows[offsets[y_v][i] + e_y * mmat.nrows + r][
-                                    offsets[x_v][i] + e_y * mmat.ncols + ccol
-                                ] = c
-            bigm = Matrix(fld, rows, total[x_v])
-            maps.append(projs[y_v] @ bigm @ secs[x_v])
-        rep = Representation(a, dims, maps)
-        return rep, projs, secs, offsets, total
-
-    def tensor_on_map(self, g: Morphism):
-        """g (x) id between the tensor images."""
-        a = self.module.algebra
-        fld = a.field
-        src, _ps, s_secs, s_off, s_tot = self.tensor_functor(g.source)
-        tgt, t_projs, _ts, t_off, t_tot = self.tensor_functor(g.target)
-        n = len(self.summands)
+        ms = self.summands
+        arrows = [
+            (b.quiver.vertex_index[ar.source], b.quiver.vertex_index[ar.target],
+             y.maps[k].rows, self.arrow_morphisms[ar.name])
+            for k, ar in enumerate(b.quiver.arrows)
+        ]
+        target = _direct_sum_rep(a, [s for s, d in zip(ms, y.dims) for _ in range(d)])
+        source = _direct_sum_rep(a, [ms[j] for i, j, _yb, _f in arrows for _ in range(y.dims[i])])
         blocks = []
         for v in range(a.quiver.n_vertices):
-            rows = [[fld.zero()] * s_tot[v] for _ in range(t_tot[v])]
-            for i in range(n):
-                mv = self.summands[i].dims[v]
-                for r in range(g.target.dims[i]):
-                    for ccol in range(g.source.dims[i]):
-                        c = g.blocks[i].rows[r][ccol]
-                        if c != fld.zero():
-                            for e_m in range(mv):
-                                rows[t_off[v][i] + r * mv + e_m][
-                                    s_off[v][i] + ccol * mv + e_m
-                                ] = c
-            big = Matrix(fld, rows, s_tot[v]) if t_tot[v] or s_tot[v] else Matrix.zero(fld, 0, 0)
-            blocks.append(t_projs[v] @ big @ s_secs[v])
-        return Morphism(src, tgt, blocks, _checked=False), src, tgt
+            offsets = list(itertools.accumulate((d * s.dims[v] for s, d in zip(ms, y.dims)), initial=0))
+            rows = [[fld.zero()] * source.dims[v] for _ in range(target.dims[v])]
+            col = 0
+            for i, j, yb, f in arrows:
+                mi, mj = ms[i].dims[v], ms[j].dims[v]
+                fv = f.blocks[v].rows
+                for e in range(y.dims[i]):
+                    for e_m in range(mj):
+                        for r in range(y.dims[j]):
+                            if yb[r][e]:
+                                pos = offsets[j] + r * mj + e_m
+                                rows[pos][col] = fld.add(rows[pos][col], yb[r][e])
+                        for r in range(mi):
+                            if fv[r][e_m]:
+                                pos = offsets[i] + e * mi + r
+                                rows[pos][col] = fld.sub(rows[pos][col], fv[r][e_m])
+                        col += 1
+            blocks.append(Matrix._raw(fld, tuple(map(tuple, rows)), source.dims[v]))
+        return cokernel(Morphism(source, target, blocks, _checked=True))
+
+    def tensor_on_map(self, g: Morphism) -> Morphism:
+        """g (x) id between the tensor images of g's source and target."""
+        a = self.module.algebra
+        fld = a.field
+        z = fld.zero()
+        _src, s_proj = self.tensor_functor(g.source)
+        _tgt, t_proj = self.tensor_functor(g.target)
+        # g (x) id on + y_i (x) M_i is block-diagonal over i: an entry x of
+        # g_i becomes x.I of size dim (M_i)_v
+        lifted = []
+        for v in range(a.quiver.n_vertices):
+            kron = [
+                Matrix._raw(fld, tuple(
+                    tuple(x if k == e else z for x in grow for k in range(s.dims[v]))
+                    for grow in gi.rows for e in range(s.dims[v])
+                ), gi.ncols * s.dims[v])
+                for gi, s in zip(g.blocks, self.summands)
+            ]
+            lifted.append(t_proj.blocks[v] @ Matrix.block_diagonal(fld, kron))
+        return _descend(Morphism(s_proj.source, t_proj.target, lifted, _checked=True), s_proj)
 
     def tensor_is_zero(self, y: Representation) -> bool:
-        rep, *_ = self.tensor_functor(y)
-        return rep.is_zero()
+        return self.tensor_functor(y)[0].is_zero()
 
     def tor1(self, y: Representation) -> Representation:
         """Tor_1^B(y, M) as a right A-module."""
-        pres = minimal_presentation(y)
-        t_incl, _src, _tgt = self.tensor_on_map(pres.omega_incl)
-        k, _incl = kernel(t_incl)
+        k, _incl = kernel(self.tensor_on_map(minimal_presentation(y).omega_incl))
         return k
 
     def tor1_is_zero(self, y: Representation) -> bool:
@@ -1049,24 +967,16 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
         coords = qr.path_images[word]
         i = qr.algebra.quiver.vertex_index[ar.source]
         j = qr.algebra.quiver.vertex_index[ar.target]
-        f = zero_morphism(summands[j], summands[i])
-        for k, c in enumerate(coords):
-            if c != fld.zero():
-                (bi, bj, pos) = layout[k]
-                if (bi, bj) != (i, j):
-                    raise ArithmeticError("arrow representative is not block-pure")
-                f = f + block_basis[(bi, bj)][pos].scale(c)
-        arrow_morphisms[ar.name] = f
+        if any(c and layout[k][:2] != (i, j) for k, c in enumerate(coords)):
+            raise ArithmeticError("arrow representative is not block-pure")
+        basis = block_basis[(i, j)]
+        row = [coords[index_of[(i, j, pos)]] for pos in range(len(basis))]
+        arrow_morphisms[ar.name], = _linear_combinations(summands[j], summands[i], basis, [row])
     return EndAlgebraResult(m, summands, qr.algebra, block_basis, layout, arrow_morphisms, qr)
 
 
 # ---------------------------------------------------------------------------
 # the relation-extension bimodule Ext^2(DC, C)
-
-
-def _regular_rep_data(c: PresentedAlgebra):
-    """C as a right module over itself, with path-indexed fibres."""
-    return ProjSum(c, list(c.quiver.vertices))
 
 
 def _left_multiplication_morphism(ps: ProjSum, elt) -> Morphism:
@@ -1123,8 +1033,8 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     relation extension of C.
     """
     fld = c.field
-    ps = _regular_rep_data(c)
-    ps_op = ProjSum(c.opposite(), list(c.quiver.vertices))
+    ps = ProjSum(c, c.quiver.vertices)
+    ps_op = ProjSum(c.opposite(), c.quiver.vertices)
     dc = dual(ps_op.rep)
     ext = ext_data(dc, ps.rep, 2)
     dim = ext.dim
@@ -1139,25 +1049,16 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     pres1 = minimal_presentation(dc)
     pres2 = minimal_presentation(pres1.omega)
 
-    unit_cocycles = []
-    for k in range(dim):
-        unit = tuple(fld.one() if i == k else fld.zero() for i in range(dim))
-        unit_cocycles.append(ext.cocycle(unit))
+    basis = ext.basis_cocycles()
 
     def left_matrix(elt):
         lam = _left_multiplication_morphism(ps, elt)
-        cols = [
-            ext.class_coordinates(compose(lam, phi)) for phi in unit_cocycles
-        ]
-        return Matrix(fld, list(zip(*cols)), dim)
+        return ext.matrix_of([compose(lam, phi) for phi in basis])
 
     def right_matrix(elt):
         eta = _dc_left_multiplication(c, ps_op, dc, elt)
         omega2 = syzygy_map(syzygy_map(eta, pres1, pres1), pres2, pres2)
-        cols = [
-            ext.class_coordinates(compose(phi, omega2)) for phi in unit_cocycles
-        ]
-        return Matrix(fld, list(zip(*cols)), dim)
+        return ext.matrix_of([compose(phi, omega2) for phi in basis])
 
     left = {}
     right = {}

@@ -287,31 +287,38 @@ def dual(m: Representation) -> Representation:
     return Representation(op, m.dims, maps, _checked=True)
 
 
+def _direct_sum_rep(a: PresentedAlgebra, summands) -> Representation:
+    """The direct sum of a list of representations, without inclusions
+    and projections."""
+    q = a.quiver
+    dims = [sum(s.dims[v] for s in summands) for v in range(q.n_vertices)]
+    maps = [
+        Matrix.block_diagonal(a.field, [s.maps[j] for s in summands])
+        for j in range(len(q.arrows))
+    ]
+    return Representation(a, dims, maps, _checked=True)
+
+
 def direct_sum(a: PresentedAlgebra, summands):
     """(sum, inclusions, projections) of a list of representations."""
     summands = list(summands)
     fld = a.field
     q = a.quiver
-    dims = [sum(s.dims[v] for s in summands) for v in range(q.n_vertices)]
-    maps = []
-    for j in range(len(q.arrows)):
-        maps.append(Matrix.block_diagonal(fld, [s.maps[j] for s in summands]))
-    total = Representation(a, dims, maps, _checked=True)
+    total = _direct_sum_rep(a, summands)
+    dims = total.dims
     incls, projs = [], []
     offset = [0] * q.n_vertices
+    z = fld.zero()
     for s in summands:
-        inc_blocks, proj_blocks = [], []
-        for v in range(q.n_vertices):
-            inc = Matrix.zero(fld, dims[v], s.dims[v])
-            pro = Matrix.zero(fld, s.dims[v], dims[v])
-            rows_i = [list(r) for r in inc.rows]
-            rows_p = [list(r) for r in pro.rows]
-            for k in range(s.dims[v]):
-                rows_i[offset[v] + k][k] = fld.one()
-                rows_p[k][offset[v] + k] = fld.one()
-            inc_blocks.append(Matrix(fld, rows_i, s.dims[v]))
-            proj_blocks.append(Matrix(fld, rows_p, dims[v]))
-        incls.append(Morphism(s, total, inc_blocks, _checked=True))
+        # the projection is [0 | I | 0] at each vertex, the inclusion its transpose
+        proj_blocks = [
+            Matrix._raw(fld, tuple(
+                (z,) * offset[v] + row + (z,) * (dims[v] - offset[v] - s.dims[v])
+                for row in Matrix.identity(fld, s.dims[v]).rows
+            ), dims[v])
+            for v in range(q.n_vertices)
+        ]
+        incls.append(Morphism(s, total, [p.transpose() for p in proj_blocks], _checked=True))
         projs.append(Morphism(total, s, proj_blocks, _checked=True))
         for v in range(q.n_vertices):
             offset[v] += s.dims[v]
@@ -401,6 +408,16 @@ def _morphism_from_vector(m, n, vec):
     return Morphism(m, n, blocks, _checked=True)
 
 
+def _linear_combinations(m, n, basis, coords):
+    """The morphisms m -> n with the given coordinate rows over ``basis``,
+    from one product against the flattened basis."""
+    fld = m.algebra.field
+    width = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
+    flat = Matrix._raw(fld, tuple(g.flatten() for g in basis), width)
+    prod = Matrix._raw(fld, tuple(map(tuple, coords)), len(basis)) @ flat
+    return [_morphism_from_vector(m, n, row) for row in prod.rows]
+
+
 def hom_dim(m, n) -> int:
     return len(hom_basis(m, n))
 
@@ -459,46 +476,6 @@ def submodule(m: Representation, spaces, close=True):
     return s, Morphism(s, m, incl_blocks, _checked=True)
 
 
-def quotient_rep(m: Representation, incl: Morphism):
-    """(Q, proj) for M / image(incl); incl must be the inclusion of a subrep."""
-    a = m.algebra
-    fld = a.field
-    q = a.quiver
-    projs = []
-    secs = []
-    dims = []
-    for v in range(q.n_vertices):
-        sub_rows = span_matrix(
-            fld, [incl.blocks[v].column_vector(j) for j in range(incl.blocks[v].ncols)],
-            m.dims[v],
-        )
-        comp = complement_basis(sub_rows)
-        dims.append(len(comp))
-        if m.dims[v] == 0:
-            projs.append(Matrix.zero(fld, 0, 0))
-            secs.append(Matrix.zero(fld, 0, 0))
-            continue
-        rows = list(sub_rows.rows) + list(comp)
-        b = Matrix(fld, rows, m.dims[v])
-        binv = b.transpose().inverse()
-        if binv is None:
-            raise ValueError("inclusion blocks do not span a subspace cleanly")
-        proj = binv.submatrix(range(sub_rows.nrows, m.dims[v]), range(m.dims[v]))
-        sec = (
-            Matrix(fld, comp, m.dims[v]).transpose()
-            if comp
-            else Matrix.zero(fld, m.dims[v], 0)
-        )
-        projs.append(proj)
-        secs.append(sec)
-    maps = []
-    for j in range(len(q.arrows)):
-        x, y = q.arrow_source[j], q.arrow_target[j]
-        maps.append(projs[y] @ m.maps[j] @ secs[x])
-    qrep = Representation(a, dims, maps, _checked=True)
-    return qrep, Morphism(m, qrep, projs, _checked=True)
-
-
 def kernel(f: Morphism):
     """(K, incl) with K = ker f as a subrepresentation of f.source."""
     a = f.source.algebra
@@ -521,8 +498,42 @@ def image(f: Morphism):
 
 
 def cokernel(f: Morphism):
-    img, incl = image(f)
-    return quotient_rep(f.target, incl)
+    """(Q, proj) with Q = f.target / im f.
+
+    At each vertex the image is the echelonised column span of f, completed
+    by standard vectors; proj reads coordinates along that completion.
+    """
+    m = f.target
+    a = m.algebra
+    fld = a.field
+    q = a.quiver
+    projs, secs, dims = [], [], []
+    for v, blk in enumerate(f.blocks):
+        d = m.dims[v]
+        sub = span_matrix(fld, blk.transpose().rows, d)
+        comp = tuple(complement_basis(sub))
+        dims.append(len(comp))
+        binv = Matrix._raw(fld, sub.rows + comp, d).transpose().inverse()
+        projs.append(binv.submatrix(range(sub.nrows, d), range(d)))
+        secs.append(Matrix._raw(fld, comp, d).transpose())
+    maps = []
+    for j in range(len(q.arrows)):
+        x, y = q.arrow_source[j], q.arrow_target[j]
+        maps.append(projs[y] @ m.maps[j] @ secs[x])
+    qrep = Representation(a, dims, maps, _checked=True)
+    return qrep, Morphism(m, qrep, projs, _checked=True)
+
+
+def _descend(f: Morphism, proj: Morphism) -> Morphism:
+    """The h with h o proj = f, for a surjective proj whose kernel f kills;
+    one solve per vertex."""
+    blocks = []
+    for fb, pb in zip(f.blocks, proj.blocks):
+        sol = pb.transpose().solve(fb.transpose())
+        if sol is None:
+            raise ArithmeticError("morphism does not factor through the quotient")
+        blocks.append(sol.transpose())
+    return Morphism(proj.target, f.target, blocks, _checked=True)
 
 
 def radical_rep(m: Representation):
@@ -559,7 +570,7 @@ def socle_rep(m: Representation):
 def top_rep(m: Representation):
     """(top M, proj) = M / rad M."""
     _r, incl = radical_rep(m)
-    return quotient_rep(m, incl)
+    return cokernel(incl)
 
 
 def top_data(m: Representation):
@@ -622,13 +633,7 @@ def _end_radical(m: Representation):
 
 def end_radical_morphisms(m: Representation):
     """Basis of rad End(m) as morphisms."""
-    rad = _end_radical(m)
-    if not rad:
-        return []
-    fld = m.algebra.field
-    flat = [g.flatten() for g in hom_basis(m, m)]
-    prod = Matrix._raw(fld, rad, len(flat)) @ Matrix._raw(fld, tuple(flat), len(flat[0]))
-    return [_morphism_from_vector(m, m, row) for row in prod.rows]
+    return _linear_combinations(m, m, hom_basis(m, m), _end_radical(m))
 
 
 def is_indecomposable(m: Representation) -> bool:

@@ -38,6 +38,7 @@ from .algebra import (
 from .modrep import (
     Representation,
     Morphism,
+    cokernel,
     compose,
     decompose,
     direct_sum,
@@ -56,7 +57,6 @@ from .modrep import (
     restrict_along_quotient,
     extend_by_zero,
     projective,
-    quotient_rep,
     radical_rep,
     socle_rep,
     zero_rep,
@@ -302,7 +302,7 @@ def local_out_neighbors(x: Representation):
     """
     if is_injective_rep(x):
         soc, incl = socle_rep(x)
-        quot, _proj = quotient_rep(x, incl)
+        quot, _proj = cokernel(incl)
         if quot.is_zero():
             return []
         return decompose(quot)
@@ -838,6 +838,7 @@ def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
     fld = b.field
     exts = [ext_data(s, x, 1) for s in er.summands]
     press = [minimal_presentation(s) for s in er.summands]
+    cocycles = [e.basis_cocycles() for e in exts]
     dims = [e.dim for e in exts]
     maps = []
     for ar in b.quiver.arrows:
@@ -848,14 +849,7 @@ def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
             continue
         f_b = er.arrow_morphisms[ar.name]  # M_j -> M_i
         omega_map = syzygy_map(f_b, press[j], press[i])
-        cols = []
-        for k in range(dims[i]):
-            coords = tuple(
-                fld.one() if t == k else fld.zero() for t in range(dims[i])
-            )
-            phi = exts[i].cocycle(coords)  # Omega(M_i) -> x
-            cols.append(exts[j].class_coordinates(compose(phi, omega_map)))
-        maps.append(Matrix(fld, [list(r) for r in zip(*cols)], dims[i]))
+        maps.append(exts[j].matrix_of([compose(phi, omega_map) for phi in cocycles[i]]))
     return Representation(b, dims, maps)
 
 
@@ -1025,7 +1019,7 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
         h = er.hom_functor(x)
         hom_images.append(h)
         j = iso_index(ys, h)
-        back, *_rest = er.tensor_functor(h)
+        back, _proj = er.tensor_functor(h)
         ok = j is not None and j not in used and iso_index([x], back) is not None
         if j is not None:
             used.add(j)
@@ -1033,7 +1027,7 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
         hom_ok = hom_ok and ok
     hom_ok = hom_ok and len(used) == len(ys)
     for y in ys:
-        t, *_rest = er.tensor_functor(y)
+        t, _proj = er.tensor_functor(y)
         hom_ok = hom_ok and fac_member(t, m)
         h2 = er.hom_functor(t)
         hom_ok = hom_ok and iso_index([y], h2) is not None

@@ -4,9 +4,10 @@ import pytest
 
 from tauslice import fixtures as fixdata
 from tauslice.algebra import ideal_bimodule, split_extension, presentation_isomorphism
+from tauslice.exactlin import Matrix
 from tauslice.modrep import (
-    simple, projective, injective, direct_sum, decompose, hom_dim,
-    is_isomorphic, fac_member, sub_member, dual,
+    simple, projective, injective, direct_sum, decompose, hom_dim, hom_basis,
+    compose, is_isomorphic, fac_member, sub_member, dual,
 )
 from tauslice.artheory import (
     tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
@@ -178,6 +179,43 @@ def test_end_algebra_hom_functor_dims(a3):
     x = simple(a3, "1")
     hx = res.hom_functor(x)
     assert hx.dims == tuple(hom_dim(m, x) for m in res.summands)
+
+
+@pytest.mark.parametrize("name, group", [
+    ("ex1", "m"), ("ex2", "m"), ("fig1", "sigma"), ("a3", None),
+])
+def test_tensor_and_tor_of_projectives(algebras, name, group):
+    """e_i B (x)_B M = e_i M, the summand M_i; a projective has no Tor_1."""
+    a = algebras[name]
+    if group is None:
+        members = [injective(a, v) for v in a.quiver.vertices]
+    else:
+        members = fixdata.members(a, name, group)
+    res = end_algebra(direct_sum(a, members)[0])
+    b = res.algebra
+    for i, v in enumerate(b.quiver.vertices):
+        p = projective(b, v)
+        t, proj = res.tensor_functor(p)
+        assert proj.target is t
+        assert is_isomorphic(t, res.summands[i])
+        assert res.tor1(p).is_zero()
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
+def test_ext_class_matrix_invariants(algebras, name):
+    """The class basis has the identity as its class matrix, and every
+    coboundary psi o (Omega^d -> P_{d-1}) has class zero."""
+    reps = ar_quiver(algebras[name]).representatives()
+    fld = algebras[name].field
+    for x in reps:
+        for y in reps:
+            for degree in (1, 2):
+                ext = ext_data(x, y, degree)
+                assert ext.matrix_of(ext.basis_cocycles()) == Matrix.identity(fld, ext.dim)
+                for psi in hom_basis(ext.penultimate, y):
+                    cls = ext.matrix_of([compose(psi, ext.omega_incl)])
+                    assert cls.shape == (ext.dim, 1)
+                    assert cls.is_zero()
 
 
 def test_radical_power_dim_on_ar_universe(a3):
