@@ -389,14 +389,16 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     hom = hom_basis(omega, n)
     if not hom:
         return ExtData(m, n, degree, omega, incl, pen, [], Matrix.zero(fld, 0, 0), [])
-    width = len(hom[0].flatten())
-    hom_mat = Matrix(fld, [h.flatten() for h in hom], width)
+    # hom coordinates of every restriction psi o incl, from one solve with
+    # the flattened restrictions as right-hand columns
+    restricted = [compose(psi, incl).flatten() for psi in hom_basis(pen, n)]
     cob_rows = []
-    for psi in hom_basis(pen, n):
-        co = coordinates_in_basis(hom_mat, compose(psi, incl).flatten())
+    if restricted:
+        hom_t = Matrix._raw(fld, tuple(zip(*(h.flatten() for h in hom))), len(hom))
+        co = hom_t.solve(Matrix._raw(fld, tuple(zip(*restricted)), len(restricted)))
         if co is None:
             raise ArithmeticError("restriction escaped Hom(Omega, n)")
-        cob_rows.append(co)
+        cob_rows = list(zip(*co.rows))
     cobound = span_matrix(fld, cob_rows, len(hom))
     reps = complement_basis(cobound)
     return ExtData(m, n, degree, omega, incl, pen, hom, cobound, list(reps))
@@ -829,13 +831,17 @@ class EndAlgebraResult:
         The tensor product is the cokernel of ``rel``, whose target
         + y_i (x) M_i holds dim y_i copies of each M_i, and whose source
         holds one copy of M_j per arrow b: i -> j of End(M) and basis vector
-        e of y_i, sent to y.b (x) m - e (x) b.m.
+        e of y_i, sent to y.b (x) m - e (x) b.m.  Memoised in the cache of
+        End(M), on structural equality: the result does not refer to y.
         """
         a = self.module.algebra
         b = self.algebra
         fld = a.field
         if y.algebra is not b:
             raise ValueError("tensor argument is not a module over End(M)")
+        key = ("tensor", y)
+        if key in b._cache:
+            return b._cache[key]
         ms = self.summands
         arrows = [
             (b.quiver.vertex_index[ar.source], b.quiver.vertex_index[ar.target],
@@ -864,7 +870,8 @@ class EndAlgebraResult:
                                 rows[pos][col] = fld.sub(rows[pos][col], fv[r][e_m])
                         col += 1
             blocks.append(Matrix._raw(fld, tuple(map(tuple, rows)), source.dims[v]))
-        return cokernel(Morphism(source, target, blocks, _checked=True))
+        b._cache[key] = cokernel(Morphism(source, target, blocks, _checked=True))
+        return b._cache[key]
 
     def tensor_on_map(self, g: Morphism) -> Morphism:
         """g (x) id between the tensor images of g's source and target."""

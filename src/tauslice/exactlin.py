@@ -4,7 +4,9 @@ Everything downstream (path algebra arithmetic, Hom spaces, AR translates)
 reduces to row reduction of smallish dense matrices, so this module keeps a
 deliberately plain implementation: immutable matrices, int entries over
 GF(p) and int/``Fraction`` entries over Q, deterministic leftmost-pivot
-elimination.  No floating point anywhere.
+elimination.  The one exception is :func:`sparse_rref`, for systems with a
+few nonzero entries per row, such as the intertwining systems of Hom
+spaces.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -502,6 +504,69 @@ class Matrix:
         if sol is None or (self @ sol) != Matrix.identity(self.field, self.nrows):
             return None
         return sol
+
+
+def sparse_rref(field: Field, rows):
+    """Reduced row echelon form of a sparse system.
+
+    ``rows`` is an iterable of dicts {column: coefficient}; a coefficient may
+    be any value the field's arithmetic accepts (an int over GF(p) need not
+    be reduced) and may be 0.  Returns ``(echelon, pivots)``: the pivot
+    columns in increasing order, and for each the row of the RREF as a dict
+    of its nonzero entries, with 1 at the pivot.  The RREF of a matrix is
+    unique, so this is ``Matrix.rref`` of the dense system, without the
+    zero rows.
+
+    Each row is reduced against the pivot rows found so far, on its leading
+    entry, and its remainder, made monic, becomes a pivot row if nonzero;
+    then each pivot row is cleared of the later pivots, last pivot first.
+    """
+    p = field.characteristic
+    found = {}  # pivot column -> monic row with its leading entry there
+    for row in rows:
+        if p:
+            row = {j: x % p for j, x in row.items() if x % p}
+        else:
+            row = {j: _canon(x) for j, x in row.items() if x}
+        while row:
+            c = min(row)
+            prow = found.get(c)
+            if prow is None:
+                break
+            _subtract(row, row[c], prow, p)
+        if row:
+            c = min(row)
+            piv = row[c]
+            if piv != 1:
+                if p:
+                    inv = pow(piv, -1, p)
+                    row = {j: x * inv % p for j, x in row.items()}
+                else:
+                    row = {j: _canon(Fraction(x, piv)) for j, x in row.items()}
+            found[c] = row
+    pivots = sorted(found)
+    # a later pivot row is final when it is used: clearing never brings back
+    # a pivot column
+    for c in reversed(pivots):
+        row = found[c]
+        for j in [j for j in row if j != c and j in found]:
+            _subtract(row, row[j], found[j], p)
+    return [found[c] for c in pivots], tuple(pivots)
+
+
+def _subtract(row: dict, fac, prow: dict, p: int):
+    """row -= fac * prow, in place, keeping only the nonzero entries."""
+    get = row.get
+    for j, x in prow.items():
+        v = get(j, 0) - fac * x
+        if p:
+            v %= p
+        elif type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 # -- subspace helpers -------------------------------------------------

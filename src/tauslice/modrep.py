@@ -20,7 +20,13 @@ from .algebra import (
     radical_span,
     word_key,
 )
-from .exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
+from .exactlin import (
+    Matrix,
+    complement_basis,
+    coordinates_in_basis,
+    span_matrix,
+    sparse_rref,
+)
 
 
 class DecompositionStalled(RuntimeError):
@@ -355,42 +361,40 @@ def hom_basis(m: Representation, n: Representation):
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
 
-    # one row per entry (i, j) of f_y M_a - N_a f_x for each arrow a: x -> y;
-    # on a loop (x = y) both terms can hit the unknown f[i][j], so they add
-    p = fld.characteristic
-    z = fld.zero()
+    # one sparse row {unknown: coefficient} per entry (i, j) of
+    # f_y M_a - N_a f_x for each arrow a: x -> y; on a loop (x = y) both
+    # terms can hit the unknown f[i][j], so they add
     rows = []
     for arw in range(len(q.arrows)):
         x, y = q.arrow_source[arw], q.arrow_target[arw]
-        ma, na = m.maps[arw].rows, n.maps[arw].rows
-        wx, wy = m.dims[x], m.dims[y]
+        ma_cols = m.maps[arw].transpose().rows
+        na = n.maps[arw].rows
+        wx = m.dims[x]
         for i in range(n.dims[y]):
-            start_y = offsets[y] + i * wy
+            start_y = offsets[y] + i * m.dims[y]
+            na_row = [(offsets[x] + k * wx, c) for k, c in enumerate(na[i]) if c]
             for j in range(wx):
-                row = [z] * total
                 # (f_y M_a)_{ij} = sum_k f_y[i,k] Ma[k,j]
-                for k in range(wy):
-                    c = ma[k][j]
-                    if c:
-                        row[start_y + k] += c
+                row = {start_y + k: c for k, c in enumerate(ma_cols[j]) if c}
                 # -(N_a f_x)_{ij} = -sum_k Na[i,k] f_x[k,j]
-                for k, c in enumerate(na[i]):
-                    if c:
-                        row[offsets[x] + k * wx + j] -= c
-                if p:
-                    row = [c % p for c in row]
-                if any(row):
-                    rows.append(tuple(row))
-    if total == 0:
-        basis = []
-    elif not rows:
-        kern = Matrix.identity(fld, total).rows
-        basis = [_morphism_from_vector(m, n, v) for v in kern]
-    else:
-        mat = Matrix._raw(fld, tuple(rows), total)
-        basis = [
-            _morphism_from_vector(m, n, k.column_vector(0)) for k in mat.kernel_basis()
-        ]
+                for start_x, c in na_row:
+                    row[start_x + j] = row.get(start_x + j, 0) - c
+                rows.append(row)
+    echelon, pivots = sparse_rref(fld, rows)
+    # the kernel basis vector of a free column fc has 1 at fc and -R[r][fc]
+    # at the pivot of each row r, as in Matrix.kernel_basis
+    z, one = fld.zero(), fld.one()
+    pivset = set(pivots)
+    kern = {}
+    for fc in range(total):
+        if fc not in pivset:
+            kern[fc] = [z] * total
+            kern[fc][fc] = one
+    for pc, row in zip(pivots, echelon):
+        for fc, c in row.items():
+            if fc != pc:
+                kern[fc][pc] = fld.neg(c)
+    basis = [_morphism_from_vector(m, n, v) for v in kern.values()]
     a._cache[key] = basis
     return basis
 
@@ -708,36 +712,58 @@ def decompose(m: Representation):
 
 
 def _split_completely(m: Representation):
+    """The pieces of m, split along the first Fitting splitting among the
+    End basis, then its pairwise sums.
+
+    The End basis is tried before rad End is computed: if End(m) is local,
+    every endomorphism is nilpotent or invertible and none splits, and if
+    one splits, m is decomposable.  So rad End is computed only for a
+    module on which no basis element splits.
+    """
     if m.is_zero():
         return []
+    basis = hom_basis(m, m)
+    d = len(basis)
+    if d == 1:
+        return [m]  # End(m) = k
+    for f in basis:
+        pieces = _fitting_split(m, f)
+        if pieces:
+            return pieces
     if is_indecomposable(m):
         return [m]
-    basis = hom_basis(m, m)
-    # the End basis, then pairwise sums: built one at a time, as tried
-    d = len(basis)
+    # the pairwise sums: built one at a time, as tried
     two = m.algebra.field.coerce(2)
     candidates = itertools.chain(
-        basis,
         (basis[i] + basis[j] for i in range(d) for j in range(i + 1, d)),
         (basis[i] + basis[j].scale(two) for i in range(d) for j in range(d) if i != j),
     )
-    n = m.total_dim
     for f in candidates:
-        power = f
-        steps = 1
-        while steps < n:
-            power = compose(power, power)
-            steps *= 2
-        k, k_incl = kernel(power)
-        if 0 < k.total_dim < m.total_dim:
-            img, i_incl = image(power)
-            if k.total_dim + img.total_dim != m.total_dim:
-                continue  # not yet a Fitting splitting (should not happen)
-            return _split_completely(k) + _split_completely(img)
+        pieces = _fitting_split(m, f)
+        if pieces:
+            return pieces
     raise DecompositionStalled(
         f"End has dim {d}, top dim {d - len(_end_radical(m))} > 1, "
         "but no splitting endomorphism was found"
     )
+
+
+def _fitting_split(m: Representation, f: Morphism):
+    """The pieces of m split along ker f^n + im f^n (n >= dim m), or None
+    when f is nilpotent or invertible."""
+    n = m.total_dim
+    power = f
+    steps = 1
+    while steps < n:
+        power = compose(power, power)
+        steps *= 2
+    k, _k_incl = kernel(power)
+    if not 0 < k.total_dim < n:
+        return None
+    img, _i_incl = image(power)
+    if k.total_dim + img.total_dim != n:
+        return None  # not yet a Fitting splitting (should not happen)
+    return _split_completely(k) + _split_completely(img)
 
 
 def _summands_match(left, right) -> bool:

@@ -971,7 +971,7 @@ class BBReport:
     sub_witness: Representation | None
 
 
-def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
+def bb_verify(m: Representation, max_nodes=512) -> BBReport:
     """Extensional verification of the two torsion-pair equivalences.
 
     Requires M support tau-tilting and both A and End(M) representation
@@ -979,8 +979,8 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
     matched into the torsion-free class, and pulled back through the tensor
     product; every indecomposable in Sub(tau_A M) is pushed through
     Ext^1(M,-) and pulled back through Tor_1.  Round trips are checked by
-    isomorphism, the matchings for bijectivity, and Hom dimensions on a
-    sample of pairs.
+    isomorphism, the matchings for bijectivity, and Hom dimensions on every
+    pair of Fac M.
     """
     a = m.algebra
     if not is_support_tau_tilting(m):
@@ -1031,13 +1031,9 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
         hom_ok = hom_ok and fac_member(t, m)
         h2 = er.hom_functor(t)
         hom_ok = hom_ok and iso_index([y], h2) is not None
-    checked = 0
     for x1, h1 in zip(fac, hom_images):
         for x2, h2 in zip(fac, hom_images):
-            if checked >= sample_pairs:
-                break
             hom_ok = hom_ok and hom_dim(x1, x2) == hom_dim(h1, h2)
-            checked += 1
 
     # Ext^1(M,-) : Sub(tau_A M) -> torsion class, quasi-inverse Tor_1(-,M)
     ext_ok = True
@@ -1087,14 +1083,14 @@ def bb_verify(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
     )
 
 
-def bb_verify_dual(m: Representation, max_nodes=512, sample_pairs=50) -> BBReport:
+def bb_verify_dual(m: Representation, max_nodes=512) -> BBReport:
     """The cotilting-side run: the same verification for D(m) over A^op.
 
     Hom(-,M) and Ext^1(-,M) on mod A translate to Hom and Ext out of D(M)
     over the opposite algebra, so all verdicts transport through the
     duality.
     """
-    return bb_verify(dual(m), max_nodes=max_nodes, sample_pairs=sample_pairs)
+    return bb_verify(dual(m), max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,14 @@ def test_ar_quiver_cap_exceeded(capsys):
     assert out["error"].startswith("CapExceeded")
 
 
+
+def test_ar_quiver_over_f3_matches_q(capsys):
+    code_q, out_q = run_json(capsys, "ar-quiver", alg_path("ex1"))
+    code_f3, out_f3 = run_json(capsys, "ar-quiver", alg_path("ex1"), "--field", "F3")
+    assert code_q == code_f3 == 0
+    for key in ("nodes", "arrows", "tau"):
+        assert out_f3[key] == out_q[key], key
+
 def test_ar_quiver_dot_deterministic(capsys):
     code1, out1 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")
     code2, out2 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")

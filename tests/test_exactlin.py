@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
     row_space_basis, span_matrix, in_span, coordinates_in_basis,
-    complement_basis, intersect_row_spaces,
+    complement_basis, intersect_row_spaces, sparse_rref,
 )
 
 
@@ -328,6 +328,44 @@ def test_degenerate_shapes(field, shape):
         check_product(Matrix(field, [[2]] * 2, 1) @ Matrix(field, [[1] * nr], nr), m)
         assert m.transpose().transpose() == m
 
+
+
+def check_sparse_rref(m):
+    """sparse_rref of m's rows, as dicts over every column with each entry
+    raised by the characteristic (so zeros are explicit and, over GF(p),
+    entries arrive unreduced), equals the dense rref without its zero rows."""
+    f = m.field
+    pad = f.characteristic
+    rows = [{j: x + pad for j, x in enumerate(row)} for row in m.rows]
+    echelon, pivots = sparse_rref(f, rows)
+    r, dense_pivots = m.rref()
+    assert pivots == dense_pivots
+    assert len(echelon) == len(pivots)
+    z = f.zero()
+    dense = [tuple(row.get(j, z) for j in range(m.ncols)) for row in echelon]
+    assert dense == list(r.rows[:len(pivots)])
+    assert all(x for row in echelon for x in row.values())
+    if not pad:
+        assert all(is_canonical(x) for row in echelon for x in row.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sparse_rref_matches_dense_rref(field, data):
+    check_sparse_rref(data.draw(sparse_matrices(field, max_rows=7, max_cols=7)))
+    if field == QQ:
+        check_sparse_rref(data.draw(sparse_matrices(field, entries=fractional_entries)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES, ids=str)
+def test_sparse_rref_degenerate_shapes(field, shape):
+    nr, nc = shape
+    for rows in ([[0] * nc for _ in range(nr)], [[3] * nc for _ in range(nr)]):
+        check_sparse_rref(Matrix(field, rows, nc))
+    assert sparse_rref(field, []) == ([], ())
+    assert sparse_rref(field, [{}, {2: 0}]) == ([], ())
 
 def test_public_constructor_coerces():
     row = Matrix(QQ, [[1, Fraction(4, 2), "6/3", "1/2", True]])[0]

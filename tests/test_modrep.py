@@ -5,6 +5,7 @@ import pytest
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import Matrix, QQ
 from tauslice.algebra import quotient
+from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
 from tauslice import modrep as modrep_module
 from tauslice.artheory import ar_quiver
@@ -261,3 +262,77 @@ def test_end_radical_computed_once_per_module(name, monkeypatch):
         assert is_indecomposable(m)
         assert len(end_radical_morphisms(m)) == len(hom_basis(m, m)) - 1
         assert len(calls) == 1, node
+
+
+def intertwining_kernel(m, n):
+    """Kernel basis of the dense system f_y M_a = N_a f_x, one equation per
+    arrow a: x -> y and entry (i, j); the unknowns are the entries of the
+    blocks f_v, in vertex order and row-major."""
+    a = m.algebra
+    f = a.field
+    q = a.quiver
+    start, total = [], 0
+    for v in range(q.n_vertices):
+        start.append(total)
+        total += n.dims[v] * m.dims[v]
+    rows = []
+    for arw in range(len(q.arrows)):
+        x, y = q.arrow_source[arw], q.arrow_target[arw]
+        ma, na = m.maps[arw], n.maps[arw]
+        for i in range(n.dims[y]):
+            for j in range(m.dims[x]):
+                row = [f.zero()] * total
+                for k in range(m.dims[y]):  # (f_y M_a)[i][j]
+                    c = start[y] + i * m.dims[y] + k
+                    row[c] = f.add(row[c], ma[k][j])
+                for k in range(n.dims[x]):  # -(N_a f_x)[i][j]
+                    c = start[x] + k * m.dims[x] + j
+                    row[c] = f.sub(row[c], na[i][k])
+                rows.append(row)
+    return [k.column_vector(0) for k in Matrix(f, rows, total).kernel_basis()]
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
+def test_hom_basis_is_the_kernel_of_the_dense_system(name, field):
+    a = parse_algebra_text(
+        fixdata.path(f"{name}.alg").read_text(),
+        None if field == "Q" else field_from_spec(field),
+    )
+    nodes = ar_quiver(a).representatives()
+    sums = [direct_sum(a, [nodes[i], nodes[(i + 1) % len(nodes)]])[0]
+            for i in range(0, len(nodes), 3)]
+    pairs = [(x, y) for x in nodes for y in nodes]
+    pairs += [(s, s) for s in sums] + [(s, nodes[0]) for s in sums]
+    pairs += [(nodes[-1], s) for s in sums]
+    for x, y in pairs:
+        assert [g.flatten() for g in hom_basis(x, y)] == intertwining_kernel(x, y)
+
+
+LOOP_ALGEBRA = """field Q
+vertex 1
+vertex 2
+arrow x: 1 -> 1
+arrow a: 1 -> 2
+relation x*x
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_hom_basis_is_the_kernel_of_the_dense_system_on_a_loop(field):
+    # on the loop x both sides of f_1 M_x = N_x f_1 meet the same unknowns
+    a = parse_algebra_text(LOOP_ALGEBRA, None if field == "Q" else field_from_spec(field))
+    q = a.quiver
+    mods = [make(a, v) for make in (projective, injective, simple) for v in "12"]
+    mods.append(direct_sum(a, mods[:2])[0])
+    # copies under an upper unitriangular base change, on which the loop's
+    # matrix has nonzero diagonal entries where the two sides collide
+    for x in list(mods):
+        base = [Matrix(a.field, [[int(j >= i) for j in range(d)] for i in range(d)], d)
+                for d in x.dims]
+        maps = [base[q.arrow_target[j]] @ x.maps[j] @ base[q.arrow_source[j]].inverse()
+                for j in range(len(q.arrows))]
+        mods.append(Representation(a, x.dims, maps))
+    for x in mods:
+        for y in mods:
+            assert [g.flatten() for g in hom_basis(x, y)] == intertwining_kernel(x, y)
