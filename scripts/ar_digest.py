@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per AR closure, over every matrix the closure computed.
+
+For each representation-finite fixture and each field it digests the
+closure's node matrices, the minimal presentation of every node (cover,
+differential, syzygy and its inclusion), tau and tau^-1 of every node, the
+arrows with their multiplicities, the tau-links and every mesh (the maps of
+the almost split sequence and its middle summands).  The closures of the
+representation-infinite fig2, which stop with ``CapExceeded``, are digested
+from what they left in the algebra's cache: each almost split sequence,
+presentation and translate, in the order they were computed.
+
+Running it on two commits gives a one-command check that a change leaves
+the AR data byte-identical:
+
+    python3 scripts/ar_digest.py > after.txt
+    (cd ../parent && python3 scripts/ar_digest.py) > before.txt
+    diff before.txt after.txt
+
+Usage: python3 scripts/ar_digest.py
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tauslice import fixtures as fixdata  # noqa: E402
+from tauslice.algebra import CapExceeded  # noqa: E402
+from tauslice.artheory import (  # noqa: E402
+    ar_quiver, minimal_presentation, tau, tau_inverse,
+)
+from tauslice.cli import field_from_spec, parse_algebra_text  # noqa: E402
+
+FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
+          "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]
+#: (field, cap) of each digested fig2 closure
+FIG2_CLOSURES = [("Q", 24), ("Q", 32), ("F5", 24), ("F5", 32)]
+
+
+def mat(m):
+    return f"{m.nrows}x{m.ncols}:" + ";".join(",".join(map(str, r)) for r in m.rows)
+
+
+def rep(r):
+    return "dims=" + ",".join(map(str, r.dims)) + " maps=" + "|".join(map(mat, r.maps))
+
+
+def morph(f):
+    return "|".join(map(mat, f.blocks))
+
+
+def presentation(m):
+    p = minimal_presentation(m)
+    return "\n".join([
+        "p0=" + ",".join(p.p0.vertex_list), "cover=" + morph(p.cover),
+        "omega=" + rep(p.omega), "omega_incl=" + morph(p.omega_incl),
+        "p1=" + ",".join(p.p1.vertex_list), "p1_cover=" + morph(p.p1_cover),
+        "differential=" + morph(p.differential),
+    ])
+
+
+def mesh(ass):
+    lines = ["left=" + rep(ass.left), "right=" + rep(ass.right),
+             "middle=" + rep(ass.ses.middle),
+             "left_map=" + morph(ass.ses.left_map),
+             "right_map=" + morph(ass.ses.right_map)]
+    lines += [f"summand x{k}=" + rep(s) for s, k in ass.middle_summands]
+    return "\n".join(lines)
+
+
+def finite_lines(a):
+    g = ar_quiver(a)
+    for node in g.nodes:
+        yield (f"node {node.ident} P={node.projective_label} "
+               f"I={node.injective_label} " + rep(node.rep))
+        yield presentation(node.rep)
+        yield "tau=" + rep(tau(node.rep))
+        yield "tau_inverse=" + rep(tau_inverse(node.rep))
+    yield "arrows=" + repr(sorted(g.arrows.items()))
+    yield "tau_link=" + repr(sorted(g.tau_link.items()))
+    for ident in sorted(g.meshes):
+        yield f"mesh {ident}\n" + mesh(g.meshes[ident])
+
+
+def capped_lines(a, cap):
+    try:
+        ar_quiver(a, max_nodes=cap)
+    except CapExceeded as e:
+        yield f"capped: {e}"
+    else:
+        yield "closed"
+    for key, val in list(a._cache.items()):
+        if not isinstance(key, tuple):
+            continue
+        if key[0] == "almost_split_sequence":
+            yield "mesh\n" + mesh(val)
+        elif key[0] == "presentation":
+            yield "presentation of " + rep(key[1]) + "\n" + presentation(key[1])
+        elif key[0] in ("tau", "tau_inverse"):
+            yield f"{key[0]} of " + rep(key[1]) + " = " + rep(val)
+
+
+def digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def load(name, spec):
+    return parse_algebra_text(fixdata.path(f"{name}.alg").read_text(),
+                              None if spec == "Q" else field_from_spec(spec))
+
+
+def main():
+    for name in FINITE:
+        for spec in ("Q", "F5", "F3"):
+            try:
+                out = digest(finite_lines(load(name, spec)))
+            except (ArithmeticError, RuntimeError, ValueError) as e:
+                # FieldTooSmall, DecompositionStalled and the like are part
+                # of the record
+                out = f"raised {type(e).__name__}: {e}"
+            print(f"{name} {spec} {out}")
+    for spec, cap in FIG2_CLOSURES:
+        print(f"fig2 {spec} cap={cap} {digest(capped_lines(load('fig2', spec), cap))}")
+
+
+if __name__ == "__main__":
+    main()

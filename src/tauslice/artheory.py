@@ -120,6 +120,17 @@ class ProjSum:
         return out
 
 
+def _proj_sum(algebra: PresentedAlgebra, vertex_list) -> ProjSum:
+    """The ProjSum of ``vertex_list``, one per list, memoised in the
+    algebra's cache; callers share it and must not mutate it."""
+    labels = tuple(str(v) for v in vertex_list)
+    key = ("projsum", labels)
+    cache = algebra._cache
+    if key not in cache:
+        cache[key] = ProjSum(algebra, labels)
+    return cache[key]
+
+
 @dataclass
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
@@ -139,16 +150,13 @@ def projective_cover_data(m: Representation):
     a = m.algebra
     fld = a.field
     tops = top_data(m)
-    ps = ProjSum(a, [v for v, _vec in tops])
+    ps = _proj_sum(a, [v for v, _vec in tops])
     q = a.quiver
     blocks = []
     for w in range(q.n_vertices):
-        cols = []
-        for (k, word) in ps.fibre_words[w]:
-            vec = tops[k][1]
-            cols.append(_act_on_vector(m, vec, word))
+        cols = [_act_on_vector(m, tops[k][1], word) for (k, word) in ps.fibre_words[w]]
         if cols:
-            blocks.append(Matrix(fld, list(zip(*cols)), len(cols)))
+            blocks.append(Matrix._raw(fld, tuple(zip(*cols)), len(cols)))
         else:
             blocks.append(Matrix.zero(fld, m.dims[w], 0))
     cover = Morphism(ps.rep, m, blocks, _checked=False)
@@ -262,16 +270,17 @@ def transpose(m: Representation) -> Representation:
     pres = minimal_presentation(m)
     p0, p1, d = pres.p0, pres.p1, pres.differential
 
-    # presentation entries x_ij in e_{v_i} A e_{u_j}
+    # presentation entries x_ij in e_{v_i} A e_{u_j}, reversed into A^op
+    # once each and grouped by i
     entries = {}
     for j in range(len(p1.vertex_list)):
         vtx, pos = p1.generator_position(j)
         col = d.blocks[vtx].column_vector(pos)
         for i, elt in p0.component_elements(vtx, col).items():
-            entries[(i, j)] = elt
+            entries.setdefault(i, []).append((j, a.reverse_element(elt)))
 
-    dual_p0 = ProjSum(op, p0.vertex_list)
-    dual_p1 = ProjSum(op, p1.vertex_list)
+    dual_p0 = _proj_sum(op, p0.vertex_list)
+    dual_p1 = _proj_sum(op, p1.vertex_list)
 
     blocks = []
     for w in range(op.quiver.n_vertices):
@@ -279,17 +288,14 @@ def transpose(m: Representation) -> Representation:
         cols_basis = dual_p0.fibre_words[w]
         mat = [[fld.zero()] * len(cols_basis) for _ in rows_basis]
         for cpos, (i, word) in enumerate(cols_basis):
-            for (ii, j), elt in entries.items():
-                if ii != i:
-                    continue
-                x_op = a.reverse_element(elt)
+            for j, x_op in entries.get(i, ()):
                 prod = op.multiply(x_op, {word: fld.one()})
                 for w2, c in prod.items():
                     rpos = dual_p1.fibre_index.get((j, w2))
                     if rpos is None:
                         raise ArithmeticError("transpose: word escaped the fibre basis")
                     mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
-        blocks.append(Matrix(fld, mat, len(cols_basis)))
+        blocks.append(Matrix._raw(fld, tuple(map(tuple, mat)), len(cols_basis)))
     dstar = Morphism(dual_p0.rep, dual_p1.rep, blocks, _checked=False)
     cok, _proj = cokernel(dstar)
     return cok
@@ -1040,8 +1046,8 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     relation extension of C.
     """
     fld = c.field
-    ps = ProjSum(c, c.quiver.vertices)
-    ps_op = ProjSum(c.opposite(), c.quiver.vertices)
+    ps = _proj_sum(c, c.quiver.vertices)
+    ps_op = _proj_sum(c.opposite(), c.quiver.vertices)
     dc = dual(ps_op.rep)
     ext = ext_data(dc, ps.rep, 2)
     dim = ext.dim

@@ -504,27 +504,44 @@ def image(f: Morphism):
 def cokernel(f: Morphism):
     """(Q, proj) with Q = f.target / im f.
 
-    At each vertex the image is the echelonised column span of f, completed
-    by standard vectors; proj reads coordinates along that completion.
+    At each vertex one ``rref`` of the image columns, each read backwards,
+    gives echelon rows R_t with pivots p_t.  Read forwards, row t is zero
+    right of q_t = d-1-p_t and 1 at q_t, where every other row is 0.  So the
+    standard vectors e_i with i outside {q_t} complete the image (the
+    completion of ``complement_basis``), they are the quotient's basis, and
+    the coordinate of x along e_i is x_i - sum_t R_t[d-1-i] x_(q_t): that
+    is row i of proj.
     """
     m = f.target
     a = m.algebra
     fld = a.field
     q = a.quiver
-    projs, secs, dims = [], [], []
+    z, o = fld.zero(), fld.one()
+    projs, kept = [], []
     for v, blk in enumerate(f.blocks):
         d = m.dims[v]
-        sub = span_matrix(fld, blk.transpose().rows, d)
-        comp = tuple(complement_basis(sub))
-        dims.append(len(comp))
-        binv = Matrix._raw(fld, sub.rows + comp, d).transpose().inverse()
-        projs.append(binv.submatrix(range(sub.nrows, d), range(d)))
-        secs.append(Matrix._raw(fld, comp, d).transpose())
+        ech, pivots = Matrix._raw(fld, tuple(c[::-1] for c in zip(*blk.rows)), d).rref()
+        lead = {d - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}
+        keep = [i for i in range(d) if i not in lead]
+        rows = []
+        for i in keep:
+            row = [z] * d
+            row[i] = o
+            for qt, r in lead.items():
+                if r[d - 1 - i]:
+                    row[qt] = fld.neg(r[d - 1 - i])
+            rows.append(tuple(row))
+        proj = Matrix._raw(fld, tuple(rows), d)
+        if not (proj @ blk).is_zero():
+            raise ArithmeticError("cokernel projection does not kill the image")
+        projs.append(proj)
+        kept.append(keep)
     maps = []
-    for j in range(len(q.arrows)):
+    for j, mat in enumerate(m.maps):
         x, y = q.arrow_source[j], q.arrow_target[j]
-        maps.append(projs[y] @ m.maps[j] @ secs[x])
-    qrep = Representation(a, dims, maps, _checked=True)
+        cols = Matrix._raw(fld, tuple(tuple(r[i] for i in kept[x]) for r in mat.rows), len(kept[x]))
+        maps.append(projs[y] @ cols)
+    qrep = Representation(a, [len(k) for k in kept], maps, _checked=True)
     return qrep, Morphism(m, qrep, projs, _checked=True)
 
 
@@ -578,21 +595,20 @@ def top_rep(m: Representation):
 
 
 def top_data(m: Representation):
-    """Deterministic top basis: list of (vertex_label, lift vector in M)."""
+    """Deterministic top basis: list of (vertex_label, lift vector in M).
+
+    rad M at v is spanned by the images of the arrows into v, and the lifts
+    are the standard vectors completing that span."""
     a = m.algebra
-    fld = a.field
     q = a.quiver
-    _rad, rad_incl = radical_rep(m)
-    out = []
-    for v in range(q.n_vertices):
-        rad_rows = span_matrix(
-            fld,
-            [rad_incl.blocks[v].column_vector(j) for j in range(rad_incl.blocks[v].ncols)],
-            m.dims[v],
-        )
-        for vec in complement_basis(rad_rows):
-            out.append((q.vertices[v], vec))
-    return out
+    into = [[] for _ in range(q.n_vertices)]
+    for j, mat in enumerate(m.maps):
+        into[q.arrow_target[j]].extend(zip(*mat.rows))
+    return [
+        (q.vertices[v], vec)
+        for v in range(q.n_vertices)
+        for vec in complement_basis(Matrix._raw(a.field, tuple(into[v]), m.dims[v]))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -298,29 +298,37 @@ def local_out_neighbors(x: Representation):
     """Targets of the AR-quiver arrows out of x, with multiplicities.
 
     For non-injective x these are the middle summands of the almost split
-    sequence starting at x; for injective x the summands of x/soc x.
+    sequence starting at x; for injective x the summands of x/soc x.  The
+    tuple is memoised in the algebra's cache on structural equality.
     """
-    if is_injective_rep(x):
-        soc, incl = socle_rep(x)
-        quot, _proj = cokernel(incl)
-        if quot.is_zero():
-            return []
-        return decompose(quot)
-    return list(almost_split_sequence_starting(x).middle_summands)
+    key = ("out_neighbors", x)
+    cache = x.algebra._cache
+    if key not in cache:
+        if is_injective_rep(x):
+            _soc, incl = socle_rep(x)
+            quot, _proj = cokernel(incl)
+            cache[key] = () if quot.is_zero() else tuple(decompose(quot))
+        else:
+            cache[key] = tuple(almost_split_sequence_starting(x).middle_summands)
+    return cache[key]
 
 
 def local_in_neighbors(y: Representation):
     """Sources of the AR-quiver arrows into y, with multiplicities.
 
     For non-projective y the middle summands of the almost split sequence
-    ending at y; for projective y the summands of rad y.
+    ending at y; for projective y the summands of rad y.  The tuple is
+    memoised in the algebra's cache on structural equality.
     """
-    if is_projective_rep(y):
-        rad, _incl = radical_rep(y)
-        if rad.is_zero():
-            return []
-        return decompose(rad)
-    return list(almost_split_sequence(y).middle_summands)
+    key = ("in_neighbors", y)
+    cache = y.algebra._cache
+    if key not in cache:
+        if is_projective_rep(y):
+            rad, _incl = radical_rep(y)
+            cache[key] = () if rad.is_zero() else tuple(decompose(rad))
+        else:
+            cache[key] = tuple(almost_split_sequence(y).middle_summands)
+    return cache[key]
 
 
 def member_quiver(sigma: SliceCandidate):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import Matrix, QQ
@@ -8,9 +9,10 @@ from tauslice.algebra import quotient
 from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
 from tauslice import modrep as modrep_module
-from tauslice.artheory import ar_quiver
+from tauslice.artheory import ar_quiver, minimal_presentation, projective_cover_data
 from tauslice.modrep import (
-    Representation, end_radical_morphisms, simple, projective, injective, regular_module,
+    Morphism, Representation, end_radical_morphisms, identity_morphism,
+    zero_morphism, simple, projective, injective, regular_module,
     direct_sum, decompose, hom_dim, hom_basis, compose, kernel, image, cokernel,
     radical_rep, socle_rep, top_rep, top_data, submodule,
     is_isomorphic, is_indecomposable, dual,
@@ -20,6 +22,7 @@ from tauslice.modrep import (
 )
 
 from helpers import w, rep, dims_multiset
+from test_exactlin import FIELDS, sparse_matrices
 
 
 def test_simple_projective_injective_dims_a3(a3):
@@ -336,3 +339,147 @@ def test_hom_basis_is_the_kernel_of_the_dense_system_on_a_loop(field):
     for x in mods:
         for y in mods:
             assert [g.flatten() for g in hom_basis(x, y)] == intertwining_kernel(x, y)
+
+
+# ---------------------------------------------------------------------------
+# quotients and tops against their textbook constructions
+
+
+def unit_vector(fld, d, i):
+    return tuple(fld.one() if j == i else fld.zero() for j in range(d))
+
+
+def greedy_completion(fld, vectors, d):
+    """Standard vectors e_0, e_1, ... kept when they raise the rank of the
+    vectors and of those kept before."""
+    rows, out = list(vectors), []
+    rank = Matrix(fld, rows, d).rank() if rows else 0
+    for i in range(d):
+        e = unit_vector(fld, d, i)
+        if Matrix(fld, rows + [e], d).rank() > rank:
+            rows.append(e)
+            out.append(e)
+            rank += 1
+    return out
+
+
+def cokernel_by_inverse(f):
+    """(maps, proj blocks, section blocks) of f.target / im f: at each vertex
+    an echelon basis of the image, its greedy standard completion, and the
+    rows of the inverse of [image | completion] that read coordinates along
+    the completion."""
+    m = f.target
+    fld = m.algebra.field
+    q = m.algebra.quiver
+    projs, secs = [], []
+    for v, blk in enumerate(f.blocks):
+        d = m.dims[v]
+        ech, pivots = blk.transpose().rref()
+        image = list(ech.rows[:len(pivots)])
+        comp = greedy_completion(fld, image, d)
+        inv = Matrix(fld, image + comp, d).transpose().inverse()
+        projs.append(inv.submatrix(range(len(image), d), range(d)))
+        secs.append(Matrix(fld, comp, d).transpose() if comp else Matrix.zero(fld, d, 0))
+    maps = [projs[q.arrow_target[j]] @ m.maps[j] @ secs[q.arrow_source[j]]
+            for j in range(len(q.arrows))]
+    return maps, projs, secs
+
+
+def check_cokernel(f):
+    quot, proj = cokernel(f)
+    maps, projs, secs = cokernel_by_inverse(f)
+    assert list(quot.maps) == maps
+    assert list(proj.blocks) == projs
+    assert proj.source is f.target and proj.target is quot
+    assert compose(proj, f).is_zero()
+    for pb, sb in zip(proj.blocks, secs):
+        assert pb @ sb == Matrix.identity(pb.field, pb.nrows)
+
+
+TWO_POINTS = "field Q\nvertex 1\nvertex 2\n"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cokernel_matches_inverse_formula(field, data):
+    # on two points without arrows every pair of blocks is a morphism, so
+    # the fibres see arbitrary sparse matrices: zero, 0-dimensional, onto
+    semi = parse_algebra_text(TWO_POINTS, field)
+    dims = [data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4))) for _ in "mn"]
+    m, n = (Representation(semi, d, []) for d in dims)
+    blocks = [data.draw(sparse_matrices(field, shape=(m.dims[v], n.dims[v])))
+              for v in range(2)]
+    check_cokernel(Morphism(n, m, blocks))
+    check_cokernel(identity_morphism(m))
+    # on 1 -> 2 -> 3 the quotient maps come from the arrows as well
+    a3 = parse_algebra_text(fixdata.path("a3.alg").read_text(), field)
+    dims = [data.draw(st.tuples(*[st.integers(0, 3)] * 3)) for _ in "mn"]
+    m, n = (Representation(a3, d, [
+        data.draw(sparse_matrices(field, shape=(d[1], d[0]))),
+        data.draw(sparse_matrices(field, shape=(d[2], d[1]))),
+    ]) for d in dims)
+    homs = hom_basis(n, m)
+    coeffs = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, -1]),
+                                min_size=len(homs), max_size=len(homs)))
+    f = zero_morphism(n, m)
+    for c, h in zip(coeffs, homs):
+        f = f + h.scale(field.coerce(c))
+    check_cokernel(f)
+    check_cokernel(identity_morphism(m))
+    check_cokernel(projective_cover_data(m)[1])
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
+def test_cokernel_matches_inverse_formula_on_ar_nodes(name, field):
+    a = parse_algebra_text(
+        fixdata.path(f"{name}.alg").read_text(),
+        None if field == "Q" else field_from_spec(field),
+    )
+    for x in ar_quiver(a).representatives():
+        check_cokernel(minimal_presentation(x).differential)
+        check_cokernel(socle_rep(x)[1])
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
+def test_top_data_is_complement_of_radical(name, field):
+    a = parse_algebra_text(
+        fixdata.path(f"{name}.alg").read_text(),
+        None if field == "Q" else field_from_spec(field),
+    )
+    nodes = ar_quiver(a).representatives()
+    mods = nodes + [direct_sum(a, [x, y])[0]
+                    for i, x in enumerate(nodes) for y in nodes[i:]]
+    for m in mods:
+        _rad, incl = radical_rep(m)
+        expected = [
+            (a.quiver.vertices[v], e)
+            for v, blk in enumerate(incl.blocks)
+            for e in greedy_completion(a.field, list(zip(*blk.rows)), m.dims[v])
+        ]
+        assert top_data(m) == expected
+
+
+def test_presentation_builds_no_radical_and_cokernel_no_inverse(monkeypatch):
+    # over a fresh algebra nothing is cached: the presentation's tops come
+    # from the arrow images, the cokernel's projection from one echelon form
+    a = fixdata.algebra("ex2")
+    calls = []
+    monkeypatch.setattr(modrep_module, "radical_rep",
+                        lambda m: calls.append("radical_rep") or radical_rep(m))
+    original_inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse",
+                        lambda self: calls.append("inverse") or original_inverse(self))
+    m = fixdata.module(a, "ex2", "m3")
+    pres = minimal_presentation(m)
+    assert not pres.omega.is_zero()
+    cokernel(pres.differential)
+    assert calls == []
+    # one ProjSum per vertex list: S_v and P_v share the cover's summands,
+    # and so do their transposes over the opposite algebra
+    for v in a.quiver.vertices:
+        s, p = minimal_presentation(simple(a, v)), minimal_presentation(projective(a, v))
+        assert s.p0 is p.p0
+    assert pres.p0 is minimal_presentation(fixdata.module(a, "ex2", "m3")).p0

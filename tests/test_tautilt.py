@@ -10,7 +10,7 @@ from tauslice.algebra import (
 )
 from tauslice.exactlin import Matrix, QQ
 from tauslice.modrep import (
-    simple, projective, direct_sum, hom_dim, is_isomorphic, is_faithful,
+    Representation, iso_index, simple, projective, direct_sum, hom_dim, is_isomorphic, is_faithful,
     is_sincere, annihilator_span, inflate_along_quotient,
 )
 from tauslice.artheory import (
@@ -25,6 +25,7 @@ from tauslice.tautilt import (
     orbit_graph, tau_orbits, is_simply_connected_component,
     is_generalized_standard, is_tilted, find_complete_tau_slices,
     onepoint_slice_extend, splitex_check, _tau_rigid_cliques,
+    local_in_neighbors, local_out_neighbors,
 )
 
 from helpers import w, dims_multiset
@@ -229,6 +230,26 @@ def test_fig3_two_members_share_orbit(fig3):
     assert i is not None and j is not None and i != j
     orbits = tau_orbits(arq)
     assert any(i in orbit and j in orbit for orbit in orbits)
+
+
+@pytest.mark.parametrize("name", ["ex1", "fig1", "fig3"])
+def test_local_neighbors_match_the_ar_quiver(algebras, name):
+    # the arrows out of and into each node, read off its own almost split
+    # sequences (or x/soc x and rad y), are those of the closure; an equal
+    # copy of the node gets the same memoised tuple
+    a = algebras[name]
+    arq = ar_quiver(a)
+    nodes = arq.representatives()
+    for i, x in enumerate(nodes):
+        out = local_out_neighbors(x)
+        into = local_in_neighbors(x)
+        assert sorted((iso_index(nodes, y), k) for y, k in out) == sorted(
+            (t, k) for (s, t), k in arq.arrows.items() if s == i)
+        assert sorted((iso_index(nodes, y), k) for y, k in into) == sorted(
+            (s, k) for (s, t), k in arq.arrows.items() if t == i)
+        copy = Representation(a, x.dims, x.maps)
+        assert isinstance(out, tuple) and local_out_neighbors(copy) is out
+        assert isinstance(into, tuple) and local_in_neighbors(copy) is into
 
 
 # ---------------------------------------------------------------------------
