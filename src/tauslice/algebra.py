@@ -1225,16 +1225,14 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
                 "quotient does not hold in the total algebra"
             )
 
+    elts = [a.element(row) for row in span.rows]
+
     def action_matrix(gen_elt, side):
-        cols = []
-        for row in span.rows:
-            q_elt = a.element(row)
-            prod = a.multiply(gen_elt, q_elt) if side == "l" else a.multiply(q_elt, gen_elt)
-            co = coordinates_in_basis(span, a.coords(prod))
-            if co is None:
-                raise ArithmeticError("ideal is not stable under multiplication")
-            cols.append(co)
-        return Matrix(fld, list(zip(*cols)) if cols else [], m) if m else Matrix.zero(fld, 0, 0)
+        prods = [a.multiply(gen_elt, x) if side == "l" else a.multiply(x, gen_elt) for x in elts]
+        co = coordinates_in_basis(span, [a.coords(prod) for prod in prods])
+        if co is None:
+            raise ArithmeticError("ideal is not stable under multiplication")
+        return co.transpose()
 
     left = {}
     right = {}
@@ -1247,13 +1245,10 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
         left[("arrow", ar.name)] = action_matrix(gen, "l")
         right[("arrow", ar.name)] = action_matrix(gen, "r")
 
-    mu = {}
-    for i in range(m):
-        for j in range(m):
-            prod = a.multiply(a.element(span.rows[i]), a.element(span.rows[j]))
-            co = coordinates_in_basis(span, a.coords(prod))
-            if any(x != fld.zero() for x in co):
-                mu[(i, j)] = tuple(co)
+    co = coordinates_in_basis(span, [a.coords(a.multiply(x, y)) for x in elts for y in elts])
+    if co is None:
+        raise ArithmeticError("ideal is not closed under multiplication")
+    mu = {divmod(k, m): row for k, row in enumerate(co.rows) if any(row)}
     bim = Bimodule(c, m, left, right, mu)
     bim.check()
     return IdealBimoduleResult(qmap, bim, span)

@@ -41,7 +41,6 @@ from .modrep import (
     identity_morphism,
     injective,
     kernel,
-    morphism_coordinates,
     projective,
     radical_rep,
     simple,
@@ -54,6 +53,7 @@ from .modrep import (
     _an_isomorphism,
     _descend,
     _direct_sum_rep,
+    _flat_matrix,
     _linear_combinations,
     _morphism_from_vector,
     _register,
@@ -209,18 +209,23 @@ def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
     syzygies.  Omega^2(f) is Omega of Omega(f), on the next presentations.
     """
     basis = hom_basis(src.p0.rep, tgt.p0.rep)
-    coords = morphism_coordinates(
-        [compose(tgt.cover, h) for h in basis], compose(f, src.cover)
+    coords = coordinates_in_basis(
+        _flat_matrix(src.p0.rep, tgt.module, [compose(tgt.cover, h) for h in basis]),
+        [compose(f, src.cover).flatten()],
     )
     if coords is None:
         raise ArithmeticError("morphism does not lift through the covers")
-    hat, = _linear_combinations(src.p0.rep, tgt.p0.rep, basis, [coords])
+    hat, = _linear_combinations(src.p0.rep, tgt.p0.rep, basis, coords.rows)
     blocks = []
     for v in range(len(src.omega.dims)):
-        sol = tgt.omega_incl.blocks[v].solve(hat.blocks[v] @ src.omega_incl.blocks[v])
+        # the columns of hat o incl along the columns of the target's incl
+        sol = coordinates_in_basis(
+            tgt.omega_incl.blocks[v].transpose(),
+            (src.omega_incl.blocks[v].transpose() @ hat.blocks[v].transpose()).rows,
+        )
         if sol is None:
             raise ArithmeticError("cover lift does not preserve the syzygy")
-        blocks.append(sol)
+        blocks.append(sol.transpose())
     return Morphism(src.omega, tgt.omega, blocks, _checked=False)
 
 
@@ -362,21 +367,22 @@ class ExtData:
 
     def matrix_of(self, cocycles) -> Matrix:
         """Class coordinates of the given cocycles, as the columns of a
-        dim x len(cocycles) matrix: one solve for their hom coordinates and
-        one against cobound + complement, for all columns at once."""
+        dim x len(cocycles) matrix: their hom coordinates, then those along
+        cobound + complement, each for all cocycles at once."""
         fld = self.source.algebra.field
         if not self.reps or not cocycles:
             return Matrix.zero(fld, self.dim, len(cocycles))
-        flat = tuple(zip(*(h.flatten() for h in self.hom)))
-        rhs = Matrix._raw(fld, tuple(zip(*(f.flatten() for f in cocycles))), len(cocycles))
-        co = Matrix._raw(fld, flat, len(self.hom)).solve(rhs)
+        co = coordinates_in_basis(
+            _flat_matrix(self.omega, self.target, self.hom), [f.flatten() for f in cocycles]
+        )
         if co is None:
             raise ValueError("morphism does not lie in Hom(Omega^d, n)")
-        basis_t = Matrix._raw(fld, self.cobound.rows + tuple(self.reps), len(self.hom)).transpose()
-        full = basis_t.solve(co)
+        basis = Matrix._raw(fld, self.cobound.rows + tuple(self.reps), len(self.hom))
+        full = coordinates_in_basis(basis, co.rows)
         if full is None:
             raise ArithmeticError("hom coordinates escaped cobound + complement")
-        return full.submatrix(range(self.cobound.nrows, len(self.hom)), range(len(cocycles)))
+        classes = range(self.cobound.nrows, len(self.hom))
+        return full.submatrix(range(len(cocycles)), classes).transpose()
 
 
 def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
@@ -395,17 +401,13 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     hom = hom_basis(omega, n)
     if not hom:
         return ExtData(m, n, degree, omega, incl, pen, [], Matrix.zero(fld, 0, 0), [])
-    # hom coordinates of every restriction psi o incl, from one solve with
-    # the flattened restrictions as right-hand columns
-    restricted = [compose(psi, incl).flatten() for psi in hom_basis(pen, n)]
-    cob_rows = []
-    if restricted:
-        hom_t = Matrix._raw(fld, tuple(zip(*(h.flatten() for h in hom))), len(hom))
-        co = hom_t.solve(Matrix._raw(fld, tuple(zip(*restricted)), len(restricted)))
-        if co is None:
-            raise ArithmeticError("restriction escaped Hom(Omega, n)")
-        cob_rows = list(zip(*co.rows))
-    cobound = span_matrix(fld, cob_rows, len(hom))
+    # hom coordinates of every restriction psi o incl, at once
+    co = coordinates_in_basis(
+        _flat_matrix(omega, n, hom), [compose(psi, incl).flatten() for psi in hom_basis(pen, n)]
+    )
+    if co is None:
+        raise ArithmeticError("restriction escaped Hom(Omega, n)")
+    cobound = span_matrix(fld, co.rows, len(hom))
     reps = complement_basis(cobound)
     return ExtData(m, n, degree, omega, incl, pen, hom, cobound, list(reps))
 
@@ -808,26 +810,21 @@ class EndAlgebraResult:
     def hom_functor(self, x: Representation) -> Representation:
         """Hom_A(M, x) as a right module over End(M)."""
         b = self.algebra
-        fld = b.field
         fibre_bases = [hom_basis(s, x) for s in self.summands]
-        dims = [len(fb) for fb in fibre_bases]
         maps = []
-        for j_arrow, ar in enumerate(b.quiver.arrows):
+        for ar in b.quiver.arrows:
             i = b.quiver.vertex_index[ar.source]
             j = b.quiver.vertex_index[ar.target]
             f_b = self.arrow_morphisms[ar.name]  # M_j -> M_i
-            cols = []
-            for phi in fibre_bases[i]:
-                comp = compose(phi, f_b)  # M_j -> x
-                co = morphism_coordinates(fibre_bases[j], comp)
-                if co is None:
-                    raise ArithmeticError("hom functor: composite escaped the basis")
-                cols.append(co)
-            if cols:
-                maps.append(Matrix(fld, list(zip(*cols)), dims[i]))
-            else:
-                maps.append(Matrix.zero(fld, dims[j], dims[i]))
-        return Representation(b, dims, maps)
+            # the composites phi o f_b: M_j -> x, along Hom(M_j, x)
+            co = coordinates_in_basis(
+                _flat_matrix(self.summands[j], x, fibre_bases[j]),
+                [compose(phi, f_b).flatten() for phi in fibre_bases[i]],
+            )
+            if co is None:
+                raise ArithmeticError("hom functor: composite escaped the basis")
+            maps.append(co.transpose())
+        return Representation(b, [len(fb) for fb in fibre_bases], maps)
 
     # -- tensor side --------------------------------------------------
 
@@ -928,44 +925,44 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
 
     block_basis = {}
     layout = []
+    start = {}  # block -> index of its first basis element in the layout
     for i in range(n):
         for j in range(n):
             basis = hom_basis(summands[j], summands[i])
             block_basis[(i, j)] = basis
+            start[(i, j)] = len(layout)
             for pos in range(len(basis)):
                 layout.append((i, j, pos))
     dim = len(layout)
     index_of = {t: k for k, t in enumerate(layout)}
 
-    def coords_of(i, ell, f):
-        """Coordinates of f in block (i, ell), embedded in the full basis."""
-        co = morphism_coordinates(block_basis[(i, ell)], f)
-        if co is None:
-            raise ArithmeticError("End is not closed under composition")
-        vec = [fld.zero()] * dim
-        for pos, c in enumerate(co):
-            vec[index_of[(i, ell, pos)]] = c
-        return tuple(vec)
-
-    z = tuple(fld.zero() for _ in range(dim))
-    table = []
-    for (i, j, p) in layout:
-        row = []
-        f = block_basis[(i, j)][p]
-        for (k, ell, qq) in layout:
-            if j != k:
-                row.append(z)
-                continue
-            gmor = block_basis[(k, ell)][qq]
-            row.append(coords_of(i, ell, compose(f, gmor)))
-        table.append(tuple(row))
+    # the product of basis elements f in block (i, j) and g in block
+    # (j, ell) lies in block (i, ell): one coordinate call per block, for
+    # all its products and, on the diagonal, the identity of M_i
+    z = (fld.zero(),) * dim
+    table = [[z] * dim for _ in range(dim)]
     idems = []
     for i in range(n):
-        vec = [fld.zero()] * dim
-        co = morphism_coordinates(block_basis[(i, i)], identity_morphism(summands[i]))
-        for pos, c in enumerate(co):
-            vec[index_of[(i, i, pos)]] = c
-        idems.append(tuple(vec))
+        for ell in range(n):
+            places, vectors = [], []
+            for j in range(n):
+                for p, f in enumerate(block_basis[(i, j)]):
+                    for qq, g in enumerate(block_basis[(j, ell)]):
+                        places.append((index_of[(i, j, p)], index_of[(j, ell, qq)]))
+                        vectors.append(compose(f, g).flatten())
+            if i == ell:
+                vectors.append(identity_morphism(summands[i]).flatten())
+            basis = block_basis[(i, ell)]
+            co = coordinates_in_basis(_flat_matrix(summands[ell], summands[i], basis), vectors)
+            if co is None:
+                raise ArithmeticError("End is not closed under composition")
+            s0 = start[(i, ell)]
+            embedded = [z[:s0] + row + z[s0 + len(basis):] for row in co.rows]
+            for (r, c), vec in zip(places, embedded):
+                table[r][c] = vec
+            if i == ell:
+                idems.append(embedded[-1])
+    table = [tuple(row) for row in table]
     # the idempotents sit in disjoint positions, so their sum is the unit
     unit = tuple(sum(col, fld.zero()) for col in zip(*idems))
     sc = StructureConstants(fld, dim, tuple(table), unit)
@@ -1098,24 +1095,17 @@ def _action_rep(alg: PresentedAlgebra, action, dim, side) -> Representation:
         proj = action[("e", v)]
         cols = [proj.column_vector(j) for j in range(proj.ncols)]
         fibres.append(span_matrix(fld, cols, dim))
-    dims = [f.nrows for f in fibres]
     maps = []
     for ar in alg.quiver.arrows:
         x = alg.quiver.vertex_index[ar.source]
         y = alg.quiver.vertex_index[ar.target]
-        act = action[("arrow", ar.name)]
-        cols = []
-        for row in fibres[x].rows:
-            img = act @ Matrix.column(fld, row)
-            co = coordinates_in_basis(fibres[y], tuple(img.column_vector(0)))
-            if co is None:
-                raise ArithmeticError(f"{side} action does not respect the grading")
-            cols.append(co)
-        if cols:
-            maps.append(Matrix(fld, list(zip(*cols)), dims[x]))
-        else:
-            maps.append(Matrix.zero(fld, dims[y], 0))
-    return Representation(alg, dims, maps)
+        # the images of the source fibre's basis, along the target fibre's
+        imgs = fibres[x] @ action[("arrow", ar.name)].transpose()
+        co = coordinates_in_basis(fibres[y], imgs.rows)
+        if co is None:
+            raise ArithmeticError(f"{side} action does not respect the grading")
+        maps.append(co.transpose())
+    return Representation(alg, [f.nrows for f in fibres], maps)
 
 
 def bimodule_right_rep(bim: Bimodule) -> Representation:

@@ -573,6 +573,9 @@ def _subtract(row: dict, fac, prow: dict, p: int):
 #
 # Subspaces of k^n are handled as row spans.  All functions return
 # echelonised bases so identical subspaces give identical output.
+# Coordinates along a basis are found only by :func:`coordinates_in_basis`:
+# vectors go in as rows, free variables (a dependent basis) are set to 0,
+# and the answer is None when any vector lies outside the span.
 
 
 def row_space_basis(m: Matrix) -> list:
@@ -589,19 +592,25 @@ def span_matrix(field: Field, vectors, n: int) -> Matrix:
     return Matrix._raw(field, tuple(row_space_basis(Matrix(field, rows, n))), n)
 
 
-def in_span(span: Matrix, vector) -> bool:
-    """Whether ``vector`` (length span.ncols) lies in the row span."""
-    v = Matrix(span.field, [vector], span.ncols)
-    return span.transpose().solve(v.transpose()) is not None
+def coordinates_in_basis(basis: Matrix, vectors):
+    """The len(vectors) x basis.nrows matrix whose row i expresses
+    ``vectors[i]`` (a row of length basis.ncols) in the rows of ``basis``,
+    or None when some vector lies outside their span.
 
-
-def coordinates_in_basis(basis: Matrix, vector):
-    """Coefficients expressing ``vector`` in the rows of ``basis`` (or None)."""
-    v = Matrix(basis.field, [vector], basis.ncols)
-    sol = basis.transpose().solve(v.transpose())
-    if sol is None:
-        return None
-    return tuple(sol.rows[i][0] for i in range(sol.nrows))
+    One elimination of the basis rows as columns, augmented by every
+    vector; as in :meth:`Matrix.solve`, free variables are 0.  An empty
+    basis gives empty rows when every vector is zero.
+    """
+    f = basis.field
+    vecs = Matrix(f, vectors, basis.ncols)
+    k = basis.nrows
+    R, pivots = Matrix._raw(f, tuple(zip(*basis.rows, *vecs.rows)), k + vecs.nrows).rref()
+    if pivots and pivots[-1] >= k:
+        return None  # a pivot among the vectors: one is outside the span
+    sol = [(f.zero(),) * vecs.nrows] * k
+    for r, pc in enumerate(pivots):
+        sol[pc] = R.rows[r][k:]
+    return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * vecs.nrows, k)
 
 
 def complement_basis(span: Matrix) -> list:

@@ -412,13 +412,17 @@ def _morphism_from_vector(m, n, vec):
     return Morphism(m, n, blocks, _checked=True)
 
 
+def _flat_matrix(m, n, morphisms) -> Matrix:
+    """The flattened morphisms m -> n as the rows of one matrix."""
+    width = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
+    return Matrix._raw(m.algebra.field, tuple(g.flatten() for g in morphisms), width)
+
+
 def _linear_combinations(m, n, basis, coords):
     """The morphisms m -> n with the given coordinate rows over ``basis``,
     from one product against the flattened basis."""
     fld = m.algebra.field
-    width = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
-    flat = Matrix._raw(fld, tuple(g.flatten() for g in basis), width)
-    prod = Matrix._raw(fld, tuple(map(tuple, coords)), len(basis)) @ flat
+    prod = Matrix._raw(fld, tuple(map(tuple, coords)), len(basis)) @ _flat_matrix(m, n, basis)
     return [_morphism_from_vector(m, n, row) for row in prod.rows]
 
 
@@ -426,112 +430,93 @@ def hom_dim(m, n) -> int:
     return len(hom_basis(m, n))
 
 
-def morphism_coordinates(basis, f: Morphism):
-    """Coordinates of f in a hom basis (None if not in the span)."""
-    fld = f.source.algebra.field
-    if not basis:
-        return () if f.is_zero() else None
-    rows = [g.flatten() for g in basis]
-    mat = Matrix(fld, rows, len(rows[0]))
-    return coordinates_in_basis(mat, f.flatten())
-
-
 # ---------------------------------------------------------------------------
 # subquotients
 
 
-def submodule(m: Representation, spaces, close=True):
-    """(S, incl) for the subrepresentation generated by given vectors.
+def submodule(m: Representation, bases):
+    """(S, incl) for the arrow-stable subspaces with the given bases.
 
-    ``spaces`` maps vertex labels to lists of vectors in the fibre; with
-    ``close=False`` the spaces must already be arrow-stable.
+    ``bases[v]`` is a matrix whose rows are an echelon basis of the fibre of
+    S at vertex v; they are the columns of the inclusion.  An arrow's map
+    on S holds the coordinates of the images of its source basis along its
+    target basis; ``ValueError`` when an image leaves that span.
     """
     a = m.algebra
-    fld = a.field
     q = a.quiver
-    spans = []
-    for v in range(q.n_vertices):
-        vecs = spaces.get(q.vertices[v], [])
-        spans.append(span_matrix(fld, [tuple(x) for x in vecs], m.dims[v]))
-    changed = close
-    while changed:
-        changed = False
-        for j in range(len(q.arrows)):
-            x, y = q.arrow_source[j], q.arrow_target[j]
-            if spans[x].nrows == 0:
-                continue
-            imgs = [m.maps[j] @ Matrix.column(fld, r) for r in spans[x].rows]
-            vecs = list(spans[y].rows) + [tuple(c.column_vector(0)) for c in imgs]
-            new = span_matrix(fld, vecs, m.dims[y])
-            if new.nrows != spans[y].nrows:
-                spans[y] = new
-                changed = True
-    incl_blocks = [spans[v].transpose() for v in range(q.n_vertices)]
-    dims = [spans[v].nrows for v in range(q.n_vertices)]
     maps = []
-    for j in range(len(q.arrows)):
+    for j, mat in enumerate(m.maps):
         x, y = q.arrow_source[j], q.arrow_target[j]
-        rhs = m.maps[j] @ incl_blocks[x]
-        sol = incl_blocks[y].solve(rhs)
-        if sol is None:
-            raise ValueError("spaces are not arrow-stable (use close=True)")
-        maps.append(sol)
-    s = Representation(a, dims, maps, _checked=True)
-    return s, Morphism(s, m, incl_blocks, _checked=True)
+        co = coordinates_in_basis(bases[y], (bases[x] @ mat.transpose()).rows)
+        if co is None:
+            raise ValueError("spaces are not arrow-stable")
+        maps.append(co.transpose())
+    s = Representation(a, [b.nrows for b in bases], maps, _checked=True)
+    return s, Morphism(s, m, [b.transpose() for b in bases], _checked=True)
 
 
 def kernel(f: Morphism):
-    """(K, incl) with K = ker f as a subrepresentation of f.source."""
-    a = f.source.algebra
-    spaces = {}
-    for v in range(a.quiver.n_vertices):
-        kern = f.blocks[v].kernel_basis()
-        spaces[a.quiver.vertices[v]] = [tuple(k.column_vector(0)) for k in kern]
-    return submodule(f.source, spaces, close=False)
+    """(K, incl) with K = ker f as a subrepresentation of f.source: at each
+    vertex the null space of the rows of f's block."""
+    fld = f.source.algebra.field
+    return submodule(f.source, [
+        _null_space(fld, blk.rows, d)[1] for blk, d in zip(f.blocks, f.source.dims)
+    ])
 
 
 def image(f: Morphism):
     """(I, incl) with I = im f as a subrepresentation of f.target."""
-    a = f.source.algebra
-    spaces = {}
-    for v in range(a.quiver.n_vertices):
-        spaces[a.quiver.vertices[v]] = [
-            f.blocks[v].column_vector(j) for j in range(f.blocks[v].ncols)
-        ]
-    return submodule(f.target, spaces, close=False)
+    fld = f.source.algebra.field
+    return submodule(f.target, [
+        span_matrix(fld, zip(*blk.rows), d) for blk, d in zip(f.blocks, f.target.dims)
+    ])
+
+
+def _null_space(fld, rows, d):
+    """(keep, basis): the echelon basis of {x in k^d : r . x = 0 for each
+    of ``rows``}, as the rows of a matrix, and the position of each basis
+    row's leading 1.
+
+    One ``rref`` of the rows, each read backwards, gives echelon rows R_t
+    with pivots p_t.  Read forwards, row t is zero right of q_t = d-1-p_t
+    and 1 at q_t, where every other row is 0.  So the standard vectors e_i
+    with i outside {q_t} complete the span of the rows (the completion of
+    ``complement_basis``), and the null space has one basis row per such
+    i: 1 at i and -R_t[d-1-i] at each q_t, zero at every other kept
+    position.  R_t[d-1-i] is 0 unless q_t > i, so these rows, in the order
+    of i, are the echelon form.
+    """
+    z, o = fld.zero(), fld.one()
+    ech, pivots = Matrix._raw(fld, tuple(r[::-1] for r in rows), d).rref()
+    lead = {d - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}
+    keep = [i for i in range(d) if i not in lead]
+    basis = []
+    for i in keep:
+        row = [z] * d
+        row[i] = o
+        for qt, r in lead.items():
+            if r[d - 1 - i]:
+                row[qt] = fld.neg(r[d - 1 - i])
+        basis.append(tuple(row))
+    return keep, Matrix._raw(fld, tuple(basis), d)
 
 
 def cokernel(f: Morphism):
     """(Q, proj) with Q = f.target / im f.
 
-    At each vertex one ``rref`` of the image columns, each read backwards,
-    gives echelon rows R_t with pivots p_t.  Read forwards, row t is zero
-    right of q_t = d-1-p_t and 1 at q_t, where every other row is 0.  So the
-    standard vectors e_i with i outside {q_t} complete the image (the
-    completion of ``complement_basis``), they are the quotient's basis, and
-    the coordinate of x along e_i is x_i - sum_t R_t[d-1-i] x_(q_t): that
-    is row i of proj.
+    At each vertex the standard vectors e_i kept by :func:`_null_space` of
+    the image columns complete the image; they are the quotient's basis,
+    and the coordinate of x along e_i is the null-space row with its
+    leading 1 at i applied to x: that is row i of proj.
     """
     m = f.target
     a = m.algebra
     fld = a.field
     q = a.quiver
-    z, o = fld.zero(), fld.one()
     projs, kept = [], []
     for v, blk in enumerate(f.blocks):
         d = m.dims[v]
-        ech, pivots = Matrix._raw(fld, tuple(c[::-1] for c in zip(*blk.rows)), d).rref()
-        lead = {d - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}
-        keep = [i for i in range(d) if i not in lead]
-        rows = []
-        for i in keep:
-            row = [z] * d
-            row[i] = o
-            for qt, r in lead.items():
-                if r[d - 1 - i]:
-                    row[qt] = fld.neg(r[d - 1 - i])
-            rows.append(tuple(row))
-        proj = Matrix._raw(fld, tuple(rows), d)
+        keep, proj = _null_space(fld, tuple(zip(*blk.rows)), d)
         if not (proj @ blk).is_zero():
             raise ArithmeticError("cokernel projection does not kill the image")
         projs.append(proj)
@@ -546,14 +531,14 @@ def cokernel(f: Morphism):
 
 
 def _descend(f: Morphism, proj: Morphism) -> Morphism:
-    """The h with h o proj = f, for a surjective proj whose kernel f kills;
-    one solve per vertex."""
+    """The h with h o proj = f, for a surjective proj whose kernel f kills:
+    at each vertex the rows of f's block in coordinates along proj's rows."""
     blocks = []
     for fb, pb in zip(f.blocks, proj.blocks):
-        sol = pb.transpose().solve(fb.transpose())
-        if sol is None:
+        h = coordinates_in_basis(pb, fb.rows)
+        if h is None:
             raise ArithmeticError("morphism does not factor through the quotient")
-        blocks.append(sol.transpose())
+        blocks.append(h)
     return Morphism(proj.target, f.target, blocks, _checked=True)
 
 
@@ -561,31 +546,22 @@ def radical_rep(m: Representation):
     """(rad M, incl): the intersection of maximal subs = M * rad(A)."""
     a = m.algebra
     q = a.quiver
-    spaces = {v: [] for v in q.vertices}
-    for j in range(len(q.arrows)):
-        y = q.arrow_target[j]
-        for col in range(m.maps[j].ncols):
-            spaces[q.vertices[y]].append(m.maps[j].column_vector(col))
-    return submodule(m, spaces, close=False)
+    into = [[] for _ in m.dims]
+    for j, mat in enumerate(m.maps):
+        into[q.arrow_target[j]].extend(zip(*mat.rows))
+    return submodule(m, [span_matrix(a.field, vecs, d) for vecs, d in zip(into, m.dims)])
 
 
 def socle_rep(m: Representation):
-    """(soc M, incl): the largest semisimple subrepresentation."""
+    """(soc M, incl): the largest semisimple subrepresentation, at each
+    vertex the null space of the rows of the arrows leaving it."""
     a = m.algebra
     fld = a.field
     q = a.quiver
-    spaces = {}
-    for x in range(q.n_vertices):
-        outgoing = [m.maps[j] for j in range(len(q.arrows)) if q.arrow_source[j] == x]
-        if not outgoing:
-            stacked = Matrix.zero(fld, 0, m.dims[x])
-        else:
-            stacked = outgoing[0]
-            for mat in outgoing[1:]:
-                stacked = stacked.vstack(mat)
-        kern = stacked.kernel_basis()
-        spaces[q.vertices[x]] = [tuple(k.column_vector(0)) for k in kern]
-    return submodule(m, spaces, close=False)
+    outgoing = [[] for _ in m.dims]
+    for j, mat in enumerate(m.maps):
+        outgoing[q.arrow_source[j]].extend(mat.rows)
+    return submodule(m, [_null_space(fld, rows, d)[1] for rows, d in zip(outgoing, m.dims)])
 
 
 def top_rep(m: Representation):
@@ -622,15 +598,13 @@ def end_structure(m: Representation):
     d = len(basis)
     if d == 0:
         return basis, StructureConstants(fld, 0, (), ())
-    # one solve, against the flattened basis as columns, for the coordinates
-    # of every product f o g and of the identity
+    # the coordinates of every product f o g and of the identity, at once
     rhs = [compose(f, g).flatten() for f in basis for g in basis]
     rhs.append(identity_morphism(m).flatten())
-    bmat_t = Matrix._raw(fld, tuple(zip(*(g.flatten() for g in basis))), d)
-    coords = bmat_t.solve(Matrix._raw(fld, tuple(zip(*rhs)), len(rhs)))
+    coords = coordinates_in_basis(_flat_matrix(m, m, basis), rhs)
     if coords is None:
         raise ArithmeticError("End(m) is not closed under composition")
-    cols = list(zip(*coords.rows))
+    cols = coords.rows
     table = [tuple(cols[i * d: (i + 1) * d]) for i in range(d)]
     unit = cols[d * d]
     return basis, StructureConstants(fld, d, tuple(table), tuple(unit))

@@ -22,7 +22,7 @@ enumerate the indecomposables and raise CapExceeded when they cannot.
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, in_span, span_matrix
+from .exactlin import Matrix, coordinates_in_basis, span_matrix
 from .algebra import (
     CapExceeded,
     NotBasic,
@@ -37,7 +37,6 @@ from .algebra import (
 )
 from .modrep import (
     Representation,
-    Morphism,
     cokernel,
     compose,
     decompose,
@@ -523,7 +522,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
         old = acc.get(key)
         if old is None or old.nrows == 0:
             return False
-        return all(in_span(old, row) for row in span.rows)
+        return coordinates_in_basis(old, span.rows) is not None
 
     def absorb(key, span):
         old = acc.get(key)
@@ -865,21 +864,6 @@ def ext_functor(er: EndAlgebraResult, x: Representation) -> Representation:
 # the two-functor comparison engine
 
 
-def _endo_total_matrix(g: Morphism) -> Matrix:
-    """A module endomorphism as one matrix on the concatenated vertex spaces."""
-    fld = g.source.algebra.field
-    d = g.source.total_dim
-    rows = [[fld.zero()] * d for _ in range(d)]
-    off = 0
-    for v, dv in enumerate(g.source.dims):
-        blk = g.blocks[v]
-        for r in range(dv):
-            for c in range(dv):
-                rows[off + r][off + c] = blk.rows[r][c]
-        off += dv
-    return Matrix(fld, rows, d)
-
-
 def _right_action_total_matrix(m: Representation, word) -> Matrix:
     """Right action of a basis path on the concatenated vertex spaces."""
     a = m.algebra
@@ -916,7 +900,7 @@ def _bb_part_one(msum, incls, projs, er, c_dim, ann_dim):
     for (i, j) in sorted(er.block_basis):
         for f in er.block_basis[(i, j)]:
             g = compose(incls[i], compose(f, projs[j]))
-            b_mats.append(_endo_total_matrix(g))
+            b_mats.append(Matrix.block_diagonal(fld, g.blocks))
     # centralizer of the B-action
     rows = []
     for fm in b_mats:
@@ -1141,9 +1125,8 @@ def quotient_preservation_check(
     ann = annihilator_span(mod)
     norm = [a.normal_form({w: fld.coerce(c) for w, c in g.items()}) for g in gens]
     gen_span = a.ideal_span(norm)
-    for row in gen_span.rows:
-        if not in_span(ann, row):
-            raise ValueError("ideal is not contained in the annihilator of the slice")
+    if coordinates_in_basis(ann, gen_span.rows) is None:
+        raise ValueError("ideal is not contained in the annihilator of the slice")
     qmap = quotient(a, gens, length_cap)
     members_b = [inflate_along_quotient(u, qmap) for u in sigma.members]
     sigma_b = SliceCandidate(qmap.target, members_b)

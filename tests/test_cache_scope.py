@@ -108,3 +108,19 @@ def test_methods_have_callers():
                     used.add(node.value)
     assert [f"{f}:{line}:{name}" for f, line, name in defined
             if name not in used] == []
+
+
+def test_coordinates_are_found_only_in_exactlin():
+    # coordinates along a basis go through exactlin.coordinates_in_basis; a
+    # direct solve or a coordinate helper elsewhere would be a second way
+    found = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        if path.name == "exactlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a name, an attribute such as ``.solve``, an import or a def
+            name = next((getattr(node, f) for f in ("id", "attr", "name")
+                         if isinstance(getattr(node, f, None), str)), None)
+            if name in ("solve", "in_span", "morphism_coordinates"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
+    assert found == []

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
-    row_space_basis, span_matrix, in_span, coordinates_in_basis,
+    row_space_basis, span_matrix, coordinates_in_basis,
     complement_basis, intersect_row_spaces, sparse_rref,
 )
 
@@ -65,10 +65,12 @@ def test_prime_field_arithmetic():
 def test_span_helpers():
     sp = span_matrix(QQ, [(1, 0, 1), (0, 1, 0)], 3)
     assert sp.nrows == 2
-    assert in_span(sp, (2, 3, 2))
-    assert not in_span(sp, (0, 0, 1))
-    coords = coordinates_in_basis(sp, (2, 3, 2))
+    assert coordinates_in_basis(sp, [(2, 3, 2)]) is not None
+    assert coordinates_in_basis(sp, [(0, 0, 1)]) is None
+    assert coordinates_in_basis(sp, [(2, 3, 2), (0, 0, 1)]) is None
+    coords = coordinates_in_basis(sp, [(2, 3, 2)])
     assert coords is not None
+    assert coords.rows == ((2, 3),)
     comp = complement_basis(sp)
     assert len(comp) == 1
     inter = intersect_row_spaces(
@@ -76,7 +78,7 @@ def test_span_helpers():
         span_matrix(QQ, [(0, 1, 0), (0, 0, 1)], 3),
     )
     assert inter.nrows == 1
-    assert in_span(inter, (0, 1, 0))
+    assert coordinates_in_basis(inter, [(0, 1, 0)]) is not None
 
 
 def test_shape_mismatch_raises():
@@ -132,9 +134,8 @@ def test_intersection_contained_in_both(a, b):
     inter = intersect_row_spaces(a, b)
     sa = span_matrix(QQ, a.rows, 4)
     sb = span_matrix(QQ, b.rows, 4)
-    for i in range(inter.nrows):
-        assert in_span(sa, inter.rows[i])
-        assert in_span(sb, inter.rows[i])
+    assert coordinates_in_basis(sa, inter.rows) is not None
+    assert coordinates_in_basis(sb, inter.rows) is not None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -143,8 +144,7 @@ def test_row_space_basis_spans(m):
     basis = row_space_basis(m)
     sp = span_matrix(QQ, basis, 4)
     assert sp.nrows == m.rank()
-    for row in m.rows:
-        assert in_span(sp, row)
+    assert coordinates_in_basis(sp, m.rows) is not None
 
 
 # --- kernel properties from the definition, over Q, F2 and F5 ---------------
@@ -487,3 +487,68 @@ def test_rational_field_returns_ints():
                             (parse_scalar(QQ, "4/2"), 2), (QQ.zero(), 0), (QQ.one(), 1)):
         assert type(value) is int and value == expected
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+
+
+# --- coordinates along a basis, many vectors at once -----------------------
+
+
+def check_coordinates(basis, vectors):
+    """coordinates_in_basis against the definition: None exactly when a
+    vector raises the rank of the basis, else each row reproduces its vector
+    and is 0 at every basis row that depends on the rows before it (the
+    free variables), which is Matrix.solve's answer on the transposed
+    system and, over Q, the Fraction-only reference's."""
+    f, n, k = basis.field, basis.ncols, basis.nrows
+    co = coordinates_in_basis(basis, vectors)
+    rank = reference_rank(f, basis.rows, n)
+    assert (co is None) == any(
+        reference_rank(f, list(basis.rows) + [v], n) > rank for v in vectors)
+    if co is None:
+        return
+    assert co.shape == (len(vectors), k)
+    for row, v in zip(co.rows, vectors):
+        combo = (f.zero(),) * n
+        for c, b in zip(row, basis.rows):
+            combo = tuple(f.add(s, f.mul(c, x)) for s, x in zip(combo, b))
+        assert combo == tuple(v)
+    for t in range(k):
+        if reference_rank(f, basis.rows[:t + 1], n) == reference_rank(f, basis.rows[:t], n):
+            assert all(f.is_zero(row[t]) for row in co.rows)
+    if vectors and k:
+        rhs = Matrix(f, vectors, n).transpose()
+        assert co.rows == basis.transpose().solve(rhs).transpose().rows
+        if f == QQ:
+            assert list(co.rows) == list(zip(*fraction_solve(basis.transpose(), rhs)))
+            assert all(is_canonical(x) for row in co.rows for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coordinates_in_basis_batch(field, data):
+    entries = fractional_entries if field == QQ else st.integers(-4, 4)
+    basis = data.draw(sparse_matrices(field, entries=entries))
+    if basis.nrows and data.draw(st.booleans()):
+        # a dependent basis: one more row, a sum of two rows
+        i, j = data.draw(st.integers(0, basis.nrows - 1)), data.draw(st.integers(0, basis.nrows - 1))
+        extra = tuple(field.add(x, y) for x, y in zip(basis.rows[i], basis.rows[j]))
+        basis = Matrix(field, basis.rows + (extra,), basis.ncols)
+    coeffs = data.draw(sparse_matrices(field, shape=(data.draw(st.integers(0, 3)), basis.nrows),
+                                       entries=entries))
+    inside = list((coeffs @ basis).rows)
+    others = list(data.draw(sparse_matrices(
+        field, shape=(data.draw(st.integers(0, 2)), basis.ncols), entries=entries)).rows)
+    assert coordinates_in_basis(basis, inside) is not None
+    check_coordinates(basis, inside)
+    check_coordinates(basis, others + inside)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_coordinates_in_basis_empty_basis(field):
+    empty = Matrix.zero(field, 0, 3)
+    assert coordinates_in_basis(empty, []).shape == (0, 0)
+    assert coordinates_in_basis(empty, [(0, 0, 0), (0, 0, 0)]).rows == ((), ())
+    assert coordinates_in_basis(empty, [(0, 0, 0), (0, 2, 0)]) is None
+    assert coordinates_in_basis(Matrix.zero(field, 0, 0), [(), ()]).rows == ((), ())
+    # vectors in k^0: every coordinate is a free variable
+    assert coordinates_in_basis(Matrix(field, [(), ()], 0), [()]).rows == ((0, 0),)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata
-from tauslice.exactlin import Matrix, QQ
+from tauslice.exactlin import Matrix, QQ, span_matrix
 from tauslice.algebra import quotient
 from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
@@ -98,11 +98,17 @@ def test_radical_socle_top(a3):
     assert [v for v, _vec in td] == ["1"]
 
 
-def test_submodule_closes_under_arrows(a3):
-    p1 = projective(a3, "1")
-    sub, incl = submodule(p1, {"1": [(Fraction(1),)]})
-    assert sub.dims == p1.dims  # the top generates everything
+def test_submodule_requires_arrow_stable_spaces(a3):
+    p1 = projective(a3, "1")  # dims (1, 1, 1), both arrows act by 1
+    none, line = Matrix.zero(QQ, 0, 1), Matrix(QQ, [[1]])
+    sub, incl = submodule(p1, [none, line, line])  # rad P1
+    assert sub.dims == (0, 1, 1)
+    assert is_isomorphic(sub, projective(a3, "2"))
     assert all(b.rank() == b.ncols for b in incl.blocks)
+    assert sub.maps[1] == line  # b on the fibres at 2 and 3
+    # the top alone is not stable: its image at vertex 2 is not in the span
+    with pytest.raises(ValueError, match="arrow-stable"):
+        submodule(p1, [line, none, none])
 
 
 def test_is_isomorphic_separates_same_dims(a3):
@@ -396,6 +402,34 @@ def check_cokernel(f):
         assert pb @ sb == Matrix.identity(pb.field, pb.nrows)
 
 
+def check_kernel(f):
+    """kernel(f) against the echelon span of ``kernel_basis`` at each
+    vertex, with each arrow map solved for on the inclusions."""
+    sub, incl = kernel(f)
+    fld = f.source.algebra.field
+    q = f.source.algebra.quiver
+    spans = [span_matrix(fld, [k.column_vector(0) for k in blk.kernel_basis()], d)
+             for blk, d in zip(f.blocks, f.source.dims)]
+    assert list(incl.blocks) == [sp.transpose() for sp in spans]
+    for j, mat in enumerate(f.source.maps):
+        x, y = q.arrow_source[j], q.arrow_target[j]
+        assert sub.maps[j] == incl.blocks[y].solve(mat @ incl.blocks[x])
+    assert compose(f, incl).is_zero()
+
+
+def check_socle(m):
+    """socle_rep(m) at each vertex: the echelon span of the kernel_basis of
+    the arrows leaving it, stacked."""
+    fld = m.algebra.field
+    q = m.algebra.quiver
+    _soc, incl = socle_rep(m)
+    for v, d in enumerate(m.dims):
+        stacked = Matrix(fld, [row for j, mat in enumerate(m.maps)
+                               if q.arrow_source[j] == v for row in mat.rows], d)
+        kern = [k.column_vector(0) for k in stacked.kernel_basis()]
+        assert incl.blocks[v] == span_matrix(fld, kern, d).transpose()
+
+
 TWO_POINTS = "field Q\nvertex 1\nvertex 2\n"
 
 
@@ -412,6 +446,8 @@ def test_cokernel_matches_inverse_formula(field, data):
               for v in range(2)]
     check_cokernel(Morphism(n, m, blocks))
     check_cokernel(identity_morphism(m))
+    # kernel shares cokernel's reversed-column elimination
+    check_kernel(Morphism(n, m, blocks))
     # on 1 -> 2 -> 3 the quotient maps come from the arrows as well
     a3 = parse_algebra_text(fixdata.path("a3.alg").read_text(), field)
     dims = [data.draw(st.tuples(*[st.integers(0, 3)] * 3)) for _ in "mn"]
@@ -428,6 +464,8 @@ def test_cokernel_matches_inverse_formula(field, data):
     check_cokernel(f)
     check_cokernel(identity_morphism(m))
     check_cokernel(projective_cover_data(m)[1])
+    check_kernel(f)
+    check_kernel(projective_cover_data(m)[1])
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
@@ -440,6 +478,9 @@ def test_cokernel_matches_inverse_formula_on_ar_nodes(name, field):
     for x in ar_quiver(a).representatives():
         check_cokernel(minimal_presentation(x).differential)
         check_cokernel(socle_rep(x)[1])
+        check_kernel(minimal_presentation(x).differential)
+        check_kernel(projective_cover_data(x)[1])
+        check_socle(x)
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
