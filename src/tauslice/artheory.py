@@ -35,7 +35,6 @@ from .modrep import (
     cokernel,
     compose,
     decompose,
-    direct_sum,
     dual,
     hom_basis,
     identity_morphism,
@@ -267,7 +266,8 @@ def transpose(m: Representation) -> Representation:
     With P1 = + e_{u_j}A, P0 = + e_{v_i}A and presentation entries
     x_ij in e_{v_i} A e_{u_j}, Tr M is the cokernel of the map
     + P^op_{v_i} -> + P^op_{u_j} given by left multiplication with the
-    reversed entries.
+    reversed entries.  A reversed entry times a fibre word is read from
+    the opposite algebra's memoised table ``mult_basis``.
     """
     a = m.algebra
     op = a.opposite()
@@ -293,13 +293,19 @@ def transpose(m: Representation) -> Representation:
         cols_basis = dual_p0.fibre_words[w]
         mat = [[fld.zero()] * len(cols_basis) for _ in rows_basis]
         for cpos, (i, word) in enumerate(cols_basis):
+            wi = op.basis_index[word]
             for j, x_op in entries.get(i, ()):
-                prod = op.multiply(x_op, {word: fld.one()})
-                for w2, c in prod.items():
-                    rpos = dual_p1.fibre_index.get((j, w2))
-                    if rpos is None:
-                        raise ArithmeticError("transpose: word escaped the fibre basis")
-                    mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
+                prod = [fld.zero()] * op.dim
+                for b, c in x_op.items():
+                    for t, y in enumerate(op.mult_basis(op.basis_index[b], wi)):
+                        if y:
+                            prod[t] = fld.add(prod[t], fld.mul(c, y))
+                for t, c in enumerate(prod):
+                    if c:
+                        rpos = dual_p1.fibre_index.get((j, op.basis[t]))
+                        if rpos is None:
+                            raise ArithmeticError("transpose: word escaped the fibre basis")
+                        mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
         blocks.append(Matrix._raw(fld, tuple(map(tuple, mat)), len(cols_basis)))
     dstar = Morphism(dual_p0.rep, dual_p1.rep, blocks, _checked=False)
     cok, _proj = cokernel(dstar)
@@ -358,8 +364,16 @@ class ExtData:
         return len(self.reps)
 
     def cocycle(self, coords) -> Morphism:
-        """The cocycle with the given class coordinates."""
-        return _linear_combinations(self.omega, self.target, self.basis_cocycles(), [coords])[0]
+        """The cocycle with the given class coordinates: its hom coordinates
+        are coords times the complement rows, and only the hom basis
+        elements they use are combined."""
+        fld = self.source.algebra.field
+        row, = (Matrix._raw(fld, (tuple(coords),), self.dim)
+                @ Matrix._raw(fld, tuple(self.reps), len(self.hom))).rows
+        used = [i for i, c in enumerate(row) if c]
+        return _linear_combinations(
+            self.omega, self.target, [self.hom[i] for i in used], [[row[i] for i in used]]
+        )[0]
 
     def basis_cocycles(self) -> list:
         """The cocycles of the class basis, one per complement row."""
@@ -386,6 +400,14 @@ class ExtData:
 
 
 def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
+    """Ext^d(m, n) on Hom(Omega^d m, n), modulo the coboundaries.
+
+    The coboundaries are the restrictions along Omega^d -> P_{d-1} of
+    Hom(P_{d-1}, n), which the Yoneda basis spans without a solve:
+    Hom(e_v A, n) = n_v, so for each generator k of P_{d-1} and each basis
+    vector e of n at its vertex, psi_(k, e) sends generator k to e, the
+    other generators to 0, and (k, word) to n.word_action(word) e.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     a = m.algebra
@@ -401,10 +423,26 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     hom = hom_basis(omega, n)
     if not hom:
         return ExtData(m, n, degree, omega, incl, pen, [], Matrix.zero(fld, 0, 0), [])
-    # hom coordinates of every restriction psi o incl, at once
-    co = coordinates_in_basis(
-        _flat_matrix(omega, n, hom), [compose(psi, incl).flatten() for psi in hom_basis(pen, n)]
-    )
+    # the restrictions psi_(k, e) o incl: at each vertex w, row (e, i) of
+    # one product for all e is row i of the block of psi_(k, e) o incl
+    p0, q = pres.p0, a.quiver
+    words = {word for fibre in p0.fibre_words.values() for _j, word in fibre}
+    acts = {word: n.word_action(word).rows for word in words}
+    restrictions = []
+    for k, v in enumerate(p0.vertex_list):
+        dv = n.dims[q.vertex_index[v]]
+        flat = [[] for _ in range(dv)]
+        for w, fibre in p0.fibre_words.items():
+            own = [(pos, acts[word]) for pos, (j, word) in enumerate(fibre) if j == k]
+            dw = n.dims[w]
+            lhs = tuple(tuple(act[i][e] for _p, act in own) for e in range(dv) for i in range(dw))
+            rhs = incl.blocks[w].submatrix([p for p, _a in own], range(omega.dims[w]))
+            rows = (Matrix._raw(fld, lhs, len(own)) @ rhs).rows
+            for e, vec in enumerate(flat):
+                vec.extend(x for row in rows[e * dw:(e + 1) * dw] for x in row)
+        restrictions += flat
+    # their hom coordinates, at once
+    co = coordinates_in_basis(_flat_matrix(omega, n, hom), restrictions)
     if co is None:
         raise ArithmeticError("restriction escaped Hom(Omega, n)")
     cobound = span_matrix(fld, co.rows, len(hom))
@@ -450,7 +488,7 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
     a = m.algebra
     phi = ext.cocycle(coords)
     pres = minimal_presentation(m)
-    big, incls, _projs = direct_sum(a, [n, pres.p0.rep])
+    big = _direct_sum_rep(a, [n, pres.p0.rep])
     graft = Morphism(
         ext.omega,
         big,
@@ -461,7 +499,10 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
         _checked=False,
     )
     e, proj = cokernel(graft)
-    left_map = compose(proj, incls[0])
+    # proj o (inclusion of n): the first n_v columns of each block
+    left_map = Morphism(n, e, [
+        blk.submatrix(range(blk.nrows), range(d)) for blk, d in zip(proj.blocks, n.dims)
+    ], _checked=True)
     # right map: (0 | cover): big -> m descends through the quotient
     zero_cover = Morphism(big, m, [
         Matrix.zero(a.field, m.dims[v], n.dims[v]).hstack(pres.cover.blocks[v])

@@ -740,16 +740,25 @@ def _split_completely(m: Representation):
 
 def _fitting_split(m: Representation, f: Morphism):
     """The pieces of m split along ker f^n + im f^n (n >= dim m), or None
-    when f is nilpotent or invertible."""
+    when f is nilpotent or invertible.
+
+    At each vertex ker f_v^k and im f_v^k are stable from k = dim m_v on,
+    so each block is raised to its own power of 2 at or above that.  The
+    ranks of these blocks reject a nilpotent f (all 0) or an invertible
+    one (all full) before any submodule is built.
+    """
     n = m.total_dim
-    power = f
-    steps = 1
-    while steps < n:
-        power = compose(power, power)
-        steps *= 2
-    k, _k_incl = kernel(power)
-    if not 0 < k.total_dim < n:
+    blocks = []
+    for b, d in zip(f.blocks, m.dims):
+        steps = 1
+        while steps < d:
+            b = b @ b
+            steps *= 2
+        blocks.append(b)
+    if not 0 < sum(b.rank() for b in blocks) < n:
         return None
+    power = Morphism(m, m, blocks, _checked=True)
+    k, _k_incl = kernel(power)
     img, _i_incl = image(power)
     if k.total_dim + img.total_dim != n:
         return None  # not yet a Fitting splitting (should not happen)

@@ -22,7 +22,7 @@ enumerate the indecomposables and raise CapExceeded when they cannot.
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, coordinates_in_basis, span_matrix
+from .exactlin import Matrix, coordinates_in_basis, span_matrix, sparse_rref
 from .algebra import (
     CapExceeded,
     NotBasic,
@@ -901,21 +901,19 @@ def _bb_part_one(msum, incls, projs, er, c_dim, ann_dim):
         for f in er.block_basis[(i, j)]:
             g = compose(incls[i], compose(f, projs[j]))
             b_mats.append(Matrix.block_diagonal(fld, g.blocks))
-    # centralizer of the B-action
+    # centralizer of the B-action: one sparse row {unknown: coefficient}
+    # per entry (r, s) of F X - X F, whose two terms can meet on X[r][s]
     rows = []
     for fm in b_mats:
+        fr = fm.rows
         for r in range(d):
             for s in range(d):
-                row = [fld.zero()] * (d * d)
+                row = {k * d + s: fr[r][k] for k in range(d) if fr[r][k]}
                 for k in range(d):
-                    row[k * d + s] = fld.add(row[k * d + s], fm.rows[r][k])
-                    row[r * d + k] = fld.sub(row[r * d + k], fm.rows[k][s])
+                    if fr[k][s]:
+                        row[r * d + k] = row.get(r * d + k, 0) - fr[k][s]
                 rows.append(row)
-    if rows:
-        constraints = Matrix(fld, rows, d * d)
-        cent_dim = d * d - constraints.rank()
-    else:
-        cent_dim = d * d
+    cent_dim = d * d - len(sparse_rref(fld, rows)[1])
     # the right-multiplication map
     phi_rows = []
     for word in msum.algebra.basis:

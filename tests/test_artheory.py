@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 from tauslice import fixtures as fixdata
-from tauslice.algebra import ideal_bimodule, split_extension, presentation_isomorphism
+from tauslice import artheory as artheory_module
+from tauslice.algebra import (
+    CapExceeded, PresentedAlgebra, ideal_bimodule, split_extension, presentation_isomorphism,
+)
 from tauslice.cli import field_from_spec, parse_algebra_text
-from tauslice.exactlin import Matrix
+from tauslice.exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
-    hom_basis, compose, is_isomorphic, fac_member, sub_member, dual,
+    hom_basis, compose, is_isomorphic, fac_member, sub_member, dual, cokernel, Morphism,
 )
 from tauslice.artheory import (
     tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
@@ -16,7 +19,7 @@ from tauslice.artheory import (
     ext_dim, ext_data, realize_extension, stable_hom_dim_mod_injectives,
     end_algebra, is_hereditary, is_projective_rep, is_injective_rep,
     relation_extension_bimodule, bimodule_right_rep, bimodule_dual_left_rep,
-    radical_power_dim, minimal_presentation,
+    radical_power_dim, minimal_presentation, syzygy, transpose, _proj_sum,
 )
 from tauslice.tautilt import count_support_tau_tilting
 
@@ -303,3 +306,129 @@ def test_decomposable_middle_terms_get_no_end_radical(name, field):
     split = [s.ses.middle for s in meshes if sum(k for _r, k in s.middle_summands) >= 2]
     assert split
     assert [m for m in split if ("end_radical", m) in a._cache] == []
+
+
+# --- closed forms inside the mesh pipeline -----------------------------------
+#
+# ext_data and transpose read Hom(P0, n) and the products in A^op from closed
+# forms; the references below recompute both the generic way.
+
+
+def cobound_by_projective_homs(x, y, degree):
+    """(cobound, reps) of Ext^degree(x, y) from the restrictions psi o incl
+    of ``hom_basis(P_{d-1}, y)``, solved for in ``hom_basis(Omega^d, y)``."""
+    fld = x.algebra.field
+    cur = syzygy(x, degree - 1)
+    if cur.is_zero():
+        return Matrix.zero(fld, 0, 0), []
+    pres = minimal_presentation(cur)
+    hom = hom_basis(pres.omega, y)
+    if not hom:
+        return Matrix.zero(fld, 0, 0), []
+    flat = Matrix(fld, [f.flatten() for f in hom], len(hom[0].flatten()))
+    co = coordinates_in_basis(flat, [compose(psi, pres.omega_incl).flatten()
+                                     for psi in hom_basis(pres.p0.rep, y)])
+    cobound = span_matrix(fld, co.rows, len(hom))
+    return cobound, list(complement_basis(cobound))
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
+def test_ext_cobound_matches_projective_hom_restrictions(name, field):
+    reps = ar_quiver(load_over(name, field)).representatives()
+    for x in reps:
+        for y in reps:
+            for degree in (1, 2):
+                ext = ext_data(x, y, degree)
+                assert (ext.cobound, ext.reps) == cobound_by_projective_homs(x, y, degree)
+
+
+def transpose_by_symbolic_products(m):
+    """Tr m as the cokernel of the map between opposite projectives whose
+    entries are the reversed presentation entries times each fibre word,
+    multiplied out with ``multiply`` and reduced to normal form."""
+    a = m.algebra
+    op = a.opposite()
+    fld = a.field
+    pres = minimal_presentation(m)
+    p0, p1, d = pres.p0, pres.p1, pres.differential
+    entries = {}
+    for j in range(len(p1.vertex_list)):
+        vtx, pos = p1.generator_position(j)
+        for i, elt in p0.component_elements(vtx, d.blocks[vtx].column_vector(pos)).items():
+            entries.setdefault(i, []).append((j, a.reverse_element(elt)))
+    dual_p0, dual_p1 = _proj_sum(op, p0.vertex_list), _proj_sum(op, p1.vertex_list)
+    blocks = []
+    for w in range(op.quiver.n_vertices):
+        rows, cols = dual_p1.fibre_words[w], dual_p0.fibre_words[w]
+        mat = [[fld.zero()] * len(cols) for _ in rows]
+        for cpos, (i, word) in enumerate(cols):
+            for j, x_op in entries.get(i, ()):
+                for w2, c in op.multiply(x_op, {word: fld.one()}).items():
+                    rpos = dual_p1.fibre_index[(j, w2)]
+                    mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
+        blocks.append(Matrix(fld, mat, len(cols)))
+    return cokernel(Morphism(dual_p0.rep, dual_p1.rep, blocks))[0]
+
+
+def capped_closure_nodes(a, cap):
+    """The ends and middle summands of every almost split sequence that the
+    closure of ``a`` computed before it stopped at ``cap`` nodes."""
+    with pytest.raises(CapExceeded):
+        ar_quiver(a, max_nodes=cap)
+    nodes = []
+    for key, ass in list(a._cache.items()):
+        if key[0] == "almost_split_sequence":
+            for x in [ass.left, ass.right] + [s for s, _k in ass.middle_summands]:
+                if x not in nodes:
+                    nodes.append(x)
+    return nodes
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, field) for field in ("Q", "F3") for name in sorted(AR_SIZES_Q)
+] + [("fig2", "F5")])
+def test_transpose_matches_symbolic_products(name, field):
+    a = load_over(name, field)
+    nodes = capped_closure_nodes(a, 24) if name == "fig2" else ar_quiver(a).representatives()
+    assert nodes
+    for x in nodes:
+        # Tr over A, and over A^op on D x, the transpose behind tau^-1
+        for m in (x, dual(x)):
+            assert transpose(m) == transpose_by_symbolic_products(m)
+
+
+def test_mesh_pipeline_solves_no_projective_hom_and_multiplies_nothing(monkeypatch):
+    # over fresh algebras: ext_data spans the coboundaries with the Yoneda
+    # basis, not with hom_basis out of P0, and transpose reads its products
+    # from mult_basis, not from multiply
+    inside, homs, products = [], [], []
+
+    def within(name):
+        original = getattr(artheory_module, name)
+
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(artheory_module, name, wrapped)
+
+    within("ext_data")
+    within("transpose")
+    original_hom = artheory_module.hom_basis
+    monkeypatch.setattr(artheory_module, "hom_basis", lambda m, n: (
+        inside[-1:] == ["ext_data"] and homs.append(m)) or original_hom(m, n))
+    original_multiply = PresentedAlgebra.multiply
+    monkeypatch.setattr(PresentedAlgebra, "multiply", lambda self, x, y: (
+        "transpose" in inside and products.append(x)) or original_multiply(self, x, y))
+    ex1, fig2 = fixdata.algebra("ex1"), fixdata.algebra("fig2")
+    ar_quiver(ex1)
+    with pytest.raises(CapExceeded):
+        ar_quiver(fig2, max_nodes=24)
+    projsums = [ps.rep for b in (ex1, fig2) for key, ps in b._cache.items()
+                if key[0] == "projsum"]
+    assert homs and projsums
+    assert [m for m in homs if any(m is r for r in projsums)] == []
+    assert products == []

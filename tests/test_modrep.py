@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata
 from tauslice.exactlin import Matrix, QQ, span_matrix
-from tauslice.algebra import quotient
+from tauslice.algebra import CapExceeded, FieldTooSmall, quotient
 from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
 from tauslice import modrep as modrep_module
@@ -524,3 +524,58 @@ def test_presentation_builds_no_radical_and_cokernel_no_inverse(monkeypatch):
         s, p = minimal_presentation(simple(a, v)), minimal_presentation(projective(a, v))
         assert s.p0 is p.p0
     assert pres.p0 is minimal_presentation(fixdata.module(a, "ex2", "m3")).p0
+
+
+# ---------------------------------------------------------------------------
+# Fitting splits against the power of the whole morphism
+
+
+def fitting_by_total_power(m, f):
+    """[ker f^N, im f^N] for f squared as a whole up to N = 2^ceil(log2
+    dim m), or None when the kernel is 0 or everything."""
+    n = m.total_dim
+    power, steps = f, 1
+    while steps < n:
+        power, steps = compose(power, power), 2 * steps
+    k = kernel(power)[0]
+    if not 0 < k.total_dim < n:
+        return None
+    return [k, image(power)[0]]
+
+
+def mesh_middle_terms(a, cap):
+    """The middle terms of the almost split sequences that the closure of
+    ``a`` (capped at ``cap`` nodes) completed; a closure that stops on a
+    cap or on a field too small for the trace form keeps what it finished."""
+    try:
+        ar_quiver(a, max_nodes=cap)
+    except (CapExceeded, FieldTooSmall):
+        pass
+    return [ass.ses.middle for key, ass in list(a._cache.items())
+            if key[0] == "almost_split_sequence"]
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F5"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "fig1", "fig2"])
+def test_fitting_split_matches_total_power(name, field, monkeypatch):
+    a = parse_algebra_text(
+        fixdata.path(f"{name}.alg").read_text(),
+        None if field == "Q" else field_from_spec(field),
+    )
+    middles = mesh_middle_terms(a, 24)
+    assert middles
+    # the candidates _split_completely tries: the End basis, then its
+    # pairwise sums
+    two = a.field.coerce(2)
+    cases = []
+    for m in middles:
+        basis = hom_basis(m, m)
+        d = len(basis)
+        cases += [(m, f) for f in basis]
+        cases += [(m, basis[i] + basis[j]) for i in range(d) for j in range(i + 1, d)]
+        cases += [(m, basis[i] + basis[j].scale(two))
+                  for i in range(d) for j in range(d) if i != j]
+    # the pieces of one split, without recursing into them
+    monkeypatch.setattr(modrep_module, "_split_completely", lambda x: [x])
+    for m, f in cases:
+        assert modrep_module._fitting_split(m, f) == fitting_by_total_power(m, f)
