@@ -25,7 +25,6 @@ from .exactlin import (
     Matrix,
     QQ,
     coordinates_in_basis,
-    intersect_row_spaces,
     span_matrix,
 )
 
@@ -619,9 +618,7 @@ def quiverize(
     identity_rows = Matrix.identity(fld, n).rows
     for k, e in enumerate(idems):
         corner = [sc.multiply(sc.multiply(e, tuple(b)), e) for b in identity_rows]
-        corner_span = span_matrix(fld, corner, n)
-        corner_rad = intersect_row_spaces(corner_span, rad)
-        if corner_span.nrows - corner_rad.nrows != 1:
+        if span_matrix(fld, corner + list(rad.rows), n).nrows - rad.nrows != 1:
             raise NotBasic(f"idempotent {k} is not primitive")
 
     rad2 = sc.power_span(rad)
@@ -637,15 +634,13 @@ def quiverize(
             vij = corner_span_of(rad, idems[i], idems[j])
             wij = corner_span_of(rad2, idems[i], idems[j])
             count = vij.nrows - wij.nrows
-            reps = []
-            cur = wij
-            for row in vij.rows:
-                if len(reps) == count:
-                    break
-                cand = span_matrix(fld, list(cur.rows) + [row], n)
-                if cand.nrows > cur.nrows:
-                    reps.append(row)
-                    cur = cand
+            if count == 0:
+                continue
+            # the rows of vij independent from wij and the rows before them:
+            # the pivot columns past wij with both stacked as columns
+            w = wij.nrows
+            _r, pivots = Matrix._raw(fld, tuple(zip(*wij.rows, *vij.rows)), w + vij.nrows).rref()
+            reps = [vij.rows[c - w] for c in pivots if c >= w]
             if len(reps) != count:
                 raise ArithmeticError("failed to pick arrow representatives")
             for rep in reps:

@@ -24,9 +24,8 @@ from .algebra import (
 )
 from .exactlin import (
     Matrix,
-    complement_basis,
     coordinates_in_basis,
-    intersect_row_spaces,
+    null_space,
     span_matrix,
 )
 from .modrep import (
@@ -343,10 +342,10 @@ def tau_power(m: Representation, k: int) -> Representation:
 class ExtData:
     """Ext^d(m, n) presented on Hom(Omega^d m, n).
 
-    ``hom`` is the full hom basis, ``cobound`` the row span (in hom
-    coordinates) of the classes that extend to P_{d-1}, and ``reps`` the
-    chosen complement rows; cocycle k is the morphism with hom-coordinates
-    ``reps[k]``.
+    ``hom`` is the full hom basis.  ``classes`` and ``proj`` are
+    :func:`null_space` of the coboundaries (the classes that extend to
+    P_{d-1}) in hom coordinates: cocycle k is ``hom[classes[k]]``, and row
+    k of ``proj`` is the class coordinate k of a hom-coordinate vector.
     """
 
     source: Representation
@@ -356,47 +355,38 @@ class ExtData:
     omega_incl: Morphism  # Omega^d -> P_{d-1}
     penultimate: Representation  # P_{d-1}
     hom: list
-    cobound: Matrix
-    reps: list
+    classes: list
+    proj: Matrix
 
     @property
     def dim(self):
-        return len(self.reps)
+        return len(self.classes)
 
     def cocycle(self, coords) -> Morphism:
-        """The cocycle with the given class coordinates: its hom coordinates
-        are coords times the complement rows, and only the hom basis
-        elements they use are combined."""
-        fld = self.source.algebra.field
-        row, = (Matrix._raw(fld, (tuple(coords),), self.dim)
-                @ Matrix._raw(fld, tuple(self.reps), len(self.hom))).rows
-        used = [i for i, c in enumerate(row) if c]
+        """The cocycle with the given class coordinates, combining only the
+        hom basis elements they use."""
+        used = [(i, c) for i, c in zip(self.classes, coords) if c]
         return _linear_combinations(
-            self.omega, self.target, [self.hom[i] for i in used], [[row[i] for i in used]]
+            self.omega, self.target, [self.hom[i] for i, _c in used], [[c for _i, c in used]]
         )[0]
 
     def basis_cocycles(self) -> list:
-        """The cocycles of the class basis, one per complement row."""
-        return _linear_combinations(self.omega, self.target, self.hom, self.reps)
+        """The cocycles of the class basis."""
+        return [self.hom[i] for i in self.classes]
 
     def matrix_of(self, cocycles) -> Matrix:
         """Class coordinates of the given cocycles, as the columns of a
-        dim x len(cocycles) matrix: their hom coordinates, then those along
-        cobound + complement, each for all cocycles at once."""
+        dim x len(cocycles) matrix: ``proj`` times their hom coordinates,
+        all found by one solve."""
         fld = self.source.algebra.field
-        if not self.reps or not cocycles:
+        if not self.classes or not cocycles:
             return Matrix.zero(fld, self.dim, len(cocycles))
         co = coordinates_in_basis(
             _flat_matrix(self.omega, self.target, self.hom), [f.flatten() for f in cocycles]
         )
         if co is None:
             raise ValueError("morphism does not lie in Hom(Omega^d, n)")
-        basis = Matrix._raw(fld, self.cobound.rows + tuple(self.reps), len(self.hom))
-        full = coordinates_in_basis(basis, co.rows)
-        if full is None:
-            raise ArithmeticError("hom coordinates escaped cobound + complement")
-        classes = range(self.cobound.nrows, len(self.hom))
-        return full.submatrix(range(len(cocycles)), classes).transpose()
+        return self.proj @ co.transpose()
 
 
 def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
@@ -417,12 +407,12 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
         cur = syzygy(cur)
     if cur.is_zero():
         z = zero_rep(a)
-        return ExtData(m, n, degree, z, zero_morphism(z, z), z, [], Matrix.zero(fld, 0, 0), [])
+        return ExtData(m, n, degree, z, zero_morphism(z, z), z, [], [], Matrix.zero(fld, 0, 0))
     pres = minimal_presentation(cur)
     omega, incl, pen = pres.omega, pres.omega_incl, pres.p0.rep
     hom = hom_basis(omega, n)
     if not hom:
-        return ExtData(m, n, degree, omega, incl, pen, [], Matrix.zero(fld, 0, 0), [])
+        return ExtData(m, n, degree, omega, incl, pen, [], [], Matrix.zero(fld, 0, 0))
     # the restrictions psi_(k, e) o incl: at each vertex w, row (e, i) of
     # one product for all e is row i of the block of psi_(k, e) o incl
     p0, q = pres.p0, a.quiver
@@ -445,9 +435,8 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     co = coordinates_in_basis(_flat_matrix(omega, n, hom), restrictions)
     if co is None:
         raise ArithmeticError("restriction escaped Hom(Omega, n)")
-    cobound = span_matrix(fld, co.rows, len(hom))
-    reps = complement_basis(cobound)
-    return ExtData(m, n, degree, omega, incl, pen, hom, cobound, list(reps))
+    classes, proj = null_space(fld, co.rows, len(hom))
+    return ExtData(m, n, degree, omega, incl, pen, hom, classes, proj)
 
 
 def ext_dim(m: Representation, n: Representation, degree: int = 1) -> int:
@@ -548,23 +537,17 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     fld = m.algebra.field
     pres = minimal_presentation(m)
     rad_end = end_radical_morphisms(m)
-    if rad_end:
-        # the action matrices of all of rad End(m), side by side, from one
-        # batched call; the socle is their common kernel
-        d = ext.dim
-        basis = ext.basis_cocycles()
-        omegas = [syzygy_map(g, pres, pres) for g in rad_end]
-        side = ext.matrix_of([compose(phi, w) for w in omegas for phi in basis])
-        stacked = Matrix._raw(fld, tuple(
-            row[k * d:(k + 1) * d] for k in range(len(rad_end)) for row in side.rows
-        ), d)
-        kern = stacked.kernel_basis()
-    else:
-        # End(m) = k: the socle is all of Ext^1(m, tau m)
-        kern = [
-            Matrix.column(fld, [fld.one() if i == k else fld.zero() for i in range(ext.dim)])
-            for k in range(ext.dim)
-        ]
+    # the action matrices of all of rad End(m), side by side, from one
+    # batched call; the socle is their common kernel (all of Ext^1(m, tau m)
+    # when End(m) = k and there are none)
+    d = ext.dim
+    basis = ext.basis_cocycles()
+    omegas = [syzygy_map(g, pres, pres) for g in rad_end]
+    side = ext.matrix_of([compose(phi, w) for w in omegas for phi in basis])
+    stacked = Matrix._raw(fld, tuple(
+        row[k * d:(k + 1) * d] for k in range(len(rad_end)) for row in side.rows
+    ), d)
+    kern = stacked.kernel_basis()
     if len(kern) != 1:
         raise SocleNotOneDimensional(
             f"socle of Ext^1(m, tau m) has dimension {len(kern)} (expected 1); "
@@ -612,10 +595,8 @@ def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
         for g in hom_basis(n, i_v):
             for h in hom_basis(i_v, t):
                 factoring.append(compose(h, g).flatten())
-    fact_span = span_matrix(fld, factoring, width)
-    hom_span = span_matrix(fld, [h.flatten() for h in homs], width)
-    inter = intersect_row_spaces(hom_span, fact_span)
-    return hom_span.nrows - inter.nrows
+    fact_dim = span_matrix(fld, factoring, width).nrows
+    return span_matrix(fld, [h.flatten() for h in homs] + factoring, width).nrows - fact_dim
 
 
 # ---------------------------------------------------------------------------

@@ -575,7 +575,9 @@ def _subtract(row: dict, fac, prow: dict, p: int):
 # echelonised bases so identical subspaces give identical output.
 # Coordinates along a basis are found only by :func:`coordinates_in_basis`:
 # vectors go in as rows, free variables (a dependent basis) are set to 0,
-# and the answer is None when any vector lies outside the span.
+# and the answer is None when any vector lies outside the span.  A span is
+# completed by standard vectors, and a vector projected onto the quotient
+# by the span, only by :func:`null_space`.
 
 
 def row_space_basis(m: Matrix) -> list:
@@ -613,38 +615,33 @@ def coordinates_in_basis(basis: Matrix, vectors):
     return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * vecs.nrows, k)
 
 
-def complement_basis(span: Matrix) -> list:
-    """Standard-vector completion of a row span to all of k^n.
+def null_space(field: Field, rows, n: int):
+    """(keep, basis): the echelon basis of {x in k^n : r . x = 0 for each
+    of ``rows``}, as the rows of a matrix, and the position of each basis
+    row's leading 1.
 
-    Deterministically picks those standard basis vectors e_i that are
-    independent from ``span`` and the e_j picked before, scanning
-    i = 0, 1, ....  That is e_i exactly when column n-1-i is not a pivot
-    of the span with its columns reversed, so one ``rref`` decides all of
-    them.  Returns row tuples.
+    One ``rref`` of the rows, each read backwards, gives echelon rows R_t
+    with pivots p_t.  Read forwards, row t is zero right of q_t = n-1-p_t
+    and 1 at q_t, where every other row is 0.  So the standard vectors e_i
+    with i in ``keep``, the positions outside {q_t}, complete the span of
+    the rows: e_i is kept exactly when it is independent from the span and
+    the e_j kept before it.  The null space has one basis row per such i:
+    1 at i and -R_t[n-1-i] at each q_t, zero at every other kept position.
+    R_t[n-1-i] is 0 unless q_t > i, so these rows, in the order of i, are
+    the echelon form.  Row k is also the coordinate along e_(keep[k]) of
+    the projection k^n -> k^n / span(rows): it is 1 at keep[k], 0 at the
+    other kept positions, and kills the rows.
     """
-    f = span.field
-    n = span.ncols
-    _r, pivots = Matrix._raw(f, tuple(r[::-1] for r in span.rows), n).rref()
-    pivots = set(pivots)
-    z, o = f.zero(), f.one()
-    return [
-        tuple(o if j == i else z for j in range(n))
-        for i in range(n) if n - 1 - i not in pivots
-    ]
-
-
-def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
-    """Row-span intersection via the kernel of the stacked system."""
-    f = a.field
-    if a.ncols != b.ncols:
-        raise ValueError("ambient dimension mismatch")
-    if a.nrows == 0 or b.nrows == 0:
-        return Matrix.zero(f, 0, a.ncols)
-    # Solve x*a = y*b: kernel of [a^T | -b^T] acting on (x, y).
-    stacked = a.transpose().hstack(b.transpose().scale(f.coerce(-1)))
-    kern = stacked.kernel_basis()
-    if not kern:
-        return Matrix.zero(f, 0, a.ncols)
-    # x*a for every kernel vector (x, y), as the rows of one product
-    coeffs = Matrix._raw(f, tuple(k.column_vector(0)[: a.nrows] for k in kern), a.nrows)
-    return span_matrix(f, (coeffs @ a).rows, a.ncols)
+    z, o = field.zero(), field.one()
+    ech, pivots = Matrix._raw(field, tuple(r[::-1] for r in rows), n).rref()
+    lead = {n - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}
+    keep = [i for i in range(n) if i not in lead]
+    basis = []
+    for i in keep:
+        row = [z] * n
+        row[i] = o
+        for qt, r in lead.items():
+            if r[n - 1 - i]:
+                row[qt] = field.neg(r[n - 1 - i])
+        basis.append(tuple(row))
+    return keep, Matrix._raw(field, tuple(basis), n)

@@ -22,8 +22,8 @@ from .algebra import (
 )
 from .exactlin import (
     Matrix,
-    complement_basis,
     coordinates_in_basis,
+    null_space,
     span_matrix,
     sparse_rref,
 )
@@ -162,7 +162,7 @@ class Morphism:
         return all(b.is_zero() for b in self.blocks)
 
     def flatten(self):
-        return tuple(x for b in self.blocks for x in b.flatten())
+        return tuple(x for b in self.blocks for row in b.rows for x in row)
 
     def __eq__(self, other):
         return (
@@ -460,7 +460,7 @@ def kernel(f: Morphism):
     vertex the null space of the rows of f's block."""
     fld = f.source.algebra.field
     return submodule(f.source, [
-        _null_space(fld, blk.rows, d)[1] for blk, d in zip(f.blocks, f.source.dims)
+        null_space(fld, blk.rows, d)[1] for blk, d in zip(f.blocks, f.source.dims)
     ])
 
 
@@ -472,42 +472,13 @@ def image(f: Morphism):
     ])
 
 
-def _null_space(fld, rows, d):
-    """(keep, basis): the echelon basis of {x in k^d : r . x = 0 for each
-    of ``rows``}, as the rows of a matrix, and the position of each basis
-    row's leading 1.
-
-    One ``rref`` of the rows, each read backwards, gives echelon rows R_t
-    with pivots p_t.  Read forwards, row t is zero right of q_t = d-1-p_t
-    and 1 at q_t, where every other row is 0.  So the standard vectors e_i
-    with i outside {q_t} complete the span of the rows (the completion of
-    ``complement_basis``), and the null space has one basis row per such
-    i: 1 at i and -R_t[d-1-i] at each q_t, zero at every other kept
-    position.  R_t[d-1-i] is 0 unless q_t > i, so these rows, in the order
-    of i, are the echelon form.
-    """
-    z, o = fld.zero(), fld.one()
-    ech, pivots = Matrix._raw(fld, tuple(r[::-1] for r in rows), d).rref()
-    lead = {d - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}
-    keep = [i for i in range(d) if i not in lead]
-    basis = []
-    for i in keep:
-        row = [z] * d
-        row[i] = o
-        for qt, r in lead.items():
-            if r[d - 1 - i]:
-                row[qt] = fld.neg(r[d - 1 - i])
-        basis.append(tuple(row))
-    return keep, Matrix._raw(fld, tuple(basis), d)
-
-
 def cokernel(f: Morphism):
     """(Q, proj) with Q = f.target / im f.
 
-    At each vertex the standard vectors e_i kept by :func:`_null_space` of
-    the image columns complete the image; they are the quotient's basis,
-    and the coordinate of x along e_i is the null-space row with its
-    leading 1 at i applied to x: that is row i of proj.
+    At each vertex :func:`null_space` of the image columns gives both: the
+    standard vectors e_i it keeps complete the image and are the quotient's
+    basis, and its basis rows, the one with leading 1 at i giving the
+    coordinate along e_i, are the rows of proj.
     """
     m = f.target
     a = m.algebra
@@ -516,7 +487,7 @@ def cokernel(f: Morphism):
     projs, kept = [], []
     for v, blk in enumerate(f.blocks):
         d = m.dims[v]
-        keep, proj = _null_space(fld, tuple(zip(*blk.rows)), d)
+        keep, proj = null_space(fld, tuple(zip(*blk.rows)), d)
         if not (proj @ blk).is_zero():
             raise ArithmeticError("cokernel projection does not kill the image")
         projs.append(proj)
@@ -561,7 +532,7 @@ def socle_rep(m: Representation):
     outgoing = [[] for _ in m.dims]
     for j, mat in enumerate(m.maps):
         outgoing[q.arrow_source[j]].extend(mat.rows)
-    return submodule(m, [_null_space(fld, rows, d)[1] for rows, d in zip(outgoing, m.dims)])
+    return submodule(m, [null_space(fld, rows, d)[1] for rows, d in zip(outgoing, m.dims)])
 
 
 def top_rep(m: Representation):
@@ -574,16 +545,19 @@ def top_data(m: Representation):
     """Deterministic top basis: list of (vertex_label, lift vector in M).
 
     rad M at v is spanned by the images of the arrows into v, and the lifts
-    are the standard vectors completing that span."""
+    are the standard vectors e_i at the positions ``null_space`` keeps for
+    that span."""
     a = m.algebra
+    fld = a.field
     q = a.quiver
     into = [[] for _ in range(q.n_vertices)]
     for j, mat in enumerate(m.maps):
         into[q.arrow_target[j]].extend(zip(*mat.rows))
+    z, o = fld.zero(), fld.one()
     return [
-        (q.vertices[v], vec)
-        for v in range(q.n_vertices)
-        for vec in complement_basis(Matrix._raw(a.field, tuple(into[v]), m.dims[v]))
+        (q.vertices[v], tuple(o if j == i else z for j in range(d)))
+        for v, d in enumerate(m.dims)
+        for i in null_space(fld, into[v], d)[0]
     ]
 
 
@@ -851,15 +825,12 @@ def sub_member(x: Representation, m: Representation) -> bool:
 
     Equivalent to the joint kernel of all morphisms x -> m being zero.
     """
-    a = x.algebra
     homs = hom_basis(x, m)
-    for v in range(a.quiver.n_vertices):
-        if x.dims[v] == 0:
+    for v, d in enumerate(x.dims):
+        if d == 0:
             continue
-        stacked = None
-        for f in homs:
-            stacked = f.blocks[v] if stacked is None else stacked.vstack(f.blocks[v])
-        if stacked is None or stacked.kernel_basis():
+        rows = tuple(row for f in homs for row in f.blocks[v].rows)
+        if Matrix._raw(x.algebra.field, rows, d).rank() < d:
             return False
     return True
 

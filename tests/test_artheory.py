@@ -8,7 +8,7 @@ from tauslice.algebra import (
     CapExceeded, PresentedAlgebra, ideal_bimodule, split_extension, presentation_isomorphism,
 )
 from tauslice.cli import field_from_spec, parse_algebra_text
-from tauslice.exactlin import Matrix, complement_basis, coordinates_in_basis, span_matrix
+from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
     hom_basis, compose, is_isomorphic, fac_member, sub_member, dual, cokernel, Morphism,
@@ -315,32 +315,72 @@ def test_decomposable_middle_terms_get_no_end_radical(name, field):
 
 
 def cobound_by_projective_homs(x, y, degree):
-    """(cobound, reps) of Ext^degree(x, y) from the restrictions psi o incl
-    of ``hom_basis(P_{d-1}, y)``, solved for in ``hom_basis(Omega^d, y)``."""
+    """(hom, restrictions, cobound, complement) of Ext^degree(x, y): the
+    restrictions psi o incl of ``hom_basis(P_{d-1}, y)``, the echelon span
+    of their coordinates in ``hom_basis(Omega^d, y)``, and the positions of
+    the standard vectors e_0, e_1, ... kept when they raise the rank of
+    that span and those kept before."""
     fld = x.algebra.field
     cur = syzygy(x, degree - 1)
     if cur.is_zero():
-        return Matrix.zero(fld, 0, 0), []
+        return [], [], Matrix.zero(fld, 0, 0), []
     pres = minimal_presentation(cur)
     hom = hom_basis(pres.omega, y)
     if not hom:
-        return Matrix.zero(fld, 0, 0), []
+        return [], [], Matrix.zero(fld, 0, 0), []
+    n = len(hom)
     flat = Matrix(fld, [f.flatten() for f in hom], len(hom[0].flatten()))
-    co = coordinates_in_basis(flat, [compose(psi, pres.omega_incl).flatten()
-                                     for psi in hom_basis(pres.p0.rep, y)])
-    cobound = span_matrix(fld, co.rows, len(hom))
-    return cobound, list(complement_basis(cobound))
+    restrictions = [compose(psi, pres.omega_incl) for psi in hom_basis(pres.p0.rep, y)]
+    co = coordinates_in_basis(flat, [f.flatten() for f in restrictions])
+    cobound = span_matrix(fld, co.rows, n)
+    rows, complement = list(cobound.rows), []
+    for i in range(n):
+        e = tuple(fld.one() if j == i else fld.zero() for j in range(n))
+        if span_matrix(fld, rows + [e], n).nrows > len(rows):
+            rows.append(e)
+            complement.append(i)
+    return hom, restrictions, cobound, complement
+
+
+def class_matrix_by_two_solves(hom, cobound, complement, cocycles):
+    """Class coordinates of ``cocycles`` as columns: their hom coordinates,
+    then those along the cobound rows followed by the complement vectors."""
+    fld = cobound.field
+    n = len(hom)
+    flat = Matrix(fld, [f.flatten() for f in hom], len(hom[0].flatten()))
+    co = coordinates_in_basis(flat, [f.flatten() for f in cocycles])
+    comp = [tuple(fld.one() if j == i else fld.zero() for j in range(n)) for i in complement]
+    full = coordinates_in_basis(Matrix(fld, list(cobound.rows) + comp, n), co.rows)
+    return full.submatrix(range(len(cocycles)), range(cobound.nrows, n)).transpose()
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
 @pytest.mark.parametrize("name", ["ex1", "ex2", "fig1"])
 def test_ext_cobound_matches_projective_hom_restrictions(name, field):
+    # the kept classes are the greedy completion of the coboundaries, proj
+    # kills them and is the identity on the classes, and matrix_of agrees
+    # with solving along coboundaries + complement
     reps = ar_quiver(load_over(name, field)).representatives()
     for x in reps:
         for y in reps:
             for degree in (1, 2):
                 ext = ext_data(x, y, degree)
-                assert (ext.cobound, ext.reps) == cobound_by_projective_homs(x, y, degree)
+                hom, restrictions, cobound, complement = cobound_by_projective_homs(x, y, degree)
+                assert ext.hom == hom
+                assert ext.classes == complement
+                if not complement:
+                    continue
+                fld = ext.proj.field
+                assert ext.proj.shape == (len(complement), len(hom))
+                assert (ext.proj @ cobound.transpose()).is_zero()
+                assert [[row[i] for i in complement] for row in ext.proj.rows] == [
+                    [fld.one() if t == k else fld.zero() for t in range(len(complement))]
+                    for k in range(len(complement))
+                ]
+                cocycles = ext.basis_cocycles() + hom + restrictions
+                assert ext.matrix_of(cocycles) == class_matrix_by_two_solves(
+                    hom, cobound, complement, cocycles
+                )
 
 
 def transpose_by_symbolic_products(m):

@@ -110,17 +110,29 @@ def test_methods_have_callers():
             if name not in used] == []
 
 
+def _name_hits(names, skip=()):
+    """file:line:name for every name, attribute such as ``.solve``, import
+    or def in ``src/tauslice/*.py``, the files in ``skip`` aside, that is
+    one of ``names``."""
+    found = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = next((getattr(node, f) for f in ("id", "attr", "name")
+                         if isinstance(getattr(node, f, None), str)), None)
+            if name in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
+    return found
+
+
 def test_coordinates_are_found_only_in_exactlin():
     # coordinates along a basis go through exactlin.coordinates_in_basis; a
     # direct solve or a coordinate helper elsewhere would be a second way
-    found = []
-    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
-        if path.name == "exactlin.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            # a name, an attribute such as ``.solve``, an import or a def
-            name = next((getattr(node, f) for f in ("id", "attr", "name")
-                         if isinstance(getattr(node, f, None), str)), None)
-            if name in ("solve", "in_span", "morphism_coordinates"):
-                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
-    assert found == []
+    assert _name_hits(("solve", "in_span", "morphism_coordinates"), skip=("exactlin.py",)) == []
+
+
+def test_complements_are_found_only_in_exactlin():
+    # a span is completed, and a quotient projected onto, only by
+    # exactlin.null_space; these were the other ways
+    assert _name_hits(("complement_basis", "intersect_row_spaces", "_null_space")) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
     row_space_basis, span_matrix, coordinates_in_basis,
-    complement_basis, intersect_row_spaces, sparse_rref,
+    null_space, sparse_rref,
 )
 
 
@@ -71,14 +71,9 @@ def test_span_helpers():
     coords = coordinates_in_basis(sp, [(2, 3, 2)])
     assert coords is not None
     assert coords.rows == ((2, 3),)
-    comp = complement_basis(sp)
-    assert len(comp) == 1
-    inter = intersect_row_spaces(
-        span_matrix(QQ, [(1, 0, 0), (0, 1, 0)], 3),
-        span_matrix(QQ, [(0, 1, 0), (0, 0, 1)], 3),
-    )
-    assert inter.nrows == 1
-    assert coordinates_in_basis(inter, [(0, 1, 0)]) is not None
+    assert null_space(QQ, sp.rows, 3)[0] == [0]
+    # two planes meet in a line: dim(A + B) = 2 + 2 - 1
+    assert span_matrix(QQ, [(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)], 3).nrows == 3
 
 
 def test_shape_mismatch_raises():
@@ -126,16 +121,6 @@ def test_rref_idempotent(m):
     r, _p = m.rref()
     r2, _p2 = r.rref()
     assert r == r2
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(matrices(3, 4), matrices(2, 4))
-def test_intersection_contained_in_both(a, b):
-    inter = intersect_row_spaces(a, b)
-    sa = span_matrix(QQ, a.rows, 4)
-    sb = span_matrix(QQ, b.rows, 4)
-    assert coordinates_in_basis(sa, inter.rows) is not None
-    assert coordinates_in_basis(sb, inter.rows) is not None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -311,8 +296,20 @@ def greedy_complement(m):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_complement_basis_matches_greedy_scan(field, data):
+    """null_space keeps the positions of the greedy completion; its rows
+    are n - rank independent vectors that annihilate the input, each 1 at
+    its own kept position and 0 at the others."""
     m = data.draw(sparse_matrices(field))
-    assert complement_basis(m) == greedy_complement(m)
+    n = m.ncols
+    keep, basis = null_space(field, m.rows, n)
+    o, z = field.one(), field.zero()
+    assert [tuple(o if j == i else z for j in range(n)) for i in keep] == greedy_complement(m)
+    rank = reference_rank(field, m.rows, n)
+    assert basis.shape == (n - rank, n)
+    assert reference_rank(field, basis.rows, n) == n - rank
+    assert (m @ basis.transpose()).is_zero()
+    for k, row in enumerate(basis.rows):
+        assert [row[i] for i in keep] == [o if t == k else z for t in range(len(keep))]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
