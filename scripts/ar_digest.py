@@ -29,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from tauslice import fixtures as fixdata  # noqa: E402
 from tauslice.algebra import CapExceeded  # noqa: E402
 from tauslice.artheory import (  # noqa: E402
-    ar_quiver, minimal_presentation, tau, tau_inverse,
+    ar_quiver, minimal_presentation, relation_extension_bimodule, tau,
+    tau_inverse,
 )
 from tauslice.cli import field_from_spec, parse_algebra_text  # noqa: E402
 
@@ -102,6 +103,14 @@ def capped_lines(a, cap):
             yield f"{key[0]} of " + rep(key[1]) + " = " + rep(val)
 
 
+def bimodule_lines(a):
+    bim = relation_extension_bimodule(a)
+    yield f"dim={bim.dim}"
+    for side, action in (("left", bim.left), ("right", bim.right)):
+        for key in sorted(action):
+            yield f"{side} {key[0]} {key[1]}=" + mat(action[key])
+
+
 def digest(lines):
     h = hashlib.sha256()
     for line in lines:
@@ -115,18 +124,25 @@ def load(name, spec):
                               None if spec == "Q" else field_from_spec(spec))
 
 
+def guarded_digest(lines):
+    try:
+        return digest(lines)
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        # FieldTooSmall, DecompositionStalled and the like are part of the
+        # record
+        return f"raised {type(e).__name__}: {e}"
+
+
 def main():
     for name in FINITE:
         for spec in ("Q", "F5", "F3"):
-            try:
-                out = digest(finite_lines(load(name, spec)))
-            except (ArithmeticError, RuntimeError, ValueError) as e:
-                # FieldTooSmall, DecompositionStalled and the like are part
-                # of the record
-                out = f"raised {type(e).__name__}: {e}"
-            print(f"{name} {spec} {out}")
+            print(f"{name} {spec} {guarded_digest(finite_lines(load(name, spec)))}")
     for spec, cap in FIG2_CLOSURES:
         print(f"fig2 {spec} cap={cap} {digest(capped_lines(load('fig2', spec), cap))}")
+    for name in FINITE + ["fig2"]:
+        for spec in ("Q", "F5", "F3"):
+            print(f"bimodule {name} {spec} "
+                  f"{guarded_digest(bimodule_lines(load(name, spec)))}")
 
 
 if __name__ == "__main__":

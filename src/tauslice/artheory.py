@@ -227,19 +227,15 @@ def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
     return Morphism(src.omega, tgt.omega, blocks, _checked=False)
 
 
-def cosyzygy(m: Representation, power: int = 1) -> Representation:
-    """Omega^{-k} via the opposite algebra: D syzygy(D m)."""
-    if m.is_zero():
-        return m
-    return dual(syzygy(dual(m), power))
-
-
 def is_projective_rep(m: Representation) -> bool:
-    return m.is_zero() or syzygy(m).is_zero()
+    """Whether m is projective: its projective cover P(top m) -> m is onto,
+    so it is an isomorphism exactly when both have the same dimension."""
+    a = m.algebra
+    return sum(projective(a, v).total_dim for v, _vec in top_data(m)) == m.total_dim
 
 
 def is_injective_rep(m: Representation) -> bool:
-    return m.is_zero() or cosyzygy(m).is_zero()
+    return is_projective_rep(dual(m))
 
 
 def projective_dimension_at_most(m: Representation, d: int) -> bool:
@@ -259,18 +255,49 @@ def is_hereditary(a: PresentedAlgebra) -> bool:
 # transpose and the translate
 
 
+def _left_multiplication(src: ProjSum, tgt: ProjSum, entries) -> Morphism:
+    """The map src.rep -> tgt.rep sending (i, y) to the sum of (j, x * y)
+    over the pairs (j, x) in ``entries[i]``.
+
+    (i, y) is the fibre word y of summand i; each x is an element of the
+    algebra in normal form, and a product x * y is read from the memoised
+    table ``mult_basis``.
+    """
+    a = src.algebra
+    fld = a.field
+    blocks = []
+    for w in range(a.quiver.n_vertices):
+        rows_basis = tgt.fibre_words[w]
+        cols_basis = src.fibre_words[w]
+        mat = [[fld.zero()] * len(cols_basis) for _ in rows_basis]
+        for cpos, (i, word) in enumerate(cols_basis):
+            wi = a.basis_index[word]
+            for j, x in entries.get(i, ()):
+                prod = [fld.zero()] * a.dim
+                for b, c in x.items():
+                    for t, y in enumerate(a.mult_basis(a.basis_index[b], wi)):
+                        if y:
+                            prod[t] = fld.add(prod[t], fld.mul(c, y))
+                for t, c in enumerate(prod):
+                    if c:
+                        rpos = tgt.fibre_index.get((j, a.basis[t]))
+                        if rpos is None:
+                            raise ArithmeticError("product escaped the fibre basis")
+                        mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
+        blocks.append(Matrix._raw(fld, tuple(map(tuple, mat)), len(cols_basis)))
+    return Morphism(src.rep, tgt.rep, blocks, _checked=False)
+
+
 def transpose(m: Representation) -> Representation:
     """Tr M over the opposite algebra, from a minimal presentation.
 
     With P1 = + e_{u_j}A, P0 = + e_{v_i}A and presentation entries
     x_ij in e_{v_i} A e_{u_j}, Tr M is the cokernel of the map
     + P^op_{v_i} -> + P^op_{u_j} given by left multiplication with the
-    reversed entries.  A reversed entry times a fibre word is read from
-    the opposite algebra's memoised table ``mult_basis``.
+    reversed entries, built by :func:`_left_multiplication`.
     """
     a = m.algebra
     op = a.opposite()
-    fld = a.field
     pres = minimal_presentation(m)
     p0, p1, d = pres.p0, pres.p1, pres.differential
 
@@ -283,30 +310,9 @@ def transpose(m: Representation) -> Representation:
         for i, elt in p0.component_elements(vtx, col).items():
             entries.setdefault(i, []).append((j, a.reverse_element(elt)))
 
-    dual_p0 = _proj_sum(op, p0.vertex_list)
-    dual_p1 = _proj_sum(op, p1.vertex_list)
-
-    blocks = []
-    for w in range(op.quiver.n_vertices):
-        rows_basis = dual_p1.fibre_words[w]
-        cols_basis = dual_p0.fibre_words[w]
-        mat = [[fld.zero()] * len(cols_basis) for _ in rows_basis]
-        for cpos, (i, word) in enumerate(cols_basis):
-            wi = op.basis_index[word]
-            for j, x_op in entries.get(i, ()):
-                prod = [fld.zero()] * op.dim
-                for b, c in x_op.items():
-                    for t, y in enumerate(op.mult_basis(op.basis_index[b], wi)):
-                        if y:
-                            prod[t] = fld.add(prod[t], fld.mul(c, y))
-                for t, c in enumerate(prod):
-                    if c:
-                        rpos = dual_p1.fibre_index.get((j, op.basis[t]))
-                        if rpos is None:
-                            raise ArithmeticError("transpose: word escaped the fibre basis")
-                        mat[rpos][cpos] = fld.add(mat[rpos][cpos], c)
-        blocks.append(Matrix._raw(fld, tuple(map(tuple, mat)), len(cols_basis)))
-    dstar = Morphism(dual_p0.rep, dual_p1.rep, blocks, _checked=False)
+    dstar = _left_multiplication(
+        _proj_sum(op, p0.vertex_list), _proj_sum(op, p1.vertex_list), entries
+    )
     cok, _proj = cokernel(dstar)
     return cok
 
@@ -1011,58 +1017,26 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
 # the relation-extension bimodule Ext^2(DC, C)
 
 
-def _left_multiplication_morphism(ps: ProjSum, elt) -> Morphism:
-    """x -> elt * x on the regular module, as a right-module morphism."""
+def _regular_left_multiplication(ps: ProjSum, elt) -> Morphism:
+    """x -> elt * x on the regular module ``ps`` (one summand per vertex,
+    in vertex order): e_s * elt * e_t carries summand t into summand s."""
     a = ps.algebra
-    fld = a.field
-    blocks = []
-    for w in range(a.quiver.n_vertices):
-        basis = ps.fibre_words[w]
-        mat = [[fld.zero()] * len(basis) for _ in basis]
-        for cpos, (k, word) in enumerate(basis):
-            # element in summand k is the path `word`: multiply elt * word;
-            # the left factor moves the result into the summand of its source
-            prod = a.multiply(elt, {word: fld.one()})
-            for w2, coeff in prod.items():
-                k2 = ps.vertex_list.index(a.quiver.vertices[w2[0]])
-                rpos = ps.fibre_index[(k2, w2)]
-                mat[rpos][cpos] = fld.add(mat[rpos][cpos], coeff)
-        blocks.append(Matrix(fld, mat, len(basis)))
-    return Morphism(ps.rep, ps.rep, blocks, _checked=False)
-
-
-def _dc_left_multiplication(c: PresentedAlgebra, ps_op: ProjSum, dc, elt) -> Morphism:
-    """psi -> elt * psi on DC, i.e. the transpose of right multiplication.
-
-    (elt * psi)(x) = psi(x * elt); on the reversed-word model of the fibres
-    of DC the primal map sends an op-word xi to the transfer of
-    rev(xi) * elt.
-    """
-    op = c.opposite()
-    fld = c.field
-    blocks = []
-    for w in range(c.quiver.n_vertices):
-        basis = ps_op.fibre_words[w]
-        mat = [[fld.zero()] * len(basis) for _ in basis]
-        for cpos, (k, word) in enumerate(basis):
-            x_c = op.reverse_element({word: fld.one()})  # element of C
-            prod = c.multiply(x_c, elt)
-            back = c.reverse_element(prod)  # element of C^op
-            for w2, coeff in back.items():
-                # an op-word starting at vertex w2[0] lives in that summand
-                rpos = ps_op.fibre_index[(w2[0], w2)]
-                mat[rpos][cpos] = fld.add(mat[rpos][cpos], coeff)
-        blocks.append(Matrix(fld, mat, len(basis)).transpose())
-    return Morphism(dc, dc, blocks, _checked=False)
+    parts = {}
+    for word, c in a.normal_form(elt).items():
+        parts.setdefault(a.word_target(word), {}).setdefault(word[0], {})[word] = c
+    return _left_multiplication(ps, ps, {t: list(p.items()) for t, p in parts.items()})
 
 
 def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     """E = Ext^2_C(DC, C) with its C-C-bimodule structure.
 
-    The left action post-composes with left multiplication on C; the right
-    action pre-composes with (the second syzygy lift of) left multiplication
-    on DC.  For a hereditary algebra E = 0; the trivial extension by E is the
-    relation extension of C.
+    The left action of elt post-composes with left multiplication by elt
+    on the regular module C.  The right action pre-composes with the second
+    syzygy lift of elt acting on DC = D(C^op) from the left; since
+    (elt * psi)(x) = psi(x * elt), that action is the dual of left
+    multiplication by the reversed elt on the regular module of C^op.  For
+    a hereditary algebra E = 0; the trivial extension by E is the relation
+    extension of C.
     """
     fld = c.field
     ps = _proj_sum(c, c.quiver.vertices)
@@ -1084,11 +1058,12 @@ def relation_extension_bimodule(c: PresentedAlgebra) -> Bimodule:
     basis = ext.basis_cocycles()
 
     def left_matrix(elt):
-        lam = _left_multiplication_morphism(ps, elt)
+        lam = _regular_left_multiplication(ps, elt)
         return ext.matrix_of([compose(lam, phi) for phi in basis])
 
     def right_matrix(elt):
-        eta = _dc_left_multiplication(c, ps_op, dc, elt)
+        lam_op = _regular_left_multiplication(ps_op, c.reverse_element(elt))
+        eta = Morphism(dc, dc, [b.transpose() for b in lam_op.blocks], _checked=False)
         omega2 = syzygy_map(syzygy_map(eta, pres1, pres1), pres2, pres2)
         return ext.matrix_of([compose(phi, omega2) for phi in basis])
 

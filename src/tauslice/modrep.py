@@ -839,6 +839,25 @@ def sub_member(x: Representation, m: Representation) -> bool:
 # transport along quotients and extensions
 
 
+def restrict_scalars(m: Representation, b: PresentedAlgebra, image) -> Representation:
+    """m as a module over b, through a map b -> m.algebra given on generators.
+
+    The fibre at each vertex of b is m's fibre at the same label, 0 where
+    m.algebra has no such vertex; arrow x acts as ``m.element_action(image(x))``,
+    or as zero when that image is ``{}`` or a fibre is 0.  b's relations are
+    verified on construction.
+    """
+    a = m.algebra
+    q = b.quiver
+    dims = [m.dim_at(v) if v in a.quiver.vertex_index else 0 for v in q.vertices]
+    maps = []
+    for j, ar in enumerate(q.arrows):
+        ds, dt = dims[q.arrow_source[j]], dims[q.arrow_target[j]]
+        img = image(ar.name)
+        maps.append(m.element_action(img) if img and ds and dt else Matrix.zero(b.field, dt, ds))
+    return Representation(b, dims, maps)
+
+
 def inflate_along_quotient(m: Representation, qmap: QuotientMap) -> Representation:
     """View a module over A with the ideal acting as zero as a module over B.
 
@@ -846,39 +865,19 @@ def inflate_along_quotient(m: Representation, qmap: QuotientMap) -> Representati
     actions define a representation of B (relation check included).
     """
     a = qmap.source
-    b = qmap.target
     if m.algebra is not a:
         raise ValueError("module is not over the source of the quotient map")
     for v, alive in qmap.vertex_alive.items():
         if not alive and m.dim_at(v) != 0:
             raise ValueError(f"module is supported on killed vertex {v}")
-    dims = [m.dim_at(v) for v in b.quiver.vertices]
-    maps = []
-    for ar in b.quiver.arrows:
-        maps.append(m.maps[a.quiver.arrow_index[ar.name]])
-    return Representation(b, dims, maps)
+    return restrict_scalars(m, qmap.target, a.arrow_element)
 
 
 def restrict_along_quotient(m: Representation, qmap: QuotientMap) -> Representation:
     """View a module over B = A/I as a module over A via the surjection."""
-    a = qmap.source
-    b = qmap.target
-    if m.algebra is not b:
+    if m.algebra is not qmap.target:
         raise ValueError("module is not over the target of the quotient map")
-    fld = a.field
-    dims = [
-        m.dim_at(v) if qmap.vertex_alive[v] else 0 for v in a.quiver.vertices
-    ]
-    maps = []
-    for j, ar in enumerate(a.quiver.arrows):
-        ds = dims[a.quiver.arrow_source[j]]
-        dt = dims[a.quiver.arrow_target[j]]
-        img = qmap.arrow_images[ar.name]
-        if not img or ds == 0 or dt == 0:
-            maps.append(Matrix.zero(fld, dt, ds))
-        else:
-            maps.append(m.element_action(img))
-    return Representation(a, dims, maps)
+    return restrict_scalars(m, qmap.source, qmap.arrow_images.__getitem__)
 
 
 def extend_by_zero(m: Representation, b: PresentedAlgebra) -> Representation:
@@ -888,18 +887,6 @@ def extend_by_zero(m: Representation, b: PresentedAlgebra) -> Representation:
     relations are re-verified.
     """
     a = m.algebra
-    fld = b.field
-    dims = []
-    for v in b.quiver.vertices:
-        dims.append(m.dim_at(v) if v in a.quiver.vertex_index else 0)
-    maps = []
-    for j, ar in enumerate(b.quiver.arrows):
-        if ar.name in a.quiver.arrow_index:
-            maps.append(m.maps[a.quiver.arrow_index[ar.name]])
-        else:
-            maps.append(
-                Matrix.zero(
-                    fld, dims[b.quiver.arrow_target[j]], dims[b.quiver.arrow_source[j]]
-                )
-            )
-    return Representation(b, dims, maps)
+    return restrict_scalars(
+        m, b, lambda name: a.arrow_element(name) if name in a.quiver.arrow_index else {}
+    )

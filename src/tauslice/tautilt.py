@@ -54,6 +54,7 @@ from .modrep import (
     is_faithful,
     inflate_along_quotient,
     restrict_along_quotient,
+    restrict_scalars,
     extend_by_zero,
     projective,
     radical_rep,
@@ -1384,25 +1385,6 @@ def onepoint_slice_extend(
 # split-by-nilpotent extensions
 
 
-def member_over_split_extension(
-    u: Representation, ser: SplitExtensionResult
-) -> Representation:
-    """A module over the base acted on through B -> B/Q = C."""
-    b = ser.algebra
-    fld = b.field
-    dims = [u.dim_at(v) for v in b.quiver.vertices]
-    maps = []
-    for j, ar in enumerate(b.quiver.arrows):
-        ds = dims[b.quiver.arrow_source[j]]
-        dt = dims[b.quiver.arrow_target[j]]
-        img = ser.project_arrow_to_base(ar.name)
-        if not img or ds == 0 or dt == 0:
-            maps.append(Matrix.zero(fld, dt, ds))
-        else:
-            maps.append(u.element_action(img))
-    return Representation(b, dims, maps)
-
-
 @dataclass
 class SplitExtensionSliceReport:
     extension: SplitExtensionResult
@@ -1434,7 +1416,9 @@ def splitex_check(
     cond_fac = fac_member(q_right, tau_inverse_module(sigma))
     cond_sub = sub_member(q_dual, tau_module(sigma))
     ser = split_extension(c, q)
-    members_b = [member_over_split_extension(u, ser) for u in sigma.members]
+    members_b = [
+        restrict_scalars(u, ser.algebra, ser.project_arrow_to_base) for u in sigma.members
+    ]
     cand = SliceCandidate(ser.algebra, members_b)
     preserved = is_complete_tau_slice(cand)
     if preserved != (cond_fac and cond_sub):

@@ -12,6 +12,7 @@ from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
     hom_basis, compose, is_isomorphic, fac_member, sub_member, dual, cokernel, Morphism,
+    identity_morphism,
 )
 from tauslice.artheory import (
     tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
@@ -20,6 +21,7 @@ from tauslice.artheory import (
     end_algebra, is_hereditary, is_projective_rep, is_injective_rep,
     relation_extension_bimodule, bimodule_right_rep, bimodule_dual_left_rep,
     radical_power_dim, minimal_presentation, syzygy, transpose, _proj_sum,
+    _regular_left_multiplication,
 )
 from tauslice.tautilt import count_support_tau_tilting
 
@@ -436,6 +438,28 @@ def test_transpose_matches_symbolic_products(name, field):
         # Tr over A, and over A^op on D x, the transpose behind tau^-1
         for m in (x, dual(x)):
             assert transpose(m) == transpose_by_symbolic_products(m)
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, field) for field in ("Q", "F3") for name in sorted(AR_SIZES_Q)
+])
+def test_left_multiplication_follows_the_algebra_law(name, field):
+    # _left_multiplication on the regular module, over A and over A^op (the
+    # DC route of the relation-extension bimodule): lambda_1 is the
+    # identity and lambda_x o lambda_y = lambda_xy, with xy from multiply
+    c = load_over(name, field)
+    for a in (c, c.opposite()):
+        one = a.field.one()
+        ps = _proj_sum(a, a.quiver.vertices)
+        unit = {(v, ()): one for v in range(a.quiver.n_vertices)}
+        assert _regular_left_multiplication(ps, unit) == identity_morphism(ps.rep)
+        lam = {x: _regular_left_multiplication(ps, {x: one}) for x in a.basis}
+        for f in lam.values():
+            Morphism(f.source, f.target, f.blocks)  # intertwines every arrow
+        for x in a.basis:
+            for y in a.basis:
+                xy = a.multiply({x: one}, {y: one})
+                assert compose(lam[x], lam[y]) == _regular_left_multiplication(ps, xy)
 
 
 def test_mesh_pipeline_solves_no_projective_hom_and_multiplies_nothing(monkeypatch):

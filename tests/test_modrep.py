@@ -18,7 +18,7 @@ from tauslice.modrep import (
     is_isomorphic, is_indecomposable, dual,
     annihilator_span, is_faithful, is_sincere, fac_member, sub_member,
     inflate_along_quotient, restrict_along_quotient, extend_by_zero,
-    iso_index, zero_rep, _an_isomorphism,
+    restrict_scalars, iso_index, zero_rep, _an_isomorphism,
 )
 
 from helpers import w, rep, dims_multiset
@@ -223,6 +223,41 @@ def test_extend_by_zero(ex5_aprime, ex5_a):
     assert big.algebra is ex5_a
     assert sum(big.dims) == sum(m.dims)
     assert big.dim_at("4") == 0
+
+
+FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
+          "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_restrict_scalars_along_the_identity_gives_the_module_back(algebras, name):
+    a = algebras[name]
+    for m in ar_quiver(a).representatives():
+        assert restrict_scalars(m, a, a.arrow_element) == m
+
+
+def test_restrict_scalars_gives_missing_vertices_fibre_zero(ex5_aprime, ex5_a):
+    m = projective(ex5_aprime, "3")  # e3, be: fibres at 3 and 2
+    big = restrict_scalars(m, ex5_a, lambda name: (
+        ex5_aprime.arrow_element(name) if name != "de" else {}))
+    assert big.algebra is ex5_a
+    assert [big.dim_at(v) for v in "1234"] == [0, 1, 1, 0]
+    be = ex5_a.quiver.arrow_index["be"]
+    assert big.maps[be] == m.maps[ex5_aprime.quiver.arrow_index["be"]]
+    assert not big.maps[be].is_zero()
+
+
+def test_restrict_scalars_acts_by_zero_on_empty_images(a3):
+    m = restrict_scalars(projective(a3, "1"), a3, lambda name: {})
+    assert m.dims == (1, 1, 1)
+    assert all(mat.is_zero() for mat in m.maps)
+
+
+def test_restrict_scalars_rejects_a_relation_acting_nonzero(a3):
+    # P1 over the path algebra has ab acting as 1; over A3/(ab) it must not
+    qm = quotient(a3, [{w(a3.quiver, "1", "a", "b"): Fraction(1)}])
+    with pytest.raises(ValueError, match="does not annihilate"):
+        restrict_scalars(projective(a3, "1"), qm.target, a3.arrow_element)
 
 
 def test_morphism_rejects_wrong_algebra(a3, a2):
