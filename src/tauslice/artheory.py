@@ -534,7 +534,9 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     if hit is not None:
         ses = replace(hit.ses, quot=m, right_map=_retarget(hit.ses.right_map, m))
         return replace(hit, ses=ses, right=m)
-    if m.is_zero() or is_projective_rep(m):
+    # m is projective exactly when its projective cover is onto with kernel
+    # 0; tau(m) builds and memoises this presentation first anyway
+    if m.is_zero() or minimal_presentation(m).omega.is_zero():
         raise ValueError("almost split sequences end at non-projective modules")
     t = tau(m)
     ext = ext_data(m, t, 1)

@@ -196,6 +196,12 @@ class Matrix:
     result demoted to ``int`` wherever a ``Fraction`` operand can make it
     integral, so all-integer work never builds a ``Fraction``.  Over
     ``GF(p)``: int arithmetic with one ``% p`` per computed entry.
+
+    Degenerate shapes take exact shortcuts that give what the general
+    kernels give: a matrix with no rows or no columns is its own RREF, with
+    no pivots, and has rank 0; a product with a zero dimension is the zero
+    matrix of its shape; a 1x1 ``[x]`` has RREF ``[1]`` with pivot 0 when x
+    is nonzero (over Q the 1 is the ``int`` 1).
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
@@ -278,7 +284,7 @@ class Matrix:
         return not any(map(any, self.rows))
 
     def _check_field(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     # -- arithmetic ---------------------------------------------------
@@ -322,8 +328,10 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        p = f.characteristic
         n = other.ncols
+        if not (self.nrows and self.ncols and n):
+            return Matrix.zero(f, self.nrows, n)
+        p = f.characteristic
         z = f.zero()
         other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
@@ -402,7 +410,13 @@ class Matrix:
         increasing order.  Pivoting is deterministic: for each column, the
         first row (top to bottom) with a nonzero entry is used.
         """
+        if not (self.nrows and self.ncols):
+            return self, ()
         f = self.field
+        if self.nrows == self.ncols == 1:
+            if self.rows[0][0]:
+                return Matrix._raw(f, ((f.one(),),), 1), (0,)
+            return self, ()
         p = f.characteristic
         ncols = self.ncols
         rows = [list(r) for r in self.rows]
@@ -455,6 +469,8 @@ class Matrix:
         return Matrix._raw(f, tuple(map(tuple, rows)), ncols), tuple(pivots)
 
     def rank(self) -> int:
+        if not (self.nrows and self.ncols):
+            return 0
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list:
@@ -601,18 +617,22 @@ def coordinates_in_basis(basis: Matrix, vectors):
 
     One elimination of the basis rows as columns, augmented by every
     vector; as in :meth:`Matrix.solve`, free variables are 0.  An empty
-    basis gives empty rows when every vector is zero.
+    basis gives empty rows when every vector is zero.  The entries must
+    already be elements of the basis's field: they are not coerced.  A
+    vector of another length raises ``ValueError``.
     """
     f = basis.field
-    vecs = Matrix(f, vectors, basis.ncols)
+    vecs = tuple(map(tuple, vectors))
+    if any(len(v) != basis.ncols for v in vecs):
+        raise ValueError(f"vector length differs from {basis.ncols}")
     k = basis.nrows
-    R, pivots = Matrix._raw(f, tuple(zip(*basis.rows, *vecs.rows)), k + vecs.nrows).rref()
+    R, pivots = Matrix._raw(f, tuple(zip(*basis.rows, *vecs)), k + len(vecs)).rref()
     if pivots and pivots[-1] >= k:
         return None  # a pivot among the vectors: one is outside the span
-    sol = [(f.zero(),) * vecs.nrows] * k
+    sol = [(f.zero(),) * len(vecs)] * k
     for r, pc in enumerate(pivots):
         sol[pc] = R.rows[r][k:]
-    return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * vecs.nrows, k)
+    return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * len(vecs), k)
 
 
 def null_space(field: Field, rows, n: int):

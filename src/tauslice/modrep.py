@@ -21,6 +21,7 @@ from .algebra import (
     word_key,
 )
 from .exactlin import (
+    FieldError,
     Matrix,
     coordinates_in_basis,
     null_space,
@@ -72,6 +73,8 @@ class Representation:
             items = list(rel.items())
             src = items[0][0][0]
             tgt = self.algebra.word_target(items[0][0])
+            if not (self.dims[src] and self.dims[tgt]):
+                continue  # the relation acts as an empty matrix
             acc = Matrix.zero(self.algebra.field, self.dims[tgt], self.dims[src])
             for word, c in items:
                 acc = acc + self.word_action(word).scale(c)
@@ -151,8 +154,15 @@ class Morphism:
                 raise ValueError(f"block at vertex {q.vertices[v]} has wrong shape")
         self._hash = None
         if not _checked:
+            # the products below skip the arrows at a zero fibre, so the
+            # fields are checked here, once per block
+            fld = source.algebra.field
+            if any(b.field != fld for b in self.blocks):
+                raise FieldError(f"morphism blocks are not all over {fld!r}")
             for j in range(len(q.arrows)):
                 x, y = q.arrow_source[j], q.arrow_target[j]
+                if not (target.dims[y] and source.dims[x]):
+                    continue  # both sides are empty matrices of one shape
                 if self.blocks[y] @ source.maps[j] != target.maps[j] @ self.blocks[x]:
                     raise ValueError(
                         f"blocks do not intertwine arrow {q.arrows[j].name}"

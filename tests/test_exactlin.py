@@ -81,6 +81,11 @@ def test_shape_mismatch_raises():
         mat([[1]]) + Matrix(F5, [[1]])
     with pytest.raises(ValueError):
         mat([[1, 2]]) @ mat([[1, 2]])
+    # the field and shape checks come before the empty-product shortcut
+    with pytest.raises(FieldError):
+        Matrix.zero(QQ, 0, 3) @ Matrix.zero(F5, 3, 0)
+    with pytest.raises(ValueError):
+        Matrix.zero(QQ, 2, 0) @ Matrix.zero(QQ, 1, 2)
 
 
 # --- algebraic laws --------------------------------------------------------
@@ -141,6 +146,10 @@ def test_row_space_basis_spans(m):
 F2 = PrimeField(2)
 FIELDS = [QQ, F2, F5]
 DEGENERATE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1)]
+#: the entries of the 1x1 degenerate matrices: zero, units and a non-unit
+#: integer over every field, and non-integral rationals over Q
+ONE_BY_ONE = [0, 1, -1, 3]
+ONE_BY_ONE_Q = [Fraction(1, 2), Fraction(-2, 3)]
 
 
 #: small rationals, integral ones included, for the Q-only checks
@@ -316,15 +325,27 @@ def test_complement_basis_matches_greedy_scan(field, data):
 @pytest.mark.parametrize("shape", DEGENERATE_SHAPES, ids=str)
 def test_degenerate_shapes(field, shape):
     nr, nc = shape
-    for rows in ([[0] * nc for _ in range(nr)], [[3] * nc for _ in range(nr)]):
-        m = Matrix(field, rows, nc)
+    fills = [0, 3]
+    if shape == (1, 1):
+        fills = ONE_BY_ONE + (ONE_BY_ONE_Q if field == QQ else [])
+    for x in fills:
+        m = Matrix(field, [[x] * nc for _ in range(nr)], nc)
         check_rref(m)
+        r, pivots = m.rref()
+        assert m.rank() == len(pivots) == reference_rank(field, m.rows, nc)
+        # Gauss-Jordan gives the int 1 at each pivot and leaves 0 as it is
+        assert all(type(y) is int for row in r.rows for y in row)
+        if field == QQ:
+            ref_rows, ref_pivots = fraction_rref(m.rows, nc)
+            assert r.rows == tuple(map(tuple, ref_rows)) and pivots == tuple(ref_pivots)
         check_kernel(m)
         check_solve(m, Matrix(field, [[1]] * nc, 1), Matrix(field, [[1]] * nr, 1))
         check_product(m, Matrix(field, [[1, 2]] * nc, 2))
         check_product(Matrix(field, [[2]] * 2, 1) @ Matrix(field, [[1] * nr], nr), m)
         assert m.transpose().transpose() == m
-
+    # a product over an empty inner dimension is the zero matrix of its shape
+    prod = Matrix.zero(field, nr, 0) @ Matrix.zero(field, 0, nc)
+    assert prod == Matrix(field, [[0] * nc for _ in range(nr)], nc)
 
 
 def check_sparse_rref(m):
@@ -549,3 +570,9 @@ def test_coordinates_in_basis_empty_basis(field):
     assert coordinates_in_basis(Matrix.zero(field, 0, 0), [(), ()]).rows == ((), ())
     # vectors in k^0: every coordinate is a free variable
     assert coordinates_in_basis(Matrix(field, [(), ()], 0), [()]).rows == ((0, 0),)
+    # a vector whose length is not the basis width
+    for basis in (empty, Matrix(field, [(1, 0, 0)], 3)):
+        with pytest.raises(ValueError):
+            coordinates_in_basis(basis, [(0, 0, 0), (1, 0)])
+        with pytest.raises(ValueError):
+            coordinates_in_basis(basis, [(0, 0, 0, 0)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata
-from tauslice.exactlin import Matrix, QQ, span_matrix
+from tauslice.exactlin import FieldError, Matrix, PrimeField, QQ, span_matrix
 from tauslice.algebra import CapExceeded, FieldTooSmall, quotient
 from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
@@ -265,6 +265,80 @@ def test_morphism_rejects_wrong_algebra(a3, a2):
     s3, s2 = simple(a3, "1"), simple(a2, "1")
     with pytest.raises(ValueError, match="different algebras"):
         Morphism(s3, s2, [Matrix.zero(QQ, d, d) for d in s3.dims])
+
+
+# ---------------------------------------------------------------------------
+# the construction checks skip the arrows and relations that meet a zero
+# fibre, where both sides are empty matrices; every other one still rejects
+
+
+def test_morphism_rejects_a_failed_square_beside_zero_fibres(a3):
+    # arrow a starts at the zero fibre at 1; arrow b, 2 -> 3, is still checked
+    p2 = rep(a3, (0, 1, 1), b=[[1]])
+    blocks = [Matrix.zero(QQ, 0, 0), Matrix(QQ, [[1]]), Matrix.zero(QQ, 1, 1)]
+    with pytest.raises(ValueError, match="intertwine arrow b"):
+        Morphism(p2, p2, blocks)
+    blocks[2] = Matrix(QQ, [[1]])
+    assert Morphism(p2, p2, blocks) == identity_morphism(p2)
+    # a block over another field is rejected, even where every arrow at its
+    # vertex meets a zero fibre
+    s1 = simple(a3, "1")
+    with pytest.raises(FieldError):
+        Morphism(s1, s1, [Matrix(PrimeField(5), [[1]]), Matrix.zero(QQ, 0, 0),
+                          Matrix.zero(QQ, 0, 0)])
+
+
+def test_relation_check_skips_only_zero_fibres(a3, ex1):
+    # over A3/(ab) the relation runs from 1 to 3: a zero fibre at either end
+    # leaves nothing to check, and nonzero fibres at both ends are checked
+    b = quotient(a3, [{w(a3.quiver, "1", "a", "b"): Fraction(1)}]).target
+    assert rep(b, (1, 1, 0), a=[[1]]).dims == (1, 1, 0)
+    assert rep(b, (0, 1, 1), b=[[1]]).dims == (0, 1, 1)
+    with pytest.raises(ValueError, match="does not annihilate"):
+        rep(b, (1, 1, 1), a=[[1]], b=[[1]])
+    # over ex1 the loop relation at the zero fibre 3 is skipped; the ones at
+    # 1 and 2 are not
+    with pytest.raises(ValueError, match="does not annihilate"):
+        rep(ex1, (1, 1, 0), al=[[1]], alp=[[1]])
+    assert rep(ex1, (1, 1, 0), al=[[1]]).dims == (1, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["ex1", "fig1", "ex5_tilde"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_construction_checks_match_their_definition(algebras, name, data):
+    """Representation and Morphism reject exactly when some relation acts
+    nonzero, or some arrow's square fails to commute, over all fibres."""
+    a = algebras[name]
+    q, f = a.quiver, a.field
+
+    def matrix(nrows, ncols):
+        row = st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols)
+        return Matrix(f, data.draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
+
+    def module():
+        dims = [data.draw(st.integers(0, 2)) for _ in q.vertices]
+        return dims, [matrix(dims[t], dims[s]) for s, t in zip(q.arrow_source, q.arrow_target)]
+
+    dims, maps = module()
+    m = Representation(a, dims, maps, _checked=True)
+    acts = [sum((m.word_action(word).scale(c) for word, c in rel.items()),
+                Matrix.zero(f, dims[a.word_target(next(iter(rel)))], dims[next(iter(rel))[0]]))
+            for rel in a.relations]
+    if any(not x.is_zero() for x in acts):
+        with pytest.raises(ValueError, match="does not annihilate"):
+            Representation(a, dims, maps)
+    else:
+        assert Representation(a, dims, maps) == m
+    n = Representation(a, *module(), _checked=True)
+    blocks = [matrix(n.dims[v], m.dims[v]) for v in range(len(q.vertices))]
+    squares = [blocks[y] @ m.maps[j] == n.maps[j] @ blocks[x]
+               for j, (x, y) in enumerate(zip(q.arrow_source, q.arrow_target))]
+    if all(squares):
+        assert Morphism(m, n, blocks).blocks == tuple(blocks)
+    else:
+        with pytest.raises(ValueError, match="intertwine"):
+            Morphism(m, n, blocks)
 
 
 def test_hom_basis_runs_between_its_own_arguments(a3):
