@@ -18,7 +18,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .exactlin import (
     Field,
@@ -57,11 +57,7 @@ class NotNilpotent(ValueError):
 # quiver and words
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+Arrow = namedtuple("Arrow", "name source target")
 
 
 class Quiver:
@@ -513,14 +509,16 @@ def build_algebra(quiver: Quiver, relations, fld: Field = QQ, length_cap: int = 
 # abstract structure constants + quiverization
 
 
-@dataclass
 class StructureConstants:
     """Associative unital algebra given by a dense multiplication table."""
 
-    field: Field
-    dim: int
-    table: tuple  # table[i][j] = coords of b_i * b_j
-    unit: tuple
+    __slots__ = ("field", "dim", "table", "unit")
+
+    def __init__(self, field: Field, dim: int, table: tuple, unit: tuple):
+        self.field = field
+        self.dim = dim
+        self.table = table  # table[i][j] = coords of b_i * b_j
+        self.unit = unit
 
     def multiply(self, u, v):
         fld = self.field
@@ -568,12 +566,20 @@ def radical_span(sc: StructureConstants) -> Matrix:
     return span_matrix(fld, [k.column_vector(0) for k in kern], sc.dim)
 
 
-@dataclass
 class QuiverizeResult:
-    algebra: PresentedAlgebra
-    idempotents: list  # coords in the input structure constants, vertex order
-    path_images: dict  # basis word of the presentation -> coords in the input
-    change_of_basis: Matrix  # rows: images of the presentation basis
+    __slots__ = ("algebra", "idempotents", "path_images", "change_of_basis")
+
+    def __init__(
+        self,
+        algebra: PresentedAlgebra,
+        idempotents: list,
+        path_images: dict,
+        change_of_basis: Matrix,
+    ):
+        self.algebra = algebra
+        self.idempotents = idempotents  # coords in the input structure constants, vertex order
+        self.path_images = path_images  # basis word of the presentation -> coords in the input
+        self.change_of_basis = change_of_basis  # rows: images of the presentation basis
 
 
 def quiverize(
@@ -719,7 +725,6 @@ def quiverize(
 # quotients
 
 
-@dataclass
 class QuotientMap:
     """Surjection A -> B = A/<gens> with images of vertices and arrows.
 
@@ -727,10 +732,19 @@ class QuotientMap:
     ``arrow_images[name]`` is an element dict over B (possibly empty = 0).
     """
 
-    source: PresentedAlgebra
-    target: PresentedAlgebra
-    vertex_alive: dict
-    arrow_images: dict
+    __slots__ = ("source", "target", "vertex_alive", "arrow_images")
+
+    def __init__(
+        self,
+        source: PresentedAlgebra,
+        target: PresentedAlgebra,
+        vertex_alive: dict,
+        arrow_images: dict,
+    ):
+        self.source = source
+        self.target = target
+        self.vertex_alive = vertex_alive
+        self.arrow_images = arrow_images
 
     def apply(self, elt):
         """Image in B of an element of A."""
@@ -891,7 +905,6 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
 # bimodules and extensions
 
 
-@dataclass
 class Bimodule:
     """A finite dimensional C-C-bimodule with optional internal product.
 
@@ -902,11 +915,16 @@ class Bimodule:
     bimodule multiplies as ``(c, q)(c', q') = (cc', c q' + q c' + mu(q, q'))``.
     """
 
-    algebra: PresentedAlgebra
-    dim: int
-    left: dict
-    right: dict
-    mu: dict = dc_field(default_factory=dict)
+    __slots__ = ("algebra", "dim", "left", "right", "mu")
+
+    def __init__(
+        self, algebra: PresentedAlgebra, dim: int, left: dict, right: dict, mu: dict = None
+    ):
+        self.algebra = algebra
+        self.dim = dim
+        self.left = left
+        self.right = right
+        self.mu = {} if mu is None else mu
 
     def left_action(self, elt) -> Matrix:
         fld = self.algebra.field
@@ -966,7 +984,6 @@ class Bimodule:
                 raise ValueError("bimodule: relation acts nontrivially on the right")
 
 
-@dataclass
 class SplitExtensionResult:
     """C + Q with its recovered presentation.
 
@@ -975,11 +992,21 @@ class SplitExtensionResult:
     first ``base_dim`` entries is the canonical surjection onto C.
     """
 
-    algebra: PresentedAlgebra
-    quiverize: QuiverizeResult
-    base: PresentedAlgebra
-    base_dim: int
-    bimodule: Bimodule
+    __slots__ = ("algebra", "quiverize", "base", "base_dim", "bimodule")
+
+    def __init__(
+        self,
+        algebra: PresentedAlgebra,
+        quiverize: QuiverizeResult,
+        base: PresentedAlgebra,
+        base_dim: int,
+        bimodule: Bimodule,
+    ):
+        self.algebra = algebra
+        self.quiverize = quiverize
+        self.base = base
+        self.base_dim = base_dim
+        self.bimodule = bimodule
 
     def project_arrow_to_base(self, name):
         """Element of C: image of a B-arrow under B -> B/Q = C."""
@@ -1058,12 +1085,16 @@ def split_extension(c: PresentedAlgebra, q: Bimodule) -> SplitExtensionResult:
     return SplitExtensionResult(qr.algebra, qr, c, n, q)
 
 
-@dataclass
 class OnePointExtensionResult:
-    algebra: PresentedAlgebra
-    new_vertex: str
-    new_arrows: list  # names, in order of the chosen top basis of x
-    base: PresentedAlgebra
+    __slots__ = ("algebra", "new_vertex", "new_arrows", "base")
+
+    def __init__(
+        self, algebra: PresentedAlgebra, new_vertex: str, new_arrows: list, base: PresentedAlgebra
+    ):
+        self.algebra = algebra
+        self.new_vertex = new_vertex
+        self.new_arrows = new_arrows  # names, in order of the chosen top basis of x
+        self.base = base
 
 
 def one_point_extension(
@@ -1182,11 +1213,13 @@ def one_point_coextension(a: PresentedAlgebra, x, new_vertex=None, arrow_prefix=
     return OnePointExtensionResult(res.algebra.opposite(), res.new_vertex, res.new_arrows, a)
 
 
-@dataclass
 class IdealBimoduleResult:
-    quotient_map: QuotientMap
-    bimodule: Bimodule
-    ideal_rows: Matrix  # rows: coords of the ideal basis inside A
+    __slots__ = ("quotient_map", "bimodule", "ideal_rows")
+
+    def __init__(self, quotient_map: QuotientMap, bimodule: Bimodule, ideal_rows: Matrix):
+        self.quotient_map = quotient_map
+        self.bimodule = bimodule
+        self.ideal_rows = ideal_rows  # rows: coords of the ideal basis inside A
 
 
 def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:

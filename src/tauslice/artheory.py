@@ -11,7 +11,6 @@ module over End(M).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .algebra import (
     Bimodule,
@@ -129,18 +128,32 @@ def _proj_sum(algebra: PresentedAlgebra, vertex_list) -> ProjSum:
     return cache[key]
 
 
-@dataclass
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
 
-    module: Representation
-    p0: ProjSum
-    cover: Morphism  # P0 -> M, projective cover
-    omega: Representation  # ker(cover)
-    omega_incl: Morphism  # omega -> P0
-    p1: ProjSum  # cover of omega
-    p1_cover: Morphism  # P1 -> omega
-    differential: Morphism  # P1 -> P0
+    __slots__ = (
+        "module", "p0", "cover", "omega", "omega_incl", "p1", "p1_cover", "differential",
+    )
+
+    def __init__(
+        self,
+        module: Representation,
+        p0: ProjSum,
+        cover: Morphism,
+        omega: Representation,
+        omega_incl: Morphism,
+        p1: ProjSum,
+        p1_cover: Morphism,
+        differential: Morphism,
+    ):
+        self.module = module
+        self.p0 = p0
+        self.cover = cover  # P0 -> M, projective cover
+        self.omega = omega  # ker(cover)
+        self.omega_incl = omega_incl  # omega -> P0
+        self.p1 = p1  # cover of omega
+        self.p1_cover = p1_cover  # P1 -> omega
+        self.differential = differential  # P1 -> P0
 
 
 def projective_cover_data(m: Representation):
@@ -179,7 +192,10 @@ def minimal_presentation(m: Representation) -> Presentation:
     key = ("presentation", m)
     hit = m.algebra._cache.get(key)
     if hit is not None:
-        return replace(hit, module=m, cover=_retarget(hit.cover, m))
+        return Presentation(
+            m, hit.p0, _retarget(hit.cover, m), hit.omega, hit.omega_incl,
+            hit.p1, hit.p1_cover, hit.differential,
+        )
     p0, cover = projective_cover_data(m)
     omega, om_incl = kernel(cover)
     p1, p1_cover = projective_cover_data(omega)
@@ -344,7 +360,6 @@ def tau_power(m: Representation, k: int) -> Representation:
 # Ext groups
 
 
-@dataclass
 class ExtData:
     """Ext^d(m, n) presented on Hom(Omega^d m, n).
 
@@ -354,15 +369,32 @@ class ExtData:
     k of ``proj`` is the class coordinate k of a hom-coordinate vector.
     """
 
-    source: Representation
-    target: Representation
-    degree: int
-    omega: Representation
-    omega_incl: Morphism  # Omega^d -> P_{d-1}
-    penultimate: Representation  # P_{d-1}
-    hom: list
-    classes: list
-    proj: Matrix
+    __slots__ = (
+        "source", "target", "degree", "omega", "omega_incl", "penultimate",
+        "hom", "classes", "proj",
+    )
+
+    def __init__(
+        self,
+        source: Representation,
+        target: Representation,
+        degree: int,
+        omega: Representation,
+        omega_incl: Morphism,
+        penultimate: Representation,
+        hom: list,
+        classes: list,
+        proj: Matrix,
+    ):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.omega = omega
+        self.omega_incl = omega_incl  # Omega^d -> P_{d-1}
+        self.penultimate = penultimate  # P_{d-1}
+        self.hom = hom
+        self.classes = classes
+        self.proj = proj
 
     @property
     def dim(self):
@@ -449,13 +481,22 @@ def ext_dim(m: Representation, n: Representation, degree: int = 1) -> int:
     return ext_data(m, n, degree).dim
 
 
-@dataclass
 class ShortExactSequence:
-    sub: Representation
-    middle: Representation
-    quot: Representation
-    left_map: Morphism  # sub -> middle
-    right_map: Morphism  # middle -> quot
+    __slots__ = ("sub", "middle", "quot", "left_map", "right_map")
+
+    def __init__(
+        self,
+        sub: Representation,
+        middle: Representation,
+        quot: Representation,
+        left_map: Morphism,
+        right_map: Morphism,
+    ):
+        self.sub = sub
+        self.middle = middle
+        self.quot = quot
+        self.left_map = left_map  # sub -> middle
+        self.right_map = right_map  # middle -> quot
 
     def verify(self):
         f, g = self.left_map, self.right_map
@@ -512,12 +553,20 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
 # almost split sequences
 
 
-@dataclass
 class AlmostSplitSequence:
-    ses: ShortExactSequence
-    left: Representation  # tau(right)
-    right: Representation
-    middle_summands: list  # [(rep, mult)]
+    __slots__ = ("ses", "left", "right", "middle_summands")
+
+    def __init__(
+        self,
+        ses: ShortExactSequence,
+        left: Representation,
+        right: Representation,
+        middle_summands: list,
+    ):
+        self.ses = ses
+        self.left = left  # tau(right)
+        self.right = right
+        self.middle_summands = middle_summands  # [(rep, mult)]
 
 
 def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
@@ -532,8 +581,11 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     key = ("almost_split_sequence", m)
     hit = m.algebra._cache.get(key)
     if hit is not None:
-        ses = replace(hit.ses, quot=m, right_map=_retarget(hit.ses.right_map, m))
-        return replace(hit, ses=ses, right=m)
+        old = hit.ses
+        ses = ShortExactSequence(
+            old.sub, old.middle, m, old.left_map, _retarget(old.right_map, m)
+        )
+        return AlmostSplitSequence(ses, hit.left, m, hit.middle_summands)
     # m is projective exactly when its projective cover is onto with kernel
     # 0; tau(m) builds and memoises this presentation first anyway
     if m.is_zero() or minimal_presentation(m).omega.is_zero():
@@ -584,9 +636,12 @@ def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
     iso = _an_isomorphism(m, ass.left)
     if iso is None:
         raise ArithmeticError("tau tau^{-1} m is not isomorphic to m; is m indecomposable?")
-    ses = replace(ass.ses, sub=m, left_map=compose(ass.ses.left_map, iso))
+    old = ass.ses
+    ses = ShortExactSequence(
+        m, old.middle, old.quot, compose(old.left_map, iso), old.right_map
+    )
     ses.verify()
-    return replace(ass, ses=ses, left=m)
+    return AlmostSplitSequence(ses, m, ass.right, ass.middle_summands)
 
 
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
@@ -611,12 +666,20 @@ def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
 # the AR quiver
 
 
-@dataclass
 class ARNode:
-    ident: int
-    rep: Representation
-    projective_label: str | None = None
-    injective_label: str | None = None
+    __slots__ = ("ident", "rep", "projective_label", "injective_label")
+
+    def __init__(
+        self,
+        ident: int,
+        rep: Representation,
+        projective_label: str | None = None,
+        injective_label: str | None = None,
+    ):
+        self.ident = ident
+        self.rep = rep
+        self.projective_label = projective_label
+        self.injective_label = injective_label
 
 
 class ARQuiver:
@@ -819,7 +882,6 @@ def radical_power_dim(x, y, power, universe) -> int:
 # endomorphism algebras and the associated functors
 
 
-@dataclass
 class EndAlgebraResult:
     """End(M) of a basic module, presented as a bound quiver algebra.
 
@@ -829,13 +891,28 @@ class EndAlgebraResult:
     arrow of the presentation as a module morphism M_j -> M_i.
     """
 
-    module: Representation
-    summands: list
-    algebra: PresentedAlgebra
-    block_basis: dict
-    basis_layout: list  # flat basis: (i, j, position) per structure coordinate
-    arrow_morphisms: dict
-    quiverized: "object"
+    __slots__ = (
+        "module", "summands", "algebra", "block_basis", "basis_layout",
+        "arrow_morphisms", "quiverized",
+    )
+
+    def __init__(
+        self,
+        module: Representation,
+        summands: list,
+        algebra: PresentedAlgebra,
+        block_basis: dict,
+        basis_layout: list,
+        arrow_morphisms: dict,
+        quiverized: "object",
+    ):
+        self.module = module
+        self.summands = summands
+        self.algebra = algebra
+        self.block_basis = block_basis
+        self.basis_layout = basis_layout  # flat basis: (i, j, position) per structure coordinate
+        self.arrow_morphisms = arrow_morphisms
+        self.quiverized = quiverized
 
     def hom_functor(self, x: Representation) -> Representation:
         """Hom_A(M, x) as a right module over End(M)."""

@@ -31,7 +31,6 @@ vector like ``1,1,0`` (resolved against the AR quiver; ambiguity is an
 error listing the candidates), or ``node:<k>`` for a discovery index.
 """
 
-import argparse
 import hashlib
 import json
 import re
@@ -813,6 +812,8 @@ def _add_common(p, modules=False):
 
 
 def build_parser():
+    import argparse  # here, so that importing tauslice.cli does not load it
+
     parser = argparse.ArgumentParser(
         prog="tauslice",
         description="Exact tau-tilting, slice and tilting checks for bound "

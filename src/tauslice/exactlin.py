@@ -261,7 +261,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.rows == other.rows
@@ -652,6 +652,11 @@ def null_space(field: Field, rows, n: int):
     the projection k^n -> k^n / span(rows): it is 1 at keep[k], 0 at the
     other kept positions, and kills the rows.
     """
+    # what the general path gives with nothing to eliminate
+    if not n:
+        return [], Matrix._raw(field, (), 0)
+    if not rows:
+        return list(range(n)), Matrix.identity(field, n)
     z, o = field.zero(), field.one()
     ech, pivots = Matrix._raw(field, tuple(r[::-1] for r in rows), n).rref()
     lead = {n - 1 - p: ech.rows[t] for t, p in enumerate(pivots)}

@@ -61,7 +61,7 @@ class Representation:
                     f"map for arrow {q.arrows[j].name} has shape {mat.shape}, "
                     f"expected {(dt, ds)}"
                 )
-            if mat.field != algebra.field:
+            if mat.field is not algebra.field and mat.field != algebra.field:
                 raise ValueError("matrix field does not match the algebra")
         self.maps = maps
         self._hash = None
@@ -157,7 +157,7 @@ class Morphism:
             # the products below skip the arrows at a zero fibre, so the
             # fields are checked here, once per block
             fld = source.algebra.field
-            if any(b.field != fld for b in self.blocks):
+            if any(b.field is not fld and b.field != fld for b in self.blocks):
                 raise FieldError(f"morphism blocks are not all over {fld!r}")
             for j in range(len(q.arrows)):
                 x, y = q.arrow_source[j], q.arrow_target[j]

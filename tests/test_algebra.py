@@ -90,6 +90,14 @@ def test_quotient_by_nothing_is_identity_presentation(a3):
     assert presentation_isomorphism(qm.target, a3) is not None
 
 
+def test_arrow_is_an_immutable_value():
+    x = Arrow("x", "1", "1")
+    assert x == Arrow("x", "1", "1") and hash(x) == hash(Arrow("x", "1", "1"))
+    assert x != Arrow("y", "1", "1")
+    with pytest.raises(AttributeError):
+        x.name = "y"
+
+
 def test_quotient_rejects_mixed_generator():
     ql = Quiver(["1"], [Arrow("x", "1", "1")])
     loop = build_algebra(ql, [{w(ql, "1", "x", "x"): Fraction(1)}])

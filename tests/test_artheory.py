@@ -15,7 +15,7 @@ from tauslice.modrep import (
     identity_morphism,
 )
 from tauslice.artheory import (
-    tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
+    ARNode, tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
     almost_split_sequence_starting,
     ext_dim, ext_data, realize_extension, stable_hom_dim_mod_injectives,
     end_algebra, is_hereditary, is_projective_rep, is_injective_rep,
@@ -104,6 +104,9 @@ def test_cached_results_end_at_their_own_argument(a3):
         assert pres.module is m
         assert pres.cover.target is m
     assert almost_split_sequence(first).left is almost_split_sequence(second).left
+    assert (almost_split_sequence(first).middle_summands
+            is almost_split_sequence(second).middle_summands)
+    assert minimal_presentation(first).omega is minimal_presentation(second).omega
 
 
 def test_sequence_starting_at_m_begins_at_m_itself(a3):
@@ -155,6 +158,9 @@ def test_ar_quiver_labels_and_links(a3):
                      if n.injective_label is not None)
     assert plabels == ["1", "2", "3"]
     assert ilabels == ["1", "2", "3"]
+    # a node is labelled only when the closure finds it projective or injective
+    fresh = ARNode(0, arq.nodes[0].rep)
+    assert fresh.projective_label is None and fresh.injective_label is None
     # one translate link per non-projective node
     assert len(arq.tau_link) == arq.count - 3
     for ident, pred in arq.tau_link.items():

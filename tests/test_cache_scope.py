@@ -6,6 +6,8 @@ keep them alive; the library keeps none.
 
 import ast
 import gc
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -136,3 +138,15 @@ def test_complements_are_found_only_in_exactlin():
     # a span is completed, and a quotient projected onto, only by
     # exactlin.null_space; these were the other ways
     assert _name_hits(("complement_basis", "intersect_row_spaces", "_null_space")) == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_argparse():
+    # importing the package is most of a CLI command's cold start: records
+    # are plain slotted classes, and argparse loads only with the parser.
+    # A subprocess, because pytest itself has loaded all three
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import tauslice, tauslice.cli, tauslice.fixtures; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []

@@ -86,6 +86,9 @@ def test_shape_mismatch_raises():
         Matrix.zero(QQ, 0, 3) @ Matrix.zero(F5, 3, 0)
     with pytest.raises(ValueError):
         Matrix.zero(QQ, 2, 0) @ Matrix.zero(QQ, 1, 2)
+    # equality compares fields by value: an equal field object matches
+    assert Matrix(F5, [[1]]) == Matrix(PrimeField(5), [[1]])
+    assert Matrix(F5, [[1]]) != mat([[1]])
 
 
 # --- algebraic laws --------------------------------------------------------
@@ -319,6 +322,25 @@ def test_complement_basis_matches_greedy_scan(field, data):
     assert (m @ basis.transpose()).is_zero()
     for k, row in enumerate(basis.rows):
         assert [row[i] for i in keep] == [o if t == k else z for t in range(len(keep))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_null_space_shortcuts_match_the_general_path(field):
+    """n = 0 and no rows are read off directly.  With no rows, a zero row
+    sends the same space through the elimination; with n = 0, every row is
+    empty and the elimination has nothing to keep."""
+    for k in (0, 1, 3):
+        keep, basis = null_space(field, [()] * k, 0)
+        assert keep == [] and basis.shape == (0, 0) and basis.rows == ()
+        assert basis.field is field
+    for n in (1, 3):
+        general_keep, general = null_space(field, [(field.zero(),) * n], n)
+        for rows in ([], ()):
+            keep, basis = null_space(field, rows, n)
+            assert keep == general_keep == list(range(n))
+            assert basis == general == Matrix.identity(field, n)
+            types = [type(x) for r in basis.rows for x in r]
+            assert types == [type(x) for r in general.rows for x in r]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -286,6 +286,11 @@ def test_morphism_rejects_a_failed_square_beside_zero_fibres(a3):
     with pytest.raises(FieldError):
         Morphism(s1, s1, [Matrix(PrimeField(5), [[1]]), Matrix.zero(QQ, 0, 0),
                           Matrix.zero(QQ, 0, 0)])
+    # and so is an arrow map over another field, in a representation
+    with pytest.raises(ValueError, match="field does not match"):
+        Representation(a3, (1, 1, 0), [Matrix(PrimeField(5), [[1]]), Matrix.zero(QQ, 0, 1)])
+    ok = Representation(a3, (1, 1, 0), [Matrix(QQ, [[1]]), Matrix.zero(QQ, 0, 1)])
+    assert ok.dims == (1, 1, 0)
 
 
 def test_relation_check_skips_only_zero_fibres(a3, ex1):

@@ -392,6 +392,8 @@ def test_split_extension_can_break_a_slice(a3):
         left[("arrow", ar.name)] = zero
         right[("arrow", ar.name)] = zero
     bim = Bimodule(a3, 1, left, right)
+    # an omitted mu is a fresh empty table, not one shared between bimodules
+    assert bim.mu == {} and bim.mu is not Bimodule(a3, 1, left, right).mu
     bim.check()
     sig = slice_candidate(a3, [projective(a3, v) for v in a3.quiver.vertices])
     report = splitex_check(a3, sig, bim)
