@@ -24,7 +24,8 @@ from .exactlin import (
     Field,
     Matrix,
     QQ,
-    coordinates_in_basis,
+    leading_columns,
+    read_coordinates,
     span_matrix,
 )
 
@@ -1236,6 +1237,7 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
         [a.normal_form({w: fld.coerce(cf) for w, cf in g.items()}) for g in gens]
     )
     m = span.nrows
+    units = leading_columns(span)
 
     def lift(elt_c):
         out = {}
@@ -1257,7 +1259,7 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
 
     def action_matrix(gen_elt, side):
         prods = [a.multiply(gen_elt, x) if side == "l" else a.multiply(x, gen_elt) for x in elts]
-        co = coordinates_in_basis(span, [a.coords(prod) for prod in prods])
+        co = read_coordinates(span, units, [a.coords(prod) for prod in prods])
         if co is None:
             raise ArithmeticError("ideal is not stable under multiplication")
         return co.transpose()
@@ -1273,7 +1275,7 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
         left[("arrow", ar.name)] = action_matrix(gen, "l")
         right[("arrow", ar.name)] = action_matrix(gen, "r")
 
-    co = coordinates_in_basis(span, [a.coords(a.multiply(x, y)) for x in elts for y in elts])
+    co = read_coordinates(span, units, [a.coords(a.multiply(x, y)) for x in elts for y in elts])
     if co is None:
         raise ArithmeticError("ideal is not closed under multiplication")
     mu = {divmod(k, m): row for k, row in enumerate(co.rows) if any(row)}

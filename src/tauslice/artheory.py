@@ -24,7 +24,9 @@ from .algebra import (
 from .exactlin import (
     Matrix,
     coordinates_in_basis,
+    leading_columns,
     null_space,
+    read_coordinates,
     span_matrix,
 )
 from .modrep import (
@@ -51,6 +53,7 @@ from .modrep import (
     _descend,
     _direct_sum_rep,
     _flat_matrix,
+    _hom_coordinates,
     _linear_combinations,
     _morphism_from_vector,
     _register,
@@ -220,7 +223,9 @@ def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
     f o cover_src lifts through cover_tgt to some hat f: P0 -> P0', whose
     coordinates in the basis of Hom(P0, P0') are the solution with its free
     variables set to 0; Omega(f) is the restriction of hat f to the
-    syzygies.  Omega^2(f) is Omega of Omega(f), on the next presentations.
+    syzygies, read along the target's syzygy basis (the :func:`null_space`
+    rows of its inclusion).  Omega^2(f) is Omega of Omega(f), on the next
+    presentations.
     """
     basis = hom_basis(src.p0.rep, tgt.p0.rep)
     coords = coordinates_in_basis(
@@ -233,8 +238,9 @@ def syzygy_map(f: Morphism, src: Presentation, tgt: Presentation) -> Morphism:
     blocks = []
     for v in range(len(src.omega.dims)):
         # the columns of hat o incl along the columns of the target's incl
-        sol = coordinates_in_basis(
-            tgt.omega_incl.blocks[v].transpose(),
+        fibre = tgt.omega_incl.blocks[v].transpose()
+        sol = read_coordinates(
+            fibre, leading_columns(fibre),
             (src.omega_incl.blocks[v].transpose() @ hat.blocks[v].transpose()).rows,
         )
         if sol is None:
@@ -415,13 +421,11 @@ class ExtData:
     def matrix_of(self, cocycles) -> Matrix:
         """Class coordinates of the given cocycles, as the columns of a
         dim x len(cocycles) matrix: ``proj`` times their hom coordinates,
-        all found by one solve."""
+        all read at once."""
         fld = self.source.algebra.field
         if not self.classes or not cocycles:
             return Matrix.zero(fld, self.dim, len(cocycles))
-        co = coordinates_in_basis(
-            _flat_matrix(self.omega, self.target, self.hom), [f.flatten() for f in cocycles]
-        )
+        co = _hom_coordinates(self.omega, self.target, self.hom, [f.flatten() for f in cocycles])
         if co is None:
             raise ValueError("morphism does not lie in Hom(Omega^d, n)")
         return self.proj @ co.transpose()
@@ -470,7 +474,7 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
                 vec.extend(x for row in rows[e * dw:(e + 1) * dw] for x in row)
         restrictions += flat
     # their hom coordinates, at once
-    co = coordinates_in_basis(_flat_matrix(omega, n, hom), restrictions)
+    co = _hom_coordinates(omega, n, hom, restrictions)
     if co is None:
         raise ArithmeticError("restriction escaped Hom(Omega, n)")
     classes, proj = null_space(fld, co.rows, len(hom))
@@ -924,8 +928,8 @@ class EndAlgebraResult:
             j = b.quiver.vertex_index[ar.target]
             f_b = self.arrow_morphisms[ar.name]  # M_j -> M_i
             # the composites phi o f_b: M_j -> x, along Hom(M_j, x)
-            co = coordinates_in_basis(
-                _flat_matrix(self.summands[j], x, fibre_bases[j]),
+            co = _hom_coordinates(
+                self.summands[j], x, fibre_bases[j],
                 [compose(phi, f_b).flatten() for phi in fibre_bases[i]],
             )
             if co is None:
@@ -1060,7 +1064,7 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
             if i == ell:
                 vectors.append(identity_morphism(summands[i]).flatten())
             basis = block_basis[(i, ell)]
-            co = coordinates_in_basis(_flat_matrix(summands[ell], summands[i], basis), vectors)
+            co = _hom_coordinates(summands[ell], summands[i], basis, vectors)
             if co is None:
                 raise ArithmeticError("End is not closed under composition")
             s0 = start[(i, ell)]
@@ -1171,13 +1175,14 @@ def _action_rep(alg: PresentedAlgebra, action, dim, side) -> Representation:
         proj = action[("e", v)]
         cols = [proj.column_vector(j) for j in range(proj.ncols)]
         fibres.append(span_matrix(fld, cols, dim))
+    units = [leading_columns(f) for f in fibres]
     maps = []
     for ar in alg.quiver.arrows:
         x = alg.quiver.vertex_index[ar.source]
         y = alg.quiver.vertex_index[ar.target]
         # the images of the source fibre's basis, along the target fibre's
         imgs = fibres[x] @ action[("arrow", ar.name)].transpose()
-        co = coordinates_in_basis(fibres[y], imgs.rows)
+        co = read_coordinates(fibres[y], units[y], imgs.rows)
         if co is None:
             raise ArithmeticError(f"{side} action does not respect the grading")
         maps.append(co.transpose())

@@ -557,6 +557,8 @@ def sparse_rref(field: Field, rows):
                 if p:
                     inv = pow(piv, -1, p)
                     row = {j: x * inv % p for j, x in row.items()}
+                elif piv == -1:
+                    row = {j: -x for j, x in row.items()}
                 else:
                     row = {j: _canon(Fraction(x, piv)) for j, x in row.items()}
             found[c] = row
@@ -588,12 +590,15 @@ def _subtract(row: dict, fac, prow: dict, p: int):
 # -- subspace helpers -------------------------------------------------
 #
 # Subspaces of k^n are handled as row spans.  All functions return
-# echelonised bases so identical subspaces give identical output.
-# Coordinates along a basis are found only by :func:`coordinates_in_basis`:
-# vectors go in as rows, free variables (a dependent basis) are set to 0,
-# and the answer is None when any vector lies outside the span.  A span is
-# completed by standard vectors, and a vector projected onto the quotient
-# by the span, only by :func:`null_space`.
+# echelonised bases so identical subspaces give identical output.  Each
+# such basis has unit columns: row t is 1 at column u_t and every other row
+# is 0 there, so the coordinates of a vector in the span are its entries at
+# the u_t, which :func:`read_coordinates` reads and checks with one
+# product.  The general solve :func:`coordinates_in_basis` is for a basis
+# without unit columns: vectors go in as rows, free variables (a dependent
+# basis) are set to 0.  Both answer None when a vector lies outside the
+# span.  A span is completed by standard vectors, and a vector projected
+# onto the quotient by the span, only by :func:`null_space`.
 
 
 def row_space_basis(m: Matrix) -> list:
@@ -603,7 +608,11 @@ def row_space_basis(m: Matrix) -> list:
 
 
 def span_matrix(field: Field, vectors, n: int) -> Matrix:
-    """Matrix whose rows are an echelonised basis of span(vectors) in k^n."""
+    """Matrix whose rows are an echelonised basis of span(vectors) in k^n.
+
+    The rows are RREF rows, so each row's leading entry is a unit column:
+    1 there, and every other row is 0 in that column
+    (:func:`leading_columns`)."""
     rows = [tuple(v) for v in vectors]
     if not rows:
         return Matrix.zero(field, 0, n)
@@ -635,6 +644,34 @@ def coordinates_in_basis(basis: Matrix, vectors):
     return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * len(vecs), k)
 
 
+def leading_columns(basis: Matrix) -> list:
+    """The column of each row's first nonzero entry: the unit columns of a
+    :func:`span_matrix` or :func:`null_space` basis."""
+    return [next(j for j, x in enumerate(row) if x) for row in basis.rows]
+
+
+def read_coordinates(basis: Matrix, units, vectors):
+    """What :func:`coordinates_in_basis` returns, for a basis with unit
+    columns: row t of ``basis`` is 1 at column ``units[t]`` and every other
+    row is 0 there.
+
+    The coordinates of a vector in the span are its entries at the unit
+    columns, so they are read, not solved for; one product checks them,
+    and the answer is None when some vector lies outside the span.  The
+    entries must already be elements of the basis's field.  A vector of
+    another length raises ``ValueError``.
+    """
+    f, n = basis.field, basis.ncols
+    vecs = tuple(map(tuple, vectors))
+    if any(len(v) != n for v in vecs):
+        raise ValueError(f"vector length differs from {n}")
+    co = Matrix._raw(f, tuple(tuple(v[u] for u in units) for v in vecs), basis.nrows)
+    # n unit columns make the basis rows standard vectors: nothing to check
+    if basis.nrows != n and co @ basis != Matrix._raw(f, vecs, n):
+        return None  # some vector is not the combination of its readings
+    return co
+
+
 def null_space(field: Field, rows, n: int):
     """(keep, basis): the echelon basis of {x in k^n : r . x = 0 for each
     of ``rows``}, as the rows of a matrix, and the position of each basis
@@ -648,9 +685,10 @@ def null_space(field: Field, rows, n: int):
     the e_j kept before it.  The null space has one basis row per such i:
     1 at i and -R_t[n-1-i] at each q_t, zero at every other kept position.
     R_t[n-1-i] is 0 unless q_t > i, so these rows, in the order of i, are
-    the echelon form.  Row k is also the coordinate along e_(keep[k]) of
-    the projection k^n -> k^n / span(rows): it is 1 at keep[k], 0 at the
-    other kept positions, and kills the rows.
+    the echelon form, and ``keep`` are their unit columns for
+    :func:`read_coordinates`.  Row k is also the coordinate along
+    e_(keep[k]) of the projection k^n -> k^n / span(rows): it is 1 at
+    keep[k], 0 at the other kept positions, and kills the rows.
     """
     # what the general path gives with nothing to eliminate
     if not n:

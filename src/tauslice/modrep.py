@@ -23,8 +23,9 @@ from .algebra import (
 from .exactlin import (
     FieldError,
     Matrix,
-    coordinates_in_basis,
+    leading_columns,
     null_space,
+    read_coordinates,
     span_matrix,
     sparse_rref,
 )
@@ -350,6 +351,9 @@ def hom_basis(m: Representation, n: Representation):
 
     Unknowns are the block entries (vertex order, row-major); the returned
     basis is the deterministic kernel basis of the intertwining system.
+    Each basis element, flattened, is 1 at its free column, its last
+    nonzero entry, and every other element is 0 there: the free columns
+    are unit columns, which :func:`_hom_coordinates` reads.
     The basis is memoised in the algebra's cache, on structural equality;
     the morphisms run from m to n themselves: a hit computed for earlier,
     equal objects is rebuilt on m and n with the same blocks.
@@ -377,15 +381,18 @@ def hom_basis(m: Representation, n: Representation):
     rows = []
     for arw in range(len(q.arrows)):
         x, y = q.arrow_source[arw], q.arrow_target[arw]
-        ma_cols = m.maps[arw].transpose().rows
-        na = n.maps[arw].rows
         wx = m.dims[x]
+        if not (wx and n.dims[y]):
+            continue  # no entries (i, j)
+        ma_cols = [[(k, c) for k, c in enumerate(col) if c]
+                   for col in m.maps[arw].transpose().rows]
+        na = n.maps[arw].rows
         for i in range(n.dims[y]):
             start_y = offsets[y] + i * m.dims[y]
             na_row = [(offsets[x] + k * wx, c) for k, c in enumerate(na[i]) if c]
             for j in range(wx):
                 # (f_y M_a)_{ij} = sum_k f_y[i,k] Ma[k,j]
-                row = {start_y + k: c for k, c in enumerate(ma_cols[j]) if c}
+                row = {start_y + k: c for k, c in ma_cols[j]}
                 # -(N_a f_x)_{ij} = -sum_k Na[i,k] f_x[k,j]
                 for start_x, c in na_row:
                     row[start_x + j] = row.get(start_x + j, 0) - c
@@ -393,18 +400,20 @@ def hom_basis(m: Representation, n: Representation):
     echelon, pivots = sparse_rref(fld, rows)
     # the kernel basis vector of a free column fc has 1 at fc and -R[r][fc]
     # at the pivot of each row r, as in Matrix.kernel_basis
-    z, one = fld.zero(), fld.one()
     pivset = set(pivots)
-    kern = {}
-    for fc in range(total):
-        if fc not in pivset:
-            kern[fc] = [z] * total
-            kern[fc][fc] = one
+    entries = {fc: [] for fc in range(total) if fc not in pivset}
     for pc, row in zip(pivots, echelon):
         for fc, c in row.items():
             if fc != pc:
-                kern[fc][pc] = fld.neg(c)
-    basis = [_morphism_from_vector(m, n, v) for v in kern.values()]
+                entries[fc].append((pc, fld.neg(c)))
+    z, one = fld.zero(), fld.one()
+    basis = []
+    for fc, col in entries.items():
+        vec = [z] * total
+        vec[fc] = one
+        for pc, c in col:
+            vec[pc] = c
+        basis.append(_morphism_from_vector(m, n, vec))
     a._cache[key] = basis
     return basis
 
@@ -428,6 +437,15 @@ def _flat_matrix(m, n, morphisms) -> Matrix:
     return Matrix._raw(m.algebra.field, tuple(g.flatten() for g in morphisms), width)
 
 
+def _hom_coordinates(m, n, basis, vectors):
+    """Coordinates of the flattened morphisms ``vectors`` along
+    ``basis = hom_basis(m, n)``, read at its free columns (the last nonzero
+    entry of each element), or None when one lies outside their span."""
+    flat = _flat_matrix(m, n, basis)
+    units = [len(r) - 1 - next(i for i, x in enumerate(reversed(r)) if x) for r in flat.rows]
+    return read_coordinates(flat, units, vectors)
+
+
 def _linear_combinations(m, n, basis, coords):
     """The morphisms m -> n with the given coordinate rows over ``basis``,
     from one product against the flattened basis."""
@@ -448,16 +466,19 @@ def submodule(m: Representation, bases):
     """(S, incl) for the arrow-stable subspaces with the given bases.
 
     ``bases[v]`` is a matrix whose rows are an echelon basis of the fibre of
-    S at vertex v; they are the columns of the inclusion.  An arrow's map
-    on S holds the coordinates of the images of its source basis along its
-    target basis; ``ValueError`` when an image leaves that span.
+    S at vertex v, from :func:`span_matrix` or :func:`null_space`; they are
+    the columns of the inclusion.  An arrow's map on S holds the
+    coordinates of the images of its source basis along its target basis,
+    read at the target basis's leading columns; ``ValueError`` when an
+    image leaves that span.
     """
     a = m.algebra
     q = a.quiver
+    units = [leading_columns(b) for b in bases]
     maps = []
     for j, mat in enumerate(m.maps):
         x, y = q.arrow_source[j], q.arrow_target[j]
-        co = coordinates_in_basis(bases[y], (bases[x] @ mat.transpose()).rows)
+        co = read_coordinates(bases[y], units[y], (bases[x] @ mat.transpose()).rows)
         if co is None:
             raise ValueError("spaces are not arrow-stable")
         maps.append(co.transpose())
@@ -512,11 +533,12 @@ def cokernel(f: Morphism):
 
 
 def _descend(f: Morphism, proj: Morphism) -> Morphism:
-    """The h with h o proj = f, for a surjective proj whose kernel f kills:
-    at each vertex the rows of f's block in coordinates along proj's rows."""
+    """The h with h o proj = f, for a :func:`cokernel` projection proj whose
+    kernel f kills: at each vertex the rows of f's block in coordinates
+    along proj's rows, which are :func:`null_space` rows."""
     blocks = []
     for fb, pb in zip(f.blocks, proj.blocks):
-        h = coordinates_in_basis(pb, fb.rows)
+        h = read_coordinates(pb, leading_columns(pb), fb.rows)
         if h is None:
             raise ArithmeticError("morphism does not factor through the quotient")
         blocks.append(h)
@@ -585,7 +607,7 @@ def end_structure(m: Representation):
     # the coordinates of every product f o g and of the identity, at once
     rhs = [compose(f, g).flatten() for f in basis for g in basis]
     rhs.append(identity_morphism(m).flatten())
-    coords = coordinates_in_basis(_flat_matrix(m, m, basis), rhs)
+    coords = _hom_coordinates(m, m, basis, rhs)
     if coords is None:
         raise ArithmeticError("End(m) is not closed under composition")
     cols = coords.rows
@@ -597,15 +619,18 @@ def end_structure(m: Representation):
 def _end_radical(m: Representation):
     """Rows of rad End(m), in coordinates over ``hom_basis(m, m)``.
 
-    One product solve and one trace-form radical per module, memoised in
-    the algebra's cache on structural equality.  Coordinates, not
-    morphisms, are kept, so a hit serves an equal module as well.
+    An End of dimension at most 1 is 0 or k.id, whose radical is 0.
+    Otherwise one product table and one trace-form radical per module,
+    memoised in the algebra's cache on structural equality.  Coordinates,
+    not morphisms, are kept, so a hit serves an equal module as well.
     """
+    if len(hom_basis(m, m)) <= 1:
+        return ()
     key = ("end_radical", m)
     cache = m.algebra._cache
     if key not in cache:
         _basis, sc = end_structure(m)
-        cache[key] = radical_span(sc).rows if sc.dim else ()
+        cache[key] = radical_span(sc).rows
     return cache[key]
 
 

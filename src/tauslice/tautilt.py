@@ -20,7 +20,7 @@ global ones (convexity in mod A, sections, complete slices, torsion pairs)
 enumerate the indecomposables and raise CapExceeded when they cannot.
 """
 
-from .exactlin import Matrix, coordinates_in_basis, span_matrix, sparse_rref
+from .exactlin import Matrix, leading_columns, read_coordinates, span_matrix, sparse_rref
 from .algebra import (
     CapExceeded,
     NotBasic,
@@ -523,7 +523,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
         old = acc.get(key)
         if old is None or old.nrows == 0:
             return False
-        return coordinates_in_basis(old, span.rows) is not None
+        return read_coordinates(old, leading_columns(old), span.rows) is not None
 
     def absorb(key, span):
         old = acc.get(key)
@@ -1174,7 +1174,7 @@ def quotient_preservation_check(
     ann = annihilator_span(mod)
     norm = [a.normal_form({w: fld.coerce(c) for w, c in g.items()}) for g in gens]
     gen_span = a.ideal_span(norm)
-    if coordinates_in_basis(ann, gen_span.rows) is None:
+    if read_coordinates(ann, leading_columns(ann), gen_span.rows) is None:
         raise ValueError("ideal is not contained in the annihilator of the slice")
     qmap = quotient(a, gens, length_cap)
     members_b = [inflate_along_quotient(u, qmap) for u in sigma.members]

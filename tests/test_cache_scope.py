@@ -132,7 +132,15 @@ def test_coordinates_are_found_only_in_exactlin():
     # coordinates along a basis go through exactlin.coordinates_in_basis; a
     # direct solve or a coordinate helper elsewhere would be a second way
     assert _name_hits(("solve", "in_span", "morphism_coordinates"), skip=("exactlin.py",)) == []
-
+    # and the general solve only where the basis has no unit columns, the
+    # lift through the cover composites in artheory.syzygy_map; echelon
+    # bases are read by exactlin.read_coordinates
+    hits = _name_hits(("coordinates_in_basis",), skip=("exactlin.py",))
+    assert [h.split(":")[0] for h in hits] == ["artheory.py"] * 2, hits  # import, call
+    tree = ast.parse((ROOT / "src" / "tauslice" / "artheory.py").read_text())
+    users = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if getattr(node, "id", None) == "coordinates_in_basis"}
+    assert users == {"syzygy_map"}
 
 def test_complements_are_found_only_in_exactlin():
     # a span is completed, and a quotient projected onto, only by

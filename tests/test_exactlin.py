@@ -1,13 +1,18 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tauslice import exactlin
+from tauslice.cli import parse_algebra_text
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
-    row_space_basis, span_matrix, coordinates_in_basis,
-    null_space, sparse_rref,
+    row_space_basis, span_matrix, coordinates_in_basis, read_coordinates,
+    leading_columns, null_space, sparse_rref,
 )
+from tauslice.fixtures import path as fixture_path
+from tauslice.modrep import _direct_sum_rep, hom_basis, injective, projective, simple
 
 
 F5 = PrimeField(5)
@@ -398,6 +403,23 @@ def test_sparse_rref_matches_dense_rref(field, data):
         check_sparse_rref(data.draw(sparse_matrices(field, entries=fractional_entries)))
 
 
+def test_sparse_rref_negates_a_minus_one_pivot(monkeypatch):
+    # every pivot of this system is -1 when its row is reached, so the rows
+    # are made monic by negation and no Fraction is built
+    rows = [[-1, 2, 0, 1, 3], [0, -1, 3, 0, 2], [1, -2, -1, 0, 1], [0, 0, 0, -1, 5]]
+    m = Matrix(QQ, rows, 5)
+    r, pivots = m.rref()
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(exactlin, "Fraction", no_fraction)
+    echelon, sparse_pivots = sparse_rref(QQ, [dict(enumerate(row)) for row in rows])
+    assert sparse_pivots == pivots == (0, 1, 2, 3)
+    assert [tuple(row.get(j, 0) for j in range(5)) for row in echelon] == list(r.rows)
+    assert all(type(x) is int for row in echelon for x in row.values())
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("shape", DEGENERATE_SHAPES, ids=str)
 def test_sparse_rref_degenerate_shapes(field, shape):
@@ -598,3 +620,78 @@ def test_coordinates_in_basis_empty_basis(field):
             coordinates_in_basis(basis, [(0, 0, 0), (1, 0)])
         with pytest.raises(ValueError):
             coordinates_in_basis(basis, [(0, 0, 0, 0)])
+
+
+# --- reading coordinates at unit columns ------------------------------------
+#
+# The bases of null_space, span_matrix and hom_basis each have unit columns:
+# row t is 1 at u_t and every other row is 0 there.  read_coordinates must
+# answer exactly what the general solve answers on them.
+
+
+@functools.cache
+def hom_bases(field):
+    """(flattened hom_basis, its free columns) between the projective,
+    injective and simple modules of fig2 over ``field``, and P1 + P1,
+    whose End is 4-dimensional."""
+    a = parse_algebra_text(fixture_path("fig2.alg").read_text(), field)
+    mods = [f(a, v) for f in (projective, injective, simple) for v in "123"]
+    mods.append(_direct_sum_rep(a, [mods[0], mods[0]]))
+    out = []
+    for x in mods:
+        for y in mods:
+            rows = tuple(f.flatten() for f in hom_basis(x, y))
+            width = sum(dx * dy for dx, dy in zip(x.dims, y.dims))
+            basis = Matrix(field, rows, width)
+            out.append((basis, [max(j for j, c in enumerate(r) if c) for r in rows]))
+    return out
+
+
+def check_read_matches_solve(basis, units, inside, others):
+    f, k = basis.field, basis.nrows
+    assert basis.submatrix(range(k), units) == Matrix.identity(f, k)
+    got = read_coordinates(basis, units, inside)
+    assert got is not None and got == coordinates_in_basis(basis, inside)
+    assert got @ basis == Matrix(f, inside, basis.ncols)
+    for v in others:
+        vectors = inside + [v]
+        assert read_coordinates(basis, units, vectors) == coordinates_in_basis(basis, vectors)
+    with pytest.raises(ValueError):
+        read_coordinates(basis, units, inside + [(0,) * (basis.ncols + 1)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_read_coordinates_matches_the_solve(field, data):
+    m = data.draw(sparse_matrices(field, max_rows=6, max_cols=6))
+    keep, ns = null_space(field, m.rows, m.ncols)
+    sm = span_matrix(field, m.rows, m.ncols)
+    assert leading_columns(ns) == keep
+    bases = [(ns, keep), (sm, leading_columns(sm)), data.draw(st.sampled_from(hom_bases(field)))]
+    for basis, units in bases:
+        n = basis.ncols
+        coeffs = data.draw(sparse_matrices(field, shape=(data.draw(st.integers(0, 3)), basis.nrows)))
+        others = list(data.draw(sparse_matrices(field, shape=(2, n))).rows)
+        # a standard vector at a non-unit column lies outside the span
+        outside = [tuple(int(j == c) for j in range(n)) for c in range(n) if c not in units][:1]
+        check_read_matches_solve(basis, units, list((coeffs @ basis).rows), others + outside)
+        for v in outside:
+            assert read_coordinates(basis, units, [v]) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_read_coordinates_on_empty_bases(field):
+    # null_space of a full-rank matrix, span_matrix of nothing, a zero Hom
+    _keep, ns = null_space(field, [(1, 1), (0, 1)], 2)
+    hom_zero = next(b for b, _u in hom_bases(field) if b.nrows == 0 and b.ncols)
+    for basis in (ns, span_matrix(field, [], 3), hom_zero):
+        n = basis.ncols
+        assert read_coordinates(basis, [], []) == coordinates_in_basis(basis, [])
+        zeros = [(0,) * n, (0,) * n]
+        assert read_coordinates(basis, [], zeros) == coordinates_in_basis(basis, zeros)
+        assert read_coordinates(basis, [], zeros).rows == ((), ())
+        one = [tuple(int(j == 0) for j in range(n))]
+        assert read_coordinates(basis, [], one) is None is coordinates_in_basis(basis, one)
+        with pytest.raises(ValueError):
+            read_coordinates(basis, [], [(0,) * (n + 1)])

@@ -362,11 +362,12 @@ def test_hom_basis_runs_between_its_own_arguments(a3):
     assert [f.blocks for f in hom_basis(p, x)] == [f.blocks for f in hom_basis(p, y)]
 
 
-@pytest.mark.parametrize("name", ["a3", "fig1"])
+@pytest.mark.parametrize("name", ["a3", "fig1", "ex1"])
 def test_end_radical_computed_once_per_module(name, monkeypatch):
     # decompose, is_indecomposable and end_radical_morphisms share one
-    # rad End(M); the nodes are rebuilt over a fresh algebra, whose caches
-    # hold nothing yet
+    # rad End(M), and End(M) = k has none to compute (every node of a3 and
+    # fig1; one node of ex1 has a 2-dimensional End); the nodes are rebuilt
+    # over a fresh algebra, whose caches hold nothing yet
     nodes = ar_quiver(fixdata.algebra(name)).representatives()
     fresh = fixdata.algebra(name)
     calls = []
@@ -384,7 +385,7 @@ def test_end_radical_computed_once_per_module(name, monkeypatch):
         assert decompose(m) == [(m, 1)]
         assert is_indecomposable(m)
         assert len(end_radical_morphisms(m)) == len(hom_basis(m, m)) - 1
-        assert len(calls) == 1, node
+        assert len(calls) == (0 if len(hom_basis(m, m)) == 1 else 1), node
 
 
 def intertwining_kernel(m, n):
