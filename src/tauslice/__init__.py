@@ -8,7 +8,7 @@ The headline entry points are re-exported here; the submodules hold the
 rest:
 
 ``exactlin``
-    dense exact matrices over Q and prime fields.
+    exact matrices over Q and prime fields, and sparse row reduction.
 ``algebra``
     presented (bound quiver) algebras, quotients, one-point and split
     extensions.

@@ -54,6 +54,43 @@ class NotNilpotent(ValueError):
     """A bimodule expected to be nilpotent as an ideal is not."""
 
 
+class Record:
+    """A result record whose fields are the subclass's ``__slots__`` tuple.
+
+    The constructor takes the fields in slot order, positionally or by
+    keyword, all of them required.  One positional value per field is only
+    stored; any other call is bound by :meth:`_bind`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of ``cls(*args, **kwargs)`` in slot order, or
+        ``TypeError`` on a surplus, unknown, repeated or missing field."""
+        fields, name = cls.__slots__, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unknown field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for field {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing field(s): {', '.join(missing)}")
+        return [values[f] for f in fields]
+
+
 # ---------------------------------------------------------------------------
 # quiver and words
 
@@ -510,16 +547,15 @@ def build_algebra(quiver: Quiver, relations, fld: Field = QQ, length_cap: int = 
 # abstract structure constants + quiverization
 
 
-class StructureConstants:
+class StructureConstants(Record):
     """Associative unital algebra given by a dense multiplication table."""
 
-    __slots__ = ("field", "dim", "table", "unit")
-
-    def __init__(self, field: Field, dim: int, table: tuple, unit: tuple):
-        self.field = field
-        self.dim = dim
-        self.table = table  # table[i][j] = coords of b_i * b_j
-        self.unit = unit
+    __slots__ = (
+        "field",
+        "dim",
+        "table",  # table[i][j] = coords of b_i * b_j
+        "unit",
+    )
 
     def multiply(self, u, v):
         fld = self.field
@@ -567,20 +603,13 @@ def radical_span(sc: StructureConstants) -> Matrix:
     return span_matrix(fld, [k.column_vector(0) for k in kern], sc.dim)
 
 
-class QuiverizeResult:
-    __slots__ = ("algebra", "idempotents", "path_images", "change_of_basis")
-
-    def __init__(
-        self,
-        algebra: PresentedAlgebra,
-        idempotents: list,
-        path_images: dict,
-        change_of_basis: Matrix,
-    ):
-        self.algebra = algebra
-        self.idempotents = idempotents  # coords in the input structure constants, vertex order
-        self.path_images = path_images  # basis word of the presentation -> coords in the input
-        self.change_of_basis = change_of_basis  # rows: images of the presentation basis
+class QuiverizeResult(Record):
+    __slots__ = (
+        "algebra",
+        "idempotents",  # coords in the input structure constants, vertex order
+        "path_images",  # basis word of the presentation -> coords in the input
+        "change_of_basis",  # rows: images of the presentation basis
+    )
 
 
 def quiverize(
@@ -726,7 +755,18 @@ def quiverize(
 # quotients
 
 
-class QuotientMap:
+def _rename(elt, src_quiver: Quiver, dst_quiver: Quiver):
+    """An element over ``src_quiver`` as the element over ``dst_quiver`` with
+    the same vertex labels and arrow names."""
+    out = {}
+    for (src, arrows), c in elt.items():
+        nsrc = dst_quiver.vertex_index[src_quiver.vertices[src]]
+        narrs = tuple(dst_quiver.arrow_index[src_quiver.arrows[i].name] for i in arrows)
+        out[(nsrc, narrs)] = c
+    return out
+
+
+class QuotientMap(Record):
     """Surjection A -> B = A/<gens> with images of vertices and arrows.
 
     ``vertex_alive[v]`` is False when the trivial path at v was killed;
@@ -734,18 +774,6 @@ class QuotientMap:
     """
 
     __slots__ = ("source", "target", "vertex_alive", "arrow_images")
-
-    def __init__(
-        self,
-        source: PresentedAlgebra,
-        target: PresentedAlgebra,
-        vertex_alive: dict,
-        arrow_images: dict,
-    ):
-        self.source = source
-        self.target = target
-        self.vertex_alive = vertex_alive
-        self.arrow_images = arrow_images
 
     def apply(self, elt):
         """Image in B of an element of A."""
@@ -872,16 +900,7 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
         if ar.name not in removed_arrows
     ]
     new_quiver = Quiver(alive, new_arrows)
-
-    def reindex(elt):
-        out = {}
-        for (src, arrows), c in elt.items():
-            nsrc = new_quiver.vertex_index[a.quiver.vertices[src]]
-            narrs = tuple(new_quiver.arrow_index[a.quiver.arrows[i].name] for i in arrows)
-            out[(nsrc, narrs)] = c
-        return out
-
-    b = build_algebra(new_quiver, [reindex(w) for w in work], fld, cap)
+    b = build_algebra(new_quiver, [_rename(w, a.quiver, new_quiver) for w in work], fld, cap)
 
     vertex_alive = {v: (v not in killed) for v in a.quiver.vertices}
     arrow_images = {}
@@ -889,7 +908,9 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
         if ar.name in new_quiver.arrow_index:
             arrow_images[ar.name] = b.arrow_element(ar.name)
         elif ar.name in substitutions:
-            arrow_images[ar.name] = b.normal_form(reindex(substitutions[ar.name]))
+            arrow_images[ar.name] = b.normal_form(
+                _rename(substitutions[ar.name], a.quiver, new_quiver)
+            )
         else:
             arrow_images[ar.name] = {}
     qmap = QuotientMap(a, b, vertex_alive, arrow_images)
@@ -985,7 +1006,7 @@ class Bimodule:
                 raise ValueError("bimodule: relation acts nontrivially on the right")
 
 
-class SplitExtensionResult:
+class SplitExtensionResult(Record):
     """C + Q with its recovered presentation.
 
     Coordinates in the structure constants are C-basis followed by Q-basis;
@@ -994,20 +1015,6 @@ class SplitExtensionResult:
     """
 
     __slots__ = ("algebra", "quiverize", "base", "base_dim", "bimodule")
-
-    def __init__(
-        self,
-        algebra: PresentedAlgebra,
-        quiverize: QuiverizeResult,
-        base: PresentedAlgebra,
-        base_dim: int,
-        bimodule: Bimodule,
-    ):
-        self.algebra = algebra
-        self.quiverize = quiverize
-        self.base = base
-        self.base_dim = base_dim
-        self.bimodule = bimodule
 
     def project_arrow_to_base(self, name):
         """Element of C: image of a B-arrow under B -> B/Q = C."""
@@ -1086,16 +1093,13 @@ def split_extension(c: PresentedAlgebra, q: Bimodule) -> SplitExtensionResult:
     return SplitExtensionResult(qr.algebra, qr, c, n, q)
 
 
-class OnePointExtensionResult:
-    __slots__ = ("algebra", "new_vertex", "new_arrows", "base")
-
-    def __init__(
-        self, algebra: PresentedAlgebra, new_vertex: str, new_arrows: list, base: PresentedAlgebra
-    ):
-        self.algebra = algebra
-        self.new_vertex = new_vertex
-        self.new_arrows = new_arrows  # names, in order of the chosen top basis of x
-        self.base = base
+class OnePointExtensionResult(Record):
+    __slots__ = (
+        "algebra",
+        "new_vertex",
+        "new_arrows",  # names, in order of the chosen top basis of x
+        "base",
+    )
 
 
 def one_point_extension(
@@ -1123,30 +1127,20 @@ def one_point_extension(
         arrow_names.append(name)
         arrows.append((name, vertex, v))
     quiver = Quiver(list(a.quiver.vertices) + [vertex], arrows)
-
-    def reindex(elt):
-        out = {}
-        for (src, arrs), c in elt.items():
-            nsrc = quiver.vertex_index[a.quiver.vertices[src]]
-            narrs = tuple(quiver.arrow_index[a.quiver.arrows[i].name] for i in arrs)
-            out[(nsrc, narrs)] = c
-        return out
-
-    relations = [reindex(dict(r)) for r in a.relations]
+    relations = [_rename(dict(r), a.quiver, quiver) for r in a.relations]
+    # the basis words of A over the new quiver, in basis order
+    renamed = list(_rename(dict.fromkeys(a.basis), a.quiver, quiver))
 
     new_v_idx = quiver.vertex_index[vertex]
     words_by_target = {}
     values_by_target = {}
     for k, (v, vec) in enumerate(tops):
         ai = quiver.arrow_index[arrow_names[k]]
-        for w in a.basis:
+        for w, nw in zip(a.basis, renamed):
             if a.quiver.vertices[w[0]] != v:
                 continue
             tgt_label = a.quiver.vertices[a.word_target(w)]
-            word = (
-                new_v_idx,
-                (ai,) + tuple(quiver.arrow_index[a.quiver.arrows[i].name] for i in w[1]),
-            )
+            word = (new_v_idx, (ai,) + nw[1])
             val = _act_on_vector(x, vec, w)
             words_by_target.setdefault(tgt_label, []).append(word)
             values_by_target.setdefault(tgt_label, []).append(val)
@@ -1214,13 +1208,12 @@ def one_point_coextension(a: PresentedAlgebra, x, new_vertex=None, arrow_prefix=
     return OnePointExtensionResult(res.algebra.opposite(), res.new_vertex, res.new_arrows, a)
 
 
-class IdealBimoduleResult:
-    __slots__ = ("quotient_map", "bimodule", "ideal_rows")
-
-    def __init__(self, quotient_map: QuotientMap, bimodule: Bimodule, ideal_rows: Matrix):
-        self.quotient_map = quotient_map
-        self.bimodule = bimodule
-        self.ideal_rows = ideal_rows  # rows: coords of the ideal basis inside A
+class IdealBimoduleResult(Record):
+    __slots__ = (
+        "quotient_map",
+        "bimodule",
+        "ideal_rows",  # rows: coords of the ideal basis inside A
+    )
 
 
 def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
@@ -1240,13 +1233,7 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
     units = leading_columns(span)
 
     def lift(elt_c):
-        out = {}
-        for (src, arrows), cf in elt_c.items():
-            v = c.quiver.vertices[src]
-            nsrc = a.quiver.vertex_index[v]
-            narrs = tuple(a.quiver.arrow_index[c.quiver.arrows[i].name] for i in arrows)
-            out[(nsrc, narrs)] = cf
-        return a.normal_form(out)
+        return a.normal_form(_rename(elt_c, c.quiver, a.quiver))
 
     for rel in c.relations:
         if lift(dict(rel)):

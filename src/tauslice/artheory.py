@@ -17,6 +17,7 @@ from .algebra import (
     CapExceeded,
     NotBasic,
     PresentedAlgebra,
+    Record,
     StructureConstants,
     _act_on_vector,
     quiverize,
@@ -131,32 +132,19 @@ def _proj_sum(algebra: PresentedAlgebra, vertex_list) -> ProjSum:
     return cache[key]
 
 
-class Presentation:
+class Presentation(Record):
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
 
     __slots__ = (
-        "module", "p0", "cover", "omega", "omega_incl", "p1", "p1_cover", "differential",
+        "module",
+        "p0",
+        "cover",  # P0 -> M, projective cover
+        "omega",  # ker(cover)
+        "omega_incl",  # omega -> P0
+        "p1",  # cover of omega
+        "p1_cover",  # P1 -> omega
+        "differential",  # P1 -> P0
     )
-
-    def __init__(
-        self,
-        module: Representation,
-        p0: ProjSum,
-        cover: Morphism,
-        omega: Representation,
-        omega_incl: Morphism,
-        p1: ProjSum,
-        p1_cover: Morphism,
-        differential: Morphism,
-    ):
-        self.module = module
-        self.p0 = p0
-        self.cover = cover  # P0 -> M, projective cover
-        self.omega = omega  # ker(cover)
-        self.omega_incl = omega_incl  # omega -> P0
-        self.p1 = p1  # cover of omega
-        self.p1_cover = p1_cover  # P1 -> omega
-        self.differential = differential  # P1 -> P0
 
 
 def projective_cover_data(m: Representation):
@@ -190,11 +178,13 @@ def minimal_presentation(m: Representation) -> Presentation:
 
     It is memoised in the algebra's cache, which matches on structural
     equality, so a hit may have been computed for an earlier, equal object;
-    it is re-anchored on m.
+    it is re-anchored on m.  A hit computed for m itself is returned as is.
     """
     key = ("presentation", m)
     hit = m.algebra._cache.get(key)
     if hit is not None:
+        if hit.module is m:
+            return hit
         return Presentation(
             m, hit.p0, _retarget(hit.cover, m), hit.omega, hit.omega_incl,
             hit.p1, hit.p1_cover, hit.differential,
@@ -366,7 +356,7 @@ def tau_power(m: Representation, k: int) -> Representation:
 # Ext groups
 
 
-class ExtData:
+class ExtData(Record):
     """Ext^d(m, n) presented on Hom(Omega^d m, n).
 
     ``hom`` is the full hom basis.  ``classes`` and ``proj`` are
@@ -376,31 +366,16 @@ class ExtData:
     """
 
     __slots__ = (
-        "source", "target", "degree", "omega", "omega_incl", "penultimate",
-        "hom", "classes", "proj",
+        "source",
+        "target",
+        "degree",
+        "omega",
+        "omega_incl",  # Omega^d -> P_{d-1}
+        "penultimate",  # P_{d-1}
+        "hom",
+        "classes",
+        "proj",
     )
-
-    def __init__(
-        self,
-        source: Representation,
-        target: Representation,
-        degree: int,
-        omega: Representation,
-        omega_incl: Morphism,
-        penultimate: Representation,
-        hom: list,
-        classes: list,
-        proj: Matrix,
-    ):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.omega = omega
-        self.omega_incl = omega_incl  # Omega^d -> P_{d-1}
-        self.penultimate = penultimate  # P_{d-1}
-        self.hom = hom
-        self.classes = classes
-        self.proj = proj
 
     @property
     def dim(self):
@@ -485,22 +460,14 @@ def ext_dim(m: Representation, n: Representation, degree: int = 1) -> int:
     return ext_data(m, n, degree).dim
 
 
-class ShortExactSequence:
-    __slots__ = ("sub", "middle", "quot", "left_map", "right_map")
-
-    def __init__(
-        self,
-        sub: Representation,
-        middle: Representation,
-        quot: Representation,
-        left_map: Morphism,
-        right_map: Morphism,
-    ):
-        self.sub = sub
-        self.middle = middle
-        self.quot = quot
-        self.left_map = left_map  # sub -> middle
-        self.right_map = right_map  # middle -> quot
+class ShortExactSequence(Record):
+    __slots__ = (
+        "sub",
+        "middle",
+        "quot",
+        "left_map",  # sub -> middle
+        "right_map",  # middle -> quot
+    )
 
     def verify(self):
         f, g = self.left_map, self.right_map
@@ -557,20 +524,13 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
 # almost split sequences
 
 
-class AlmostSplitSequence:
-    __slots__ = ("ses", "left", "right", "middle_summands")
-
-    def __init__(
-        self,
-        ses: ShortExactSequence,
-        left: Representation,
-        right: Representation,
-        middle_summands: list,
-    ):
-        self.ses = ses
-        self.left = left  # tau(right)
-        self.right = right
-        self.middle_summands = middle_summands  # [(rep, mult)]
+class AlmostSplitSequence(Record):
+    __slots__ = (
+        "ses",
+        "left",  # tau(right)
+        "right",
+        "middle_summands",  # [(rep, mult)]
+    )
 
 
 def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
@@ -580,11 +540,14 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     generator of Ext^1(m, tau m) under the right End(m)-action
     [phi].g = [phi o Omega(g)].  The sequence is memoised in the algebra's
     cache and ends at m itself: a hit computed for an earlier, equal object
-    is re-anchored on m, and shares tau m, E and the middle summands with it.
+    is re-anchored on m, and shares tau m, E and the middle summands with it;
+    a hit computed for m itself is returned as is.
     """
     key = ("almost_split_sequence", m)
     hit = m.algebra._cache.get(key)
     if hit is not None:
+        if hit.right is m:
+            return hit
         old = hit.ses
         ses = ShortExactSequence(
             old.sub, old.middle, m, old.left_map, _retarget(old.right_map, m)
@@ -886,7 +849,7 @@ def radical_power_dim(x, y, power, universe) -> int:
 # endomorphism algebras and the associated functors
 
 
-class EndAlgebraResult:
+class EndAlgebraResult(Record):
     """End(M) of a basic module, presented as a bound quiver algebra.
 
     ``summands[i]`` corresponds to vertex i of the presentation (labels are
@@ -896,27 +859,14 @@ class EndAlgebraResult:
     """
 
     __slots__ = (
-        "module", "summands", "algebra", "block_basis", "basis_layout",
-        "arrow_morphisms", "quiverized",
+        "module",
+        "summands",
+        "algebra",
+        "block_basis",
+        "basis_layout",  # flat basis: (i, j, position) per structure coordinate
+        "arrow_morphisms",
+        "quiverized",
     )
-
-    def __init__(
-        self,
-        module: Representation,
-        summands: list,
-        algebra: PresentedAlgebra,
-        block_basis: dict,
-        basis_layout: list,
-        arrow_morphisms: dict,
-        quiverized: "object",
-    ):
-        self.module = module
-        self.summands = summands
-        self.algebra = algebra
-        self.block_basis = block_basis
-        self.basis_layout = basis_layout  # flat basis: (i, j, position) per structure coordinate
-        self.arrow_morphisms = arrow_morphisms
-        self.quiverized = quiverized
 
     def hom_functor(self, x: Representation) -> Representation:
         """Hom_A(M, x) as a right module over End(M)."""

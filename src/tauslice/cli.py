@@ -318,12 +318,19 @@ def parse_rep_text(text: str, a: PresentedAlgebra) -> Representation:
                 label, _, value = part.partition("=")
                 if label not in q.vertex_index:
                     raise CliError(f"line {lineno}: unknown vertex {label!r}")
+                if label in dims:
+                    raise CliError(f"line {lineno}: repeated vertex {label!r}")
+                if not value.isdecimal():
+                    raise CliError(f"line {lineno}: dimension {value!r} at vertex {label!r} "
+                                   "is not a non-negative integer")
                 dims[label] = int(value)
         elif head == "map":
             name, _, literal = rest.partition("=")
             name = name.strip()
             if name not in q.arrow_index:
                 raise CliError(f"line {lineno}: unknown arrow {name!r}")
+            if name in map_lines:
+                raise CliError(f"line {lineno}: repeated arrow {name!r}")
             map_lines[name] = (lineno, literal.strip())
         else:
             raise CliError(f"line {lineno}: unknown directive {head!r}")

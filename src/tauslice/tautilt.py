@@ -25,10 +25,8 @@ from .algebra import (
     CapExceeded,
     NotBasic,
     PresentedAlgebra,
-    QuotientMap,
     Bimodule,
-    SplitExtensionResult,
-    OnePointExtensionResult,
+    Record,
     quotient,
     split_extension,
     one_point_extension,
@@ -785,24 +783,10 @@ def is_local_slice(sigma: SliceCandidate, max_states=4096) -> bool:
 # torsion pairs
 
 
-class TorsionPairReport:
+class TorsionPairReport(Record):
     """(Fac M, Sub tau M) classification of the indecomposables."""
 
     __slots__ = ("module", "torsion", "torsion_free", "neither", "orthogonal")
-
-    def __init__(
-        self,
-        module: Representation,
-        torsion: list,
-        torsion_free: list,
-        neither: list,
-        orthogonal: bool,
-    ):
-        self.module = module
-        self.torsion = torsion
-        self.torsion_free = torsion_free
-        self.neither = neither
-        self.orthogonal = orthogonal
 
     @property
     def splitting(self):
@@ -940,7 +924,7 @@ def _bb_part_one(msum, incls, projs, er, c_dim, ann_dim):
     return phi_span.nrows == cent_dim == c_dim
 
 
-class BBReport:
+class BBReport(Record):
     """Outcome of comparing mod A and mod End(M) through Hom, tensor, Ext, Tor.
 
     ``hom_equivalence`` records whether Hom(M,-) and -(x)M restrict to
@@ -951,51 +935,12 @@ class BBReport:
     """
 
     __slots__ = (
-        "module", "endo", "c_map", "annihilator", "tau_a", "tau_c", "part1_isomorphism",
-        "x_modules", "y_modules", "fac_modules", "sub_tau_a_modules",
+        "module", "endo", "c_map", "annihilator", "tau_a",
+        "tau_c",  # computed over A/Ann M, restricted back to A
+        "part1_isomorphism", "x_modules", "y_modules", "fac_modules", "sub_tau_a_modules",
         "sub_tau_c_modules", "hom_table", "ext_table", "hom_equivalence",
         "ext_equivalence", "tau_agree", "sub_witness",
     )
-
-    def __init__(
-        self,
-        module: Representation,
-        endo: EndAlgebraResult,
-        c_map: QuotientMap,
-        annihilator: list,
-        tau_a: Representation,
-        tau_c: Representation,
-        part1_isomorphism: bool,
-        x_modules: list,
-        y_modules: list,
-        fac_modules: list,
-        sub_tau_a_modules: list,
-        sub_tau_c_modules: list,
-        hom_table: list,
-        ext_table: list,
-        hom_equivalence: bool,
-        ext_equivalence: bool,
-        tau_agree: bool,
-        sub_witness: Representation | None,
-    ):
-        self.module = module
-        self.endo = endo
-        self.c_map = c_map
-        self.annihilator = annihilator
-        self.tau_a = tau_a
-        self.tau_c = tau_c  # computed over A/Ann M, restricted back to A
-        self.part1_isomorphism = part1_isomorphism
-        self.x_modules = x_modules
-        self.y_modules = y_modules
-        self.fac_modules = fac_modules
-        self.sub_tau_a_modules = sub_tau_a_modules
-        self.sub_tau_c_modules = sub_tau_c_modules
-        self.hom_table = hom_table
-        self.ext_table = ext_table
-        self.hom_equivalence = hom_equivalence
-        self.ext_equivalence = ext_equivalence
-        self.tau_agree = tau_agree
-        self.sub_witness = sub_witness
 
 
 def bb_verify(m: Representation, max_nodes=512) -> BBReport:
@@ -1124,29 +1069,11 @@ def bb_verify_dual(m: Representation, max_nodes=512) -> BBReport:
 # quotients preserving slices
 
 
-class QuotientPreservationReport:
+class QuotientPreservationReport(Record):
     __slots__ = (
         "qmap", "slice_over_quotient", "tau_slice_preserved", "tau_matches",
         "tau_inverse_matches", "ending_sequences_match", "starting_sequences_match",
     )
-
-    def __init__(
-        self,
-        qmap: QuotientMap,
-        slice_over_quotient: SliceCandidate,
-        tau_slice_preserved: bool,
-        tau_matches: bool,
-        tau_inverse_matches: bool,
-        ending_sequences_match: bool,
-        starting_sequences_match: bool,
-    ):
-        self.qmap = qmap
-        self.slice_over_quotient = slice_over_quotient
-        self.tau_slice_preserved = tau_slice_preserved
-        self.tau_matches = tau_matches
-        self.tau_inverse_matches = tau_inverse_matches
-        self.ending_sequences_match = ending_sequences_match
-        self.starting_sequences_match = starting_sequences_match
 
     @property
     def passed(self):
@@ -1228,15 +1155,14 @@ def quotient_preservation_check(
 # orbit graphs and component properties
 
 
-class OrbitGraph:
+class OrbitGraph(Record):
     """tau-orbits of a component with one edge per sigma-orbit of arrows
     (multiplicities give parallel edges)."""
 
-    __slots__ = ("orbits", "edges")
-
-    def __init__(self, orbits: list, edges: list):
-        self.orbits = orbits  # sorted tuples of node idents
-        self.edges = edges  # (orbit index, orbit index), repeated per multiplicity
+    __slots__ = (
+        "orbits",  # sorted tuples of node idents
+        "edges",  # (orbit index, orbit index), repeated per multiplicity
+    )
 
     @property
     def node_count(self):
@@ -1331,13 +1257,12 @@ def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
 # tiltedness and slice searches
 
 
-class TiltedVerdict:
-    __slots__ = ("verdict", "witness", "explored")
-
-    def __init__(self, verdict: str, witness: SliceCandidate | None, explored: int):
-        self.verdict = verdict  # "tilted" | "not-tilted" | "inconclusive"
-        self.witness = witness
-        self.explored = explored
+class TiltedVerdict(Record):
+    __slots__ = (
+        "verdict",  # "tilted" | "not-tilted" | "inconclusive"
+        "witness",
+        "explored",
+    )
 
 
 def is_tilted(a: PresentedAlgebra, search_cap=10000, max_nodes=512) -> TiltedVerdict:
@@ -1396,20 +1321,8 @@ def find_complete_tau_slices(a: PresentedAlgebra, limit=10000, max_nodes=512):
 # one-point extensions
 
 
-class OnePointSliceResult:
+class OnePointSliceResult(Record):
     __slots__ = ("extension", "slice", "complete", "verified")
-
-    def __init__(
-        self,
-        extension: OnePointExtensionResult,
-        slice: SliceCandidate,
-        complete: bool,
-        verified: bool,
-    ):
-        self.extension = extension
-        self.slice = slice
-        self.complete = complete
-        self.verified = verified
 
 
 def onepoint_slice_extend(
@@ -1447,27 +1360,15 @@ def onepoint_slice_extend(
 # split-by-nilpotent extensions
 
 
-class SplitExtensionSliceReport:
+class SplitExtensionSliceReport(Record):
     __slots__ = (
-        "extension", "condition_fac", "condition_sub", "slice_preserved",
-        "annihilator_equals_ideal", "slice_over_extension",
+        "extension",
+        "condition_fac",  # Q as a right module lies in Fac(tau^{-1} sigma)
+        "condition_sub",  # D(Q as a left module) lies in Sub(tau sigma)
+        "slice_preserved",
+        "annihilator_equals_ideal",
+        "slice_over_extension",
     )
-
-    def __init__(
-        self,
-        extension: SplitExtensionResult,
-        condition_fac: bool,
-        condition_sub: bool,
-        slice_preserved: bool,
-        annihilator_equals_ideal: bool,
-        slice_over_extension: SliceCandidate,
-    ):
-        self.extension = extension
-        self.condition_fac = condition_fac  # Q as a right module lies in Fac(tau^{-1} sigma)
-        self.condition_sub = condition_sub  # D(Q as a left module) lies in Sub(tau sigma)
-        self.slice_preserved = slice_preserved
-        self.annihilator_equals_ideal = annihilator_equals_ideal
-        self.slice_over_extension = slice_over_extension
 
 
 def splitex_check(

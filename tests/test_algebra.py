@@ -9,7 +9,7 @@ from tauslice.algebra import (
     radical_span,
     Arrow, Quiver, build_algebra, quotient, quiverize, presentation_isomorphism,
     one_point_extension, one_point_coextension, ideal_bimodule, split_extension,
-    MalformedRelation, NonAdmissible,
+    MalformedRelation, NonAdmissible, Record,
 )
 from tauslice.artheory import is_hereditary
 
@@ -212,3 +212,34 @@ def test_radical_dimension_of_basic_algebras(algebras):
         assert a.field == QQ
         rad = radical_span(a.structure_constants())
         assert rad.nrows == a.dim - a.quiver.n_vertices, name
+
+
+class _Pair(Record):
+    __slots__ = ("left", "right")
+
+
+def test_record_binds_fields_in_slot_order():
+    for pair in (_Pair(1, 2), _Pair(1, right=2), _Pair(right=2, left=1)):
+        assert (pair.left, pair.right) == (1, 2)
+    for args, kwargs, message in [
+        ((1,), {}, "_Pair() missing field(s): right"),
+        ((), {}, "_Pair() missing field(s): left, right"),
+        ((1, 2), {"middle": 3}, "_Pair() got an unknown field 'middle'"),
+        ((1, 2), {"left": 3}, "_Pair() got multiple values for field 'left'"),
+        ((1, 2, 3), {}, "_Pair() takes 2 fields but 3 were given"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            _Pair(*args, **kwargs)
+        assert str(err.value) == message
+
+
+def test_records_have_no_instance_dict():
+    # importing tauslice.fixtures has loaded the package and every layer
+    records = Record.__subclasses__()
+    assert len(records) >= 18
+    for cls in records:
+        rec = cls(*range(len(cls.__slots__)))
+        assert not hasattr(rec, "__dict__"), cls.__name__
+        assert [getattr(rec, f) for f in cls.__slots__] == list(range(len(cls.__slots__)))
+        with pytest.raises(AttributeError):
+            rec.not_a_field = 0

@@ -66,6 +66,38 @@ def test_sibling_imports_are_used():
     assert unused == []
 
 
+def _copies_its_parameters(init):
+    """Whether an ``__init__`` without defaults only sets ``self.x = x``."""
+    params = init.args.args[1:]
+    if (init.args.defaults or init.args.vararg or init.args.kwarg or init.args.kwonlyargs
+            or not params):
+        return False
+    names = {p.arg for p in params}
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    return bool(body) and all(isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+               and isinstance(stmt.targets[0], ast.Attribute)
+               and isinstance(stmt.targets[0].value, ast.Name)
+               and stmt.targets[0].value.id == init.args.args[0].arg
+               and isinstance(stmt.value, ast.Name) and stmt.value.id in names
+               and stmt.targets[0].attr == stmt.value.id
+               for stmt in body)
+
+
+def test_records_do_not_copy_their_fields_by_hand():
+    # a class whose __init__ only stores its required arguments under their
+    # own names is a record: it subclasses algebra.Record and names its
+    # fields in __slots__ instead
+    found = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{item.lineno}:{node.name}"
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                  and _copies_its_parameters(item)]
+    assert found == []
+
+
 def test_private_helpers_have_callers():
     # a private top-level function or class that nothing else in the package
     # names is a leftover of a deletion; uses inside its own body (recursion,

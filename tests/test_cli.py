@@ -56,6 +56,24 @@ def test_rep_files_are_canonical():
             assert print_rep(r) == text, (name, rep_name)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("dim 1=1 2=1\nmap a = [[1]]\nmap a = [[2]]\n", "line 3: repeated arrow 'a'"),
+    ("dim 1=1 1=2 2=1\n", "line 1: repeated vertex '1'"),
+    ("dim 1=1\ndim 2=1\ndim 1=1\n", "line 3: repeated vertex '1'"),
+    ("dim 1=-1\n", "line 1: dimension '-1' at vertex '1' is not a non-negative integer"),
+    ("dim 1=x\n", "line 1: dimension 'x' at vertex '1' is not a non-negative integer"),
+    ("dim 1\n", "line 1: dimension '' at vertex '1' is not a non-negative integer"),
+])
+def test_bad_rep_lines_exit_2_naming_the_line(tmp_path, capsys, text, error):
+    # a repeated line would silently overwrite the first, and a negative
+    # dimension used to surface as a wrongly shaped block
+    mod = tmp_path / "bad.rep"
+    mod.write_text(text)
+    code, out = run_json(capsys, "tau", alg_path("a2"), "-m", str(mod))
+    assert code == 2
+    assert out["error"] == error
+
+
 def test_algebra_hash_is_stable():
     a = fixdata.algebra("ex1")
     assert algebra_hash(a) == "20bed666af21e346"
