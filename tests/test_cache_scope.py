@@ -68,19 +68,22 @@ def test_sibling_imports_are_used():
 
 def _copies_its_parameters(init):
     """Whether an ``__init__`` without defaults only sets ``self.x = x``."""
-    params = init.args.args[1:]
-    if (init.args.defaults or init.args.vararg or init.args.kwarg or init.args.kwonlyargs
-            or not params):
+    args = init.args
+    if args.defaults or args.vararg or args.kwarg or args.kwonlyargs or len(args.args) < 2:
         return False
-    names = {p.arg for p in params}
+    self_name, params = args.args[0].arg, {p.arg for p in args.args[1:]}
     body = init.body[1:] if ast.get_docstring(init) is not None else init.body
-    return bool(body) and all(isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-               and isinstance(stmt.targets[0], ast.Attribute)
-               and isinstance(stmt.targets[0].value, ast.Name)
-               and stmt.targets[0].value.id == init.args.args[0].arg
-               and isinstance(stmt.value, ast.Name) and stmt.value.id in names
-               and stmt.targets[0].attr == stmt.value.id
-               for stmt in body)
+
+    def copies(stmt):
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            return False
+        target, value = stmt.targets[0], stmt.value
+        return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == self_name
+                and isinstance(value, ast.Name) and value.id in params
+                and target.attr == value.id)
+
+    return bool(body) and all(map(copies, body))
 
 
 def test_records_do_not_copy_their_fields_by_hand():
