@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per AR closure, over every matrix the closure computed.
+"""Print one SHA-256 per AR closure, over every matrix the closure computed,
+and one per fixture for its quotients, extensions and orbit graph.
 
 For each representation-finite fixture and each field it digests the
 closure's node matrices, the minimal presentation of every node (cover,
@@ -10,8 +11,16 @@ representation-infinite fig2, which stop with ``CapExceeded``, are digested
 from what they left in the algebra's cache: each almost split sequence,
 presentation and translate, in the order they were computed.
 
+Per fixture and field it also digests the printed algebra (and the vertex
+and arrow images) of ``quotient`` by each vertex, each arrow and each
+arrow minus another parallel basis path; the printed one-point extension
+and coextension by each simple, projective and injective; the trivial
+extension by the relation-extension bimodule; the split extension that
+``ideal_bimodule`` gives for the ideal of each arrow; and, for the
+representation-finite fixtures, the orbit graph of the AR quiver.
+
 Running it on two commits gives a one-command check that a change leaves
-the AR data byte-identical:
+the AR data and these constructions byte-identical:
 
     python3 scripts/ar_digest.py > after.txt
     (cd ../parent && python3 scripts/ar_digest.py) > before.txt
@@ -27,12 +36,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tauslice import fixtures as fixdata  # noqa: E402
-from tauslice.algebra import CapExceeded  # noqa: E402
+from tauslice.algebra import (  # noqa: E402
+    CapExceeded, ideal_bimodule, one_point_coextension, one_point_extension,
+    quotient, split_extension,
+)
 from tauslice.artheory import (  # noqa: E402
     ar_quiver, minimal_presentation, relation_extension_bimodule, tau,
     tau_inverse,
 )
-from tauslice.cli import field_from_spec, parse_algebra_text  # noqa: E402
+from tauslice.cli import field_from_spec, parse_algebra_text, print_algebra  # noqa: E402
+from tauslice.modrep import injective, projective, simple  # noqa: E402
+from tauslice.tautilt import orbit_graph  # noqa: E402
 
 FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
           "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]
@@ -111,6 +125,60 @@ def bimodule_lines(a):
             yield f"{side} {key[0]} {key[1]}=" + mat(action[key])
 
 
+def recorded(make):
+    """make(), or the exception it raises, as text."""
+    try:
+        return make()
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        # FieldTooSmall, DecompositionStalled and the like are part of the
+        # record
+        return f"raised {type(e).__name__}: {e}"
+
+
+def quotient_lines(a):
+    q, fld = a.quiver, a.field
+    gens = [a.idempotent(v) for v in q.vertices]
+    gens += [a.arrow_element(ar.name) for ar in q.arrows]
+    for i in range(len(q.arrows)):
+        src, tgt = q.arrow_source[i], q.arrow_target[i]
+        gens += [{(src, (i,)): fld.one(), w: fld.neg(fld.one())} for w in a.basis
+                 if w[1] not in ((), (i,)) and w[0] == src and a.word_target(w) == tgt]
+    for g in gens:
+        qmap = recorded(lambda: quotient(a, [g]))
+        yield f"quotient by {g!r}"
+        if isinstance(qmap, str):
+            yield qmap
+            continue
+        yield print_algebra(qmap.target)
+        yield f"alive={qmap.vertex_alive!r} images={qmap.arrow_images!r}"
+
+
+def extension_lines(a):
+    for v in a.quiver.vertices:
+        for make in (simple, projective, injective):
+            for build in (one_point_extension, one_point_coextension):
+                yield f"{build.__name__} by {make.__name__} {v}"
+                res = recorded(lambda: build(a, make(a, v)))
+                yield res if isinstance(res, str) else print_algebra(res.algebra)
+    yield "trivial extension"
+    res = recorded(lambda: split_extension(a, relation_extension_bimodule(a)))
+    yield res if isinstance(res, str) else print_algebra(res.algebra)
+    for ar in a.quiver.arrows:
+        yield f"split extension by the ideal of {ar.name}"
+        ib = recorded(lambda: ideal_bimodule(a, [a.arrow_element(ar.name)]))
+        if isinstance(ib, str):
+            yield ib
+            continue
+        res = recorded(lambda: split_extension(ib.quotient_map.target, ib.bimodule))
+        yield print_algebra(ib.quotient_map.target)
+        yield res if isinstance(res, str) else print_algebra(res.algebra)
+
+
+def orbit_graph_lines(a):
+    og = recorded(lambda: orbit_graph(ar_quiver(a)))
+    yield og if isinstance(og, str) else f"orbits={og.orbits!r} edges={og.edges!r}"
+
+
 def digest(lines):
     h = hashlib.sha256()
     for line in lines:
@@ -125,12 +193,7 @@ def load(name, spec):
 
 
 def guarded_digest(lines):
-    try:
-        return digest(lines)
-    except (ArithmeticError, RuntimeError, ValueError) as e:
-        # FieldTooSmall, DecompositionStalled and the like are part of the
-        # record
-        return f"raised {type(e).__name__}: {e}"
+    return recorded(lambda: digest(lines))
 
 
 def main():
@@ -143,6 +206,13 @@ def main():
         for spec in ("Q", "F5", "F3"):
             print(f"bimodule {name} {spec} "
                   f"{guarded_digest(bimodule_lines(load(name, spec)))}")
+    for name in FINITE + ["fig2"]:
+        for spec in ("Q", "F5", "F3"):
+            print(f"quotients {name} {spec} {digest(quotient_lines(load(name, spec)))}")
+            print(f"extensions {name} {spec} {digest(extension_lines(load(name, spec)))}")
+            if name != "fig2":
+                print(f"orbit_graph {name} {spec} "
+                      f"{digest(orbit_graph_lines(load(name, spec)))}")
 
 
 if __name__ == "__main__":

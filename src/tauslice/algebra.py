@@ -778,22 +778,32 @@ class QuotientMap(Record):
     def apply(self, elt):
         """Image in B of an element of A."""
         b = self.target
-        fld = b.field
-        out = {}
-        for (src, arrows), c in elt.items():
-            v = self.source.quiver.vertices[src]
-            if not self.vertex_alive[v]:
-                continue
-            term = b.idempotent(v)
-            for a in arrows:
-                name = self.source.quiver.arrows[a].name
-                img = self.arrow_images[name]
-                term = elt_mul_free(b.quiver, term, img, fld)
-                if not term:
-                    break
-            if term:
-                elt_iadd(out, term, c, fld)
-        return b.normal_form(out)
+        src_q = self.source.quiver
+
+        def start(v):
+            label = src_q.vertices[v]
+            return b.idempotent(label) if self.vertex_alive[label] else {}
+
+        def image(ai):
+            return self.arrow_images[src_q.arrows[ai].name]
+
+        return b.normal_form(_substitute(b.quiver, b.field, elt, start, image))
+
+
+def _substitute(quiver: Quiver, fld, elt, start, image):
+    """Sum over the words of ``elt`` of the coefficient times the product
+    ``start(v) image(a_1) ... image(a_n)`` in the free path algebra of
+    ``quiver``, for a word from vertex index v along arrow indices a_i."""
+    out = {}
+    for (src, arrows), c in elt.items():
+        term = start(src)
+        for ai in arrows:
+            if not term:
+                break
+            term = elt_mul_free(quiver, term, image(ai), fld)
+        if term:
+            elt_iadd(out, term, c, fld)
+    return out
 
 
 def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
@@ -853,6 +863,9 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
     def word_names(w):
         return [a.quiver.arrows[i].name for i in w[1]]
 
+    def trivial_path(v):
+        return {(v, ()): fld.one()}
+
     while True:
         target = None
         for g in work:
@@ -873,22 +886,13 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
         removed_arrows.add(name)
         substitutions[name] = expr
 
-        def subst(elt, dead_name=name, dead_expr=expr):
-            out = {}
-            for (src, arrows), coeff in elt.items():
-                term = {(src, ()): fld.one()}
-                for ai in arrows:
-                    nm = a.quiver.arrows[ai].name
-                    if nm == dead_name:
-                        factor = dead_expr
-                    else:
-                        factor = {(a.quiver.arrow_source[ai], (ai,)): fld.one()}
-                    term = elt_mul_free(a.quiver, term, factor, fld)
-                    if not term:
-                        break
-                if term:
-                    elt_iadd(out, term, coeff, fld)
-            return out
+        def factor(ai, dead=w1[1][0], dead_expr=expr):
+            if ai == dead:
+                return dead_expr
+            return {(a.quiver.arrow_source[ai], (ai,)): fld.one()}
+
+        def subst(elt):
+            return _substitute(a.quiver, fld, elt, trivial_path, factor)
 
         work = [subst(g2) for g2 in work if g2 is not g]
         work = [w for w in work if w]
@@ -949,22 +953,22 @@ class Bimodule:
         self.mu = {} if mu is None else mu
 
     def left_action(self, elt) -> Matrix:
-        fld = self.algebra.field
-        out = Matrix.zero(fld, self.dim, self.dim)
-        for (src, arrows), c in elt.items():
-            mat = self.left[("e", self.algebra.quiver.vertices[src])]
-            for ai in arrows:
-                mat = mat @ self.left[("arrow", self.algebra.quiver.arrows[ai].name)]
-            out = out + mat.scale(c)
-        return out
+        return self._action(elt, self.left, True)
 
     def right_action(self, elt) -> Matrix:
-        fld = self.algebra.field
-        out = Matrix.zero(fld, self.dim, self.dim)
+        return self._action(elt, self.right, False)
+
+    def _action(self, elt, gens, left) -> Matrix:
+        """Matrix of ``elt`` from the generator matrices ``gens``: a word
+        e_v a_1 ... a_n acts on the left as the product of their matrices
+        in that order, on the right in the reverse order."""
+        q = self.algebra.quiver
+        out = Matrix.zero(self.algebra.field, self.dim, self.dim)
         for (src, arrows), c in elt.items():
-            mat = self.right[("e", self.algebra.quiver.vertices[src])]
+            mat = gens[("e", q.vertices[src])]
             for ai in arrows:
-                mat = self.right[("arrow", self.algebra.quiver.arrows[ai].name)] @ mat
+                g = gens[("arrow", q.arrows[ai].name)]
+                mat = mat @ g if left else g @ mat
             out = out + mat.scale(c)
         return out
 

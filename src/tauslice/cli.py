@@ -190,9 +190,9 @@ def _strip(line: str) -> str:
 def parse_algebra_text(text: str, field_override=None) -> PresentedAlgebra:
     fld = None
     vertices = []
-    arrow_specs = []
+    arrow_specs = {}  # name -> (lineno, source, target)
     relation_lines = []
-    length_cap = 16
+    length_cap = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
@@ -200,7 +200,12 @@ def parse_algebra_text(text: str, field_override=None) -> PresentedAlgebra:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
-            fld = field_from_spec(rest)
+            if fld is not None:
+                raise CliError(f"line {lineno}: repeated field line")
+            try:
+                fld = field_from_spec(rest)
+            except (CliError, ValueError) as e:
+                raise CliError(f"line {lineno}: {e}") from None
         elif head == "vertex":
             for label in rest.split():
                 if label in vertices:
@@ -210,13 +215,18 @@ def parse_algebra_text(text: str, field_override=None) -> PresentedAlgebra:
             m = re.fullmatch(r"(\w+)\s*:\s*(\S+)\s*->\s*(\S+)", rest)
             if not m:
                 raise CliError(f"line {lineno}: bad arrow line {line!r}")
-            arrow_specs.append(m.groups())
+            name, src, tgt = m.groups()
+            if name in arrow_specs:
+                raise CliError(f"line {lineno}: duplicate arrow {name!r}")
+            arrow_specs[name] = (lineno, src, tgt)
         elif head == "relation":
             relation_lines.append((lineno, rest))
         elif head == "option":
             m = re.fullmatch(r"length_cap\s+(\d+)", rest)
             if not m:
                 raise CliError(f"line {lineno}: unknown option {rest!r}")
+            if length_cap is not None:
+                raise CliError(f"line {lineno}: repeated option 'length_cap'")
             length_cap = int(m.group(1))
         else:
             raise CliError(f"line {lineno}: unknown directive {head!r}")
@@ -226,16 +236,18 @@ def parse_algebra_text(text: str, field_override=None) -> PresentedAlgebra:
         fld = QQ
     if not vertices:
         raise CliError("algebra file declares no vertices")
-    for name, src, tgt in arrow_specs:
+    for name, (lineno, src, tgt) in arrow_specs.items():
         if src not in vertices or tgt not in vertices:
-            raise CliError(f"arrow {name!r} uses undeclared vertices")
-    quiver = Quiver(vertices, [Arrow(n, s, t) for n, s, t in arrow_specs])
+            raise CliError(f"line {lineno}: arrow {name!r} uses undeclared vertices")
+    quiver = Quiver(vertices, [Arrow(n, s, t) for n, (_l, s, t) in arrow_specs.items()])
     relations = []
     for lineno, rest in relation_lines:
         try:
             relations.append(_parse_relation_terms(rest, quiver, fld))
         except CliError as e:
             raise CliError(f"line {lineno}: {e}") from None
+    if length_cap is None:
+        length_cap = 16
     return build_algebra(quiver, relations, fld, length_cap=length_cap)
 
 
@@ -388,7 +400,10 @@ def resolve_module(sel: str, a: PresentedAlgebra, cap: int) -> Representation:
     if p.suffix == ".rep" or p.exists():
         return load_rep(p, a)
     if sel.startswith("node:"):
-        k = int(sel[5:])
+        try:
+            k = int(sel[5:])
+        except ValueError:
+            raise CliError(f"bad node selector {sel!r} (use node:<k>)") from None
         reps = ar_quiver(a, max_nodes=cap).representatives()
         if not 0 <= k < len(reps):
             raise CliError(f"node index {k} out of range (0..{len(reps) - 1})")

@@ -482,16 +482,9 @@ class Matrix:
         """
         f = self.field
         R, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [f.zero()] * self.ncols
-            v[fc] = f.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.rows[r][fc])
-            basis.append(Matrix._raw(f, tuple((x,) for x in v), 1))
-        return basis
+        echelon = ({j: x for j, x in enumerate(row) if x} for row in R.rows)
+        return [Matrix._raw(f, tuple((x,) for x in v), 1)
+                for v in _kernel_vectors(f, self.ncols, echelon, pivots)]
 
     def solve(self, b: "Matrix"):
         """Solve ``self @ x = b`` for a matrix ``x`` (free variables set to 0).
@@ -531,7 +524,8 @@ def sparse_rref(field: Field, rows):
     columns in increasing order, and for each the row of the RREF as a dict
     of its nonzero entries, with 1 at the pivot.  The RREF of a matrix is
     unique, so this is ``Matrix.rref`` of the dense system, without the
-    zero rows.
+    zero rows, and ``_kernel_vectors`` reads the same kernel basis off
+    either.
 
     Each row is reduced against the pivot rows found so far, on its leading
     entry, and its remainder, made monic, becomes a pivot row if nonzero;
@@ -570,6 +564,27 @@ def sparse_rref(field: Field, rows):
         for j in [j for j in row if j != c and j in found]:
             _subtract(row, row[j], found[j], p)
     return [found[c] for c in pivots], tuple(pivots)
+
+
+def _kernel_vectors(field: Field, n: int, echelon, pivots):
+    """Yield the basis of the kernel of an n-column matrix, read off its
+    RREF: ``echelon`` yields the pivot rows as dicts of their nonzero
+    entries, as :func:`sparse_rref` returns them, and ``pivots`` are their
+    pivot columns.  One vector per free column fc, in increasing order: 1
+    at fc and -R[r][fc] at the pivot of each row r, 0 elsewhere."""
+    pivset = set(pivots)
+    entries = {fc: [] for fc in range(n) if fc not in pivset}
+    for pc, row in zip(pivots, echelon):
+        for fc, c in row.items():
+            if fc != pc:
+                entries[fc].append((pc, field.neg(c)))
+    z, one = field.zero(), field.one()
+    for fc, col in entries.items():
+        vec = [z] * n
+        vec[fc] = one
+        for pc, c in col:
+            vec[pc] = c
+        yield vec
 
 
 def _subtract(row: dict, fac, prow: dict, p: int):
@@ -624,24 +639,18 @@ def coordinates_in_basis(basis: Matrix, vectors):
     ``vectors[i]`` (a row of length basis.ncols) in the rows of ``basis``,
     or None when some vector lies outside their span.
 
-    One elimination of the basis rows as columns, augmented by every
-    vector; as in :meth:`Matrix.solve`, free variables are 0.  An empty
-    basis gives empty rows when every vector is zero.  The entries must
-    already be elements of the basis's field: they are not coerced.  A
+    :meth:`Matrix.solve` of the transposed system: the basis rows as
+    columns, augmented by every vector as a column; free variables are 0.
+    An empty basis gives empty rows when every vector is zero.  The entries
+    must already be elements of the basis's field: they are not coerced.  A
     vector of another length raises ``ValueError``.
     """
-    f = basis.field
+    n = basis.ncols
     vecs = tuple(map(tuple, vectors))
-    if any(len(v) != basis.ncols for v in vecs):
-        raise ValueError(f"vector length differs from {basis.ncols}")
-    k = basis.nrows
-    R, pivots = Matrix._raw(f, tuple(zip(*basis.rows, *vecs)), k + len(vecs)).rref()
-    if pivots and pivots[-1] >= k:
-        return None  # a pivot among the vectors: one is outside the span
-    sol = [(f.zero(),) * len(vecs)] * k
-    for r, pc in enumerate(pivots):
-        sol[pc] = R.rows[r][k:]
-    return Matrix._raw(f, tuple(zip(*sol)) if k else ((),) * len(vecs), k)
+    if any(len(v) != n for v in vecs):
+        raise ValueError(f"vector length differs from {n}")
+    sol = basis.transpose().solve(Matrix._raw(basis.field, vecs, n).transpose())
+    return None if sol is None else sol.transpose()
 
 
 def leading_columns(basis: Matrix) -> list:

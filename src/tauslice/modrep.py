@@ -28,6 +28,7 @@ from .exactlin import (
     read_coordinates,
     span_matrix,
     sparse_rref,
+    _kernel_vectors,
 )
 
 
@@ -350,7 +351,9 @@ def hom_basis(m: Representation, n: Representation):
     """Echelonised basis of Hom(m, n) as a list of morphisms.
 
     Unknowns are the block entries (vertex order, row-major); the returned
-    basis is the deterministic kernel basis of the intertwining system.
+    basis is the kernel basis of the intertwining system that
+    :meth:`Matrix.kernel_basis` gives, read by the same reader off the
+    :func:`sparse_rref` of the system's sparse rows.
     Each basis element, flattened, is 1 at its free column, its last
     nonzero entry, and every other element is 0 there: the free columns
     are unit columns, which :func:`_hom_coordinates` reads.
@@ -398,22 +401,8 @@ def hom_basis(m: Representation, n: Representation):
                     row[start_x + j] = row.get(start_x + j, 0) - c
                 rows.append(row)
     echelon, pivots = sparse_rref(fld, rows)
-    # the kernel basis vector of a free column fc has 1 at fc and -R[r][fc]
-    # at the pivot of each row r, as in Matrix.kernel_basis
-    pivset = set(pivots)
-    entries = {fc: [] for fc in range(total) if fc not in pivset}
-    for pc, row in zip(pivots, echelon):
-        for fc, c in row.items():
-            if fc != pc:
-                entries[fc].append((pc, fld.neg(c)))
-    z, one = fld.zero(), fld.one()
-    basis = []
-    for fc, col in entries.items():
-        vec = [z] * total
-        vec[fc] = one
-        for pc, c in col:
-            vec[pc] = c
-        basis.append(_morphism_from_vector(m, n, vec))
+    basis = [_morphism_from_vector(m, n, vec)
+             for vec in _kernel_vectors(fld, total, echelon, pivots)]
     a._cache[key] = basis
     return basis
 

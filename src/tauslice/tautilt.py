@@ -238,10 +238,7 @@ class SliceCandidate:
 
     def module(self) -> Representation:
         if self._module is None:
-            if not self.members:
-                self._module = zero_rep(self.algebra)
-            else:
-                self._module, _i, _p = direct_sum(self.algebra, self.members)
+            self._module = _sum_or_zero(self.algebra, self.members)
         return self._module
 
     def member_index(self, x: Representation):
@@ -268,24 +265,22 @@ def slice_candidate(algebra, members, check=True) -> SliceCandidate:
     return SliceCandidate(algebra, members)
 
 
-def tau_module(sigma: SliceCandidate) -> Representation:
-    """Direct sum of the translates of the members (projectives drop out)."""
-    parts = [tau(u) for u in sigma.members]
+def _sum_or_zero(algebra, parts) -> Representation:
+    """Direct sum of the nonzero ``parts``, or the zero module if none."""
     parts = [p for p in parts if not p.is_zero()]
     if not parts:
-        return zero_rep(sigma.algebra)
-    total, _i, _p = direct_sum(sigma.algebra, parts)
-    return total
+        return zero_rep(algebra)
+    return direct_sum(algebra, parts)[0]
+
+
+def tau_module(sigma: SliceCandidate) -> Representation:
+    """Direct sum of the translates of the members (projectives drop out)."""
+    return _sum_or_zero(sigma.algebra, map(tau, sigma.members))
 
 
 def tau_inverse_module(sigma: SliceCandidate) -> Representation:
     """Direct sum of the inverse translates of the members."""
-    parts = [tau_inverse(u) for u in sigma.members]
-    parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return zero_rep(sigma.algebra)
-    total, _i, _p = direct_sum(sigma.algebra, parts)
-    return total
+    return _sum_or_zero(sigma.algebra, map(tau_inverse, sigma.members))
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +382,27 @@ def is_presection(sigma: SliceCandidate) -> bool:
 
 def _reachable(frontier, step):
     """Every node reachable from ``frontier``, the frontier included, along
-    ``step``, a dict from each node to its neighbours."""
+    ``step``, a dict from a node to its neighbours (none if it is absent)."""
     seen = set()
     frontier = list(frontier)
     while frontier:
         k = frontier.pop()
         if k not in seen:
             seen.add(k)
-            frontier.extend(step[k])
+            frontier.extend(step.get(k, ()))
     return seen
+
+
+def _between(members, arrows) -> set:
+    """Nodes outside ``members`` that lie on a path of ``arrows``, (s, t)
+    pairs, from a member to a member."""
+    succ, pred = {}, {}
+    for s, t in arrows:
+        succ.setdefault(s, []).append(t)
+        pred.setdefault(t, []).append(s)
+    down = _reachable([t for s in members for t in succ.get(s, ())], succ)
+    up = _reachable([s for t in members for s in pred.get(t, ())], pred)
+    return (down & up) - set(members)
 
 
 def _undirected(nodes, edges):
@@ -471,19 +478,9 @@ def convex_in_mod_a_witness(sigma: SliceCandidate, universe=None, max_nodes=512)
         k for k, o in enumerate(objs) if sigma.contains(o)
     }
     n = len(objs)
-    succ = {k: [] for k in range(n)}
-    pred = {k: [] for k in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if hom_dim(objs[i], objs[j]) > 0:
-                succ[i].append(j)
-                pred[j].append(i)
-
-    down = _reachable([t for s in member_ids for t in succ[s]], succ)
-    up = _reachable([t for s in member_ids for t in pred[s]], pred)
-    for k in sorted((down & up) - member_ids):
+    maps = [(i, j) for i in range(n) for j in range(n)
+            if i != j and hom_dim(objs[i], objs[j]) > 0]
+    for k in sorted(_between(member_ids, maps)):
         return False, objs[k]
     return True, None
 
@@ -672,7 +669,14 @@ def tau_orbits(arq: ARQuiver, idents=None):
     """Partition of the nodes into tau-orbits, as sorted tuples of idents."""
     if idents is None:
         idents = range(arq.count)
-    parent = {k: k for k in idents}
+    return sorted(tuple(sorted(v)) for v in _classes(idents, arq.tau_link.get))
+
+
+def _classes(keys, partner) -> list:
+    """Classes of the equivalence on ``keys`` generated by k ~ partner(k)
+    wherever that is one of the keys, each a list in the order of ``keys``
+    (union-find)."""
+    parent = {k: k for k in keys}
 
     def find(k):
         while parent[k] != k:
@@ -681,13 +685,13 @@ def tau_orbits(arq: ARQuiver, idents=None):
         return k
 
     for k in parent:
-        t = arq.tau_link.get(k)
-        if t is not None and t in parent:
+        t = partner(k)
+        if t in parent:
             parent[find(k)] = find(t)
-    orbits = {}
+    classes = {}
     for k in parent:
-        orbits.setdefault(find(k), []).append(k)
-    return sorted(tuple(sorted(v)) for v in orbits.values())
+        classes.setdefault(find(k), []).append(k)
+    return list(classes.values())
 
 
 def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
@@ -724,16 +728,7 @@ def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
         if colour.get(k) is None and not dfs(k):
             return False
     # convex inside the component (directed AR-quiver paths)
-    succ = {k: [] for k in comp}
-    pred = {k: [] for k in comp}
-    for (s, t) in arq.arrows:
-        if s in comp and t in comp:
-            succ[s].append(t)
-            pred[t].append(s)
-
-    down = _reachable([t for s in idset for t in succ[s]], succ)
-    up = _reachable([t for s in idset for t in pred[s]], pred)
-    if (down & up) - idset:
+    if _between(idset, [(s, t) for (s, t) in arq.arrows if s in comp and t in comp]):
         return False
     # one node per tau-orbit of the component
     for orbit in tau_orbits(arq, comp):
@@ -1108,7 +1103,12 @@ def quotient_preservation_check(
     sigma_b = SliceCandidate(qmap.target, members_b)
     preserved = is_tau_slice(sigma_b)
 
-    tau_ok = tinv_ok = end_ok = start_ok = True
+    tau_ok = tinv_ok = True
+    # the sequences ending at the members, then those starting there: none
+    # at a projective, resp. injective, member
+    seq_ok = [True, True]
+    sequences = ((is_projective_rep, almost_split_sequence),
+                 (is_injective_rep, almost_split_sequence_starting))
     for u, ub in zip(sigma.members, members_b):
         ta = tau(u)
         tb = restrict_along_quotient(tau(ub), qmap)
@@ -1117,28 +1117,18 @@ def quotient_preservation_check(
         ib = restrict_along_quotient(tau_inverse(ub), qmap)
         tinv_ok = tinv_ok and is_isomorphic(ia, ib)
 
-        pa, pb = is_projective_rep(u), is_projective_rep(ub)
-        if pa != pb:
-            end_ok = False
-        elif not pa:
-            sa = almost_split_sequence(u)
-            sb = almost_split_sequence(ub)
-            back = [
-                (restrict_along_quotient(r, qmap), mult)
-                for r, mult in sb.middle_summands
-            ]
-            end_ok = end_ok and _summands_match(sa.middle_summands, back)
-        ja, jb = is_injective_rep(u), is_injective_rep(ub)
-        if ja != jb:
-            start_ok = False
-        elif not ja:
-            sa = almost_split_sequence_starting(u)
-            sb = almost_split_sequence_starting(ub)
-            back = [
-                (restrict_along_quotient(r, qmap), mult)
-                for r, mult in sb.middle_summands
-            ]
-            start_ok = start_ok and _summands_match(sa.middle_summands, back)
+        for k, (has_none, sequence) in enumerate(sequences):
+            na, nb = has_none(u), has_none(ub)
+            if na != nb:
+                seq_ok[k] = False
+            elif not na:
+                sa = sequence(u)
+                sb = sequence(ub)
+                back = [
+                    (restrict_along_quotient(r, qmap), mult)
+                    for r, mult in sb.middle_summands
+                ]
+                seq_ok[k] = seq_ok[k] and _summands_match(sa.middle_summands, back)
 
     return QuotientPreservationReport(
         qmap=qmap,
@@ -1146,8 +1136,8 @@ def quotient_preservation_check(
         tau_slice_preserved=preserved,
         tau_matches=tau_ok,
         tau_inverse_matches=tinv_ok,
-        ending_sequences_match=end_ok,
-        starting_sequences_match=start_ok,
+        ending_sequences_match=seq_ok[0],
+        starting_sequences_match=seq_ok[1],
     )
 
 
@@ -1209,24 +1199,9 @@ def orbit_graph(arq: ARQuiver, seed=None) -> OrbitGraph:
     bundles = {
         (s, t): mult for (s, t), mult in arq.arrows.items() if s in comp and t in comp
     }
-    parent = {key: key for key in bundles}
-
-    def find(key):
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]
-            key = parent[key]
-        return key
-
-    for (s, t) in bundles:
-        tt = arq.tau_link.get(t)
-        if tt is not None and (tt, s) in bundles:
-            parent[find((s, t))] = find((tt, s))
-    classes = {}
-    for key in bundles:
-        classes.setdefault(find(key), []).append(key)
     edges = []
-    for root in sorted(classes):
-        reps = classes[root]
+    # the sigma-orbit of an arrow s -> t contains tau(t) -> s
+    for reps in _classes(bundles, lambda st: (arq.tau_link.get(st[1]), st[0])):
         mults = {bundles[k] for k in reps}
         if len(mults) != 1:
             raise ArithmeticError("sigma-orbit with inconsistent multiplicities")

@@ -262,6 +262,38 @@ def test_relation_extension_bimodule(ex5_c):
     assert ext.algebra.dim == ex5_c.dim + 3
 
 
+def check_action_order(bim):
+    """Each word of length at most 1 acts by its generator's matrix, the
+    left action is multiplicative and the right one reverses products, on
+    every pair of basis words: a flipped product order in either passes
+    Bimodule.check but fails here."""
+    c = bim.algebra
+    q = c.quiver
+    one = c.field.one()
+    left = {x: bim.left_action({x: one}) for x in c.basis}
+    right = {x: bim.right_action({x: one}) for x in c.basis}
+    for x in c.basis:
+        if len(x[1]) <= 1:
+            gen = ("arrow", q.arrows[x[1][0]].name) if x[1] else ("e", q.vertices[x[0]])
+            assert (left[x], right[x]) == (bim.left[gen], bim.right[gen]), x
+    for x in c.basis:
+        for y in c.basis:
+            xy = c.multiply({x: one}, {y: one})
+            assert bim.left_action(xy) == left[x] @ left[y], (x, y)
+            assert bim.right_action(xy) == right[y] @ right[x], (x, y)
+
+
+# the representation-finite fixtures: every one but fig2
+@pytest.mark.parametrize("name", [n for n in fixdata.ALGEBRAS if n != "fig2"])
+def test_relation_extension_actions_keep_their_order(name):
+    check_action_order(relation_extension_bimodule(fixdata.algebra(name)))
+
+
+def test_ideal_bimodule_actions_keep_their_order(ex5_a):
+    q = ex5_a.quiver
+    check_action_order(ideal_bimodule(ex5_a, [{w(q, "1", "al"): Fraction(1)}]).bimodule)
+
+
 def test_ideal_bimodule_reps(ex5_a):
     q = ex5_a.quiver
     ib = ideal_bimodule(ex5_a, [{w(q, "1", "al"): Fraction(1)}])

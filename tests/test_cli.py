@@ -74,6 +74,31 @@ def test_bad_rep_lines_exit_2_naming_the_line(tmp_path, capsys, text, error):
     assert out["error"] == error
 
 
+@pytest.mark.parametrize("text, error", [
+    ("field Q\nfield F2\nvertex 1\n", "line 2: repeated field line"),
+    ("vertex 1\noption length_cap 4\noption length_cap 8\n",
+     "line 3: repeated option 'length_cap'"),
+    ("vertex 1 2\narrow a: 1 -> 2\narrow a: 2 -> 1\n", "line 3: duplicate arrow 'a'"),
+    ("arrow a: 1 -> 7\nvertex 1\n", "line 1: arrow 'a' uses undeclared vertices"),
+    ("field F4\nvertex 1\n", "line 1: modulus 4 is not prime"),
+    ("field R\nvertex 1\n", "line 1: unknown field 'R' (use Q or F<p>)"),
+])
+def test_bad_algebra_lines_exit_2_naming_the_line(tmp_path, capsys, text, error):
+    # a repeated field or option line used to win silently, and a repeated
+    # arrow surfaced as the quiver's ValueError with no line
+    alg = tmp_path / "bad.alg"
+    alg.write_text(text)
+    code, out = run_json(capsys, "info", str(alg))
+    assert code == 2
+    assert out["error"] == error
+
+
+def test_bad_node_selector_exits_2_naming_it(capsys):
+    code, out = run_json(capsys, "tau", alg_path("a2"), "-m", "node:x")
+    assert code == 2
+    assert out["error"] == "bad node selector 'node:x' (use node:<k>)"
+
+
 def test_algebra_hash_is_stable():
     a = fixdata.algebra("ex1")
     assert algebra_hash(a) == "20bed666af21e346"

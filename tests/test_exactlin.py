@@ -558,8 +558,9 @@ def check_coordinates(basis, vectors):
     """coordinates_in_basis against the definition: None exactly when a
     vector raises the rank of the basis, else each row reproduces its vector
     and is 0 at every basis row that depends on the rows before it (the
-    free variables), which is Matrix.solve's answer on the transposed
-    system and, over Q, the Fraction-only reference's."""
+    free variables).  These pin the answer down, independently of
+    Matrix.solve, which coordinates_in_basis calls on the transposed
+    system; over Q it is also the Fraction-only reference's."""
     f, n, k = basis.field, basis.ncols, basis.nrows
     co = coordinates_in_basis(basis, vectors)
     rank = reference_rank(f, basis.rows, n)
@@ -584,7 +585,7 @@ def check_coordinates(basis, vectors):
             assert all(is_canonical(x) for row in co.rows for x in row)
 
 
-@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coordinates_in_basis_batch(field, data):

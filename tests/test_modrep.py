@@ -413,7 +413,17 @@ def intertwining_kernel(m, n):
                     c = start[x] + k * m.dims[x] + j
                     row[c] = f.sub(row[c], na[i][k])
                 rows.append(row)
-    return [k.column_vector(0) for k in Matrix(f, rows, total).kernel_basis()]
+    # the kernel read off the dense RREF here, not by the reader that
+    # hom_basis and Matrix.kernel_basis share
+    ech, pivots = Matrix(f, rows, total).rref()
+    basis = []
+    for fc in (j for j in range(total) if j not in pivots):
+        v = [f.zero()] * total
+        v[fc] = f.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(ech.rows[r][fc])
+        basis.append(tuple(v))
+    return basis
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
