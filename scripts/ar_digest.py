@@ -51,7 +51,7 @@ from tauslice.tautilt import orbit_graph  # noqa: E402
 FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
           "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]
 #: (field, cap) of each digested fig2 closure
-FIG2_CLOSURES = [("Q", 24), ("Q", 32), ("F5", 24), ("F5", 32)]
+FIG2_CLOSURES = [("Q", 24), ("Q", 32), ("Q", 48), ("F5", 24), ("F5", 32)]
 
 
 def mat(m):

@@ -822,11 +822,23 @@ def cmd_count_stt(args):
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    import argparse  # loaded by build_parser before any argument is parsed
+
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
 def _add_common(p, modules=False):
     p.add_argument("algebra", help="path to a .alg file")
     p.add_argument("--field", type=field_from_spec, default=None,
                    help="override the field (Q or F<p>)")
-    p.add_argument("--cap", type=int, default=512,
+    p.add_argument("--cap", type=_positive_int, default=512,
                    help="bound on AR-quiver size (default 512)")
     if modules:
         p.add_argument("-m", "--module", action="append", default=[],

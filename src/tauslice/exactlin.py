@@ -4,8 +4,8 @@ Everything downstream (path algebra arithmetic, Hom spaces, AR translates)
 reduces to row reduction of smallish dense matrices, so this module keeps a
 deliberately plain implementation: immutable matrices, int entries over
 GF(p) and int/``Fraction`` entries over Q, deterministic leftmost-pivot
-elimination.  The one exception is :func:`sparse_rref`, for systems with a
-few nonzero entries per row, such as the intertwining systems of Hom
+elimination.  The one exception is :func:`sparse_echelon`, for systems with
+a few nonzero entries per row, such as the intertwining systems of Hom
 spaces.  No floating point anywhere.
 """
 
@@ -22,6 +22,11 @@ class Field:
     """Base class for the two supported exact fields."""
 
     characteristic: int
+
+    def __init__(self):
+        # the matrices Matrix.zero and Matrix.identity share, by shape
+        self._zeros = {}
+        self._identities = {}
 
     def zero(self):
         raise NotImplementedError
@@ -133,6 +138,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"modulus {p} is not prime")
+        super().__init__()
         self.p = p
         self.characteristic = p
 
@@ -202,6 +208,9 @@ class Matrix:
     no pivots, and has rank 0; a product with a zero dimension is the zero
     matrix of its shape; a 1x1 ``[x]`` has RREF ``[1]`` with pivot 0 when x
     is nonzero (over Q the 1 is the ``int`` 1).
+
+    :meth:`zero` and :meth:`identity` return one shared matrix per field
+    instance and shape, held by the field.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
@@ -240,14 +249,22 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix._raw(field, ((field.zero(),) * ncols,) * nrows, ncols)
+        m = field._zeros.get((nrows, ncols))
+        if m is None:
+            m = Matrix._raw(field, ((field.zero(),) * ncols,) * nrows, ncols)
+            field._zeros[nrows, ncols] = m
+        return m
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix._raw(
-            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n
-        )
+        m = field._identities.get(n)
+        if m is None:
+            z, o = field.zero(), field.one()
+            m = Matrix._raw(
+                field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n
+            )
+            field._identities[n] = m
+        return m
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
@@ -350,8 +367,8 @@ class Matrix:
         return Matrix._raw(f, tuple(out), n)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix.zero(self.field, self.ncols, 0)
+        if not (self.nrows and self.ncols):
+            return Matrix.zero(self.field, self.ncols, self.nrows)
         return Matrix._raw(self.field, tuple(zip(*self.rows)), self.nrows)
 
     # -- block operations --------------------------------------------
@@ -417,7 +434,21 @@ class Matrix:
             if self.rows[0][0]:
                 return Matrix._raw(f, ((f.one(),),), 1), (0,)
             return self, ()
-        p = f.characteristic
+        rows, pivots = self._eliminate(True)
+        return Matrix._raw(f, tuple(map(tuple, rows)), self.ncols), pivots
+
+    def rank(self) -> int:
+        """The number of pivots of :meth:`rref`, from the forward
+        elimination alone: rows above a pivot are not cleared."""
+        if not (self.nrows and self.ncols):
+            return 0
+        return len(self._eliminate(False)[1])
+
+    def _eliminate(self, reduced: bool):
+        """(rows, pivots): the rows as lists, in row echelon form with monic
+        pivots, and the pivot columns.  Each pivot clears the rows below it,
+        and with ``reduced`` the rows above it too, which gives the RREF."""
+        p = self.field.characteristic
         ncols = self.ncols
         rows = [list(r) for r in self.rows]
         nrows = len(rows)
@@ -451,7 +482,7 @@ class Matrix:
             # ints: an int stays int, a non-integral Fraction minus an int
             # stays non-integral.
             int_prow = not p and Fraction not in map(type, map(prow.__getitem__, nz))
-            for i in range(nrows):
+            for i in range(0 if reduced else r + 1, nrows):
                 row = rows[i]
                 fac = row[c]
                 if fac and i != r:
@@ -466,12 +497,7 @@ class Matrix:
                             row[j] = _canon(row[j] - fac * prow[j])
             pivots.append(c)
             r += 1
-        return Matrix._raw(f, tuple(map(tuple, rows)), ncols), tuple(pivots)
-
-    def rank(self) -> int:
-        if not (self.nrows and self.ncols):
-            return 0
-        return len(self.rref()[1])
+        return rows, tuple(pivots)
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel {v : self @ v = 0}.
@@ -515,21 +541,17 @@ class Matrix:
         return sol
 
 
-def sparse_rref(field: Field, rows):
-    """Reduced row echelon form of a sparse system.
+def sparse_echelon(field: Field, rows):
+    """Row echelon form of a sparse system, without clearing above pivots.
 
     ``rows`` is an iterable of dicts {column: coefficient}; a coefficient may
     be any value the field's arithmetic accepts (an int over GF(p) need not
     be reduced) and may be 0.  Returns ``(echelon, pivots)``: the pivot
-    columns in increasing order, and for each the row of the RREF as a dict
-    of its nonzero entries, with 1 at the pivot.  The RREF of a matrix is
-    unique, so this is ``Matrix.rref`` of the dense system, without the
-    zero rows, and ``_kernel_vectors`` reads the same kernel basis off
-    either.
+    columns of ``Matrix.rref`` in increasing order, and for each a row of
+    the row space with a leading 1 there, as a dict of its nonzero entries.
 
     Each row is reduced against the pivot rows found so far, on its leading
-    entry, and its remainder, made monic, becomes a pivot row if nonzero;
-    then each pivot row is cleared of the later pivots, last pivot first.
+    entry, and its remainder, made monic, becomes a pivot row if nonzero.
     """
     p = field.characteristic
     found = {}  # pivot column -> monic row with its leading entry there
@@ -557,33 +579,37 @@ def sparse_rref(field: Field, rows):
                     row = {j: _canon(Fraction(x, piv)) for j, x in row.items()}
             found[c] = row
     pivots = sorted(found)
-    # a later pivot row is final when it is used: clearing never brings back
-    # a pivot column
-    for c in reversed(pivots):
-        row = found[c]
-        for j in [j for j in row if j != c and j in found]:
-            _subtract(row, row[j], found[j], p)
     return [found[c] for c in pivots], tuple(pivots)
 
 
 def _kernel_vectors(field: Field, n: int, echelon, pivots):
-    """Yield the basis of the kernel of an n-column matrix, read off its
-    RREF: ``echelon`` yields the pivot rows as dicts of their nonzero
-    entries, as :func:`sparse_rref` returns them, and ``pivots`` are their
-    pivot columns.  One vector per free column fc, in increasing order: 1
-    at fc and -R[r][fc] at the pivot of each row r, 0 elsewhere."""
+    """Yield the basis of the kernel of an n-column matrix, read off a row
+    echelon form with monic pivots (:func:`sparse_echelon`, or the rows of
+    ``Matrix.rref``): ``echelon`` yields the pivot rows as dicts of their
+    nonzero entries, and ``pivots`` are their pivot columns.  One vector
+    per free column fc, in increasing order: 1 at fc, 0 at the other free
+    columns, and each pivot left of fc back-substituted, last first (those
+    right of fc are 0).  It is the one kernel vector with these free
+    entries, so either form gives the RREF's: -R[r][fc] at each pivot."""
+    p = field.characteristic
+    rows = list(zip(pivots, echelon))
     pivset = set(pivots)
-    entries = {fc: [] for fc in range(n) if fc not in pivset}
-    for pc, row in zip(pivots, echelon):
-        for fc, c in row.items():
-            if fc != pc:
-                entries[fc].append((pc, field.neg(c)))
     z, one = field.zero(), field.one()
-    for fc, col in entries.items():
+    left = 0  # the number of pivots left of fc
+    for fc in range(n):
+        if fc in pivset:
+            left += 1
+            continue
         vec = [z] * n
         vec[fc] = one
-        for pc, c in col:
-            vec[pc] = c
+        for pc, row in reversed(rows[:left]):
+            s = 0
+            for j, x in row.items():
+                v = vec[j]
+                if v:
+                    s += x * v
+            if s:
+                vec[pc] = -s % p if p else _canon(-s)
         yield vec
 
 

@@ -27,7 +27,7 @@ from .exactlin import (
     null_space,
     read_coordinates,
     span_matrix,
-    sparse_rref,
+    sparse_echelon,
     _kernel_vectors,
 )
 
@@ -48,17 +48,21 @@ class Representation:
 
     def __init__(self, algebra: PresentedAlgebra, dims, maps, _checked=False):
         self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = dims = tuple(dims)
         q = algebra.quiver
-        if len(self.dims) != q.n_vertices:
+        if len(dims) != q.n_vertices:
             raise ValueError("wrong number of vertex dimensions")
+        for v, d in enumerate(dims):
+            if type(d) is not int or d < 0:
+                raise ValueError(f"dimension {d!r} at vertex {q.vertices[v]} "
+                                 "is not a non-negative int")
         maps = tuple(maps)
         if len(maps) != len(q.arrows):
             raise ValueError("wrong number of arrow maps")
         for j, mat in enumerate(maps):
-            ds = self.dims[q.arrow_source[j]]
-            dt = self.dims[q.arrow_target[j]]
-            if mat.shape != (dt, ds):
+            ds = dims[q.arrow_source[j]]
+            dt = dims[q.arrow_target[j]]
+            if mat.nrows != dt or mat.ncols != ds:
                 raise ValueError(
                     f"map for arrow {q.arrows[j].name} has shape {mat.shape}, "
                     f"expected {(dt, ds)}"
@@ -152,7 +156,7 @@ class Morphism:
         if len(self.blocks) != q.n_vertices:
             raise ValueError("wrong number of blocks")
         for v, b in enumerate(self.blocks):
-            if b.shape != (target.dims[v], source.dims[v]):
+            if b.nrows != target.dims[v] or b.ncols != source.dims[v]:
                 raise ValueError(f"block at vertex {q.vertices[v]} has wrong shape")
         self._hash = None
         if not _checked:
@@ -353,7 +357,7 @@ def hom_basis(m: Representation, n: Representation):
     Unknowns are the block entries (vertex order, row-major); the returned
     basis is the kernel basis of the intertwining system that
     :meth:`Matrix.kernel_basis` gives, read by the same reader off the
-    :func:`sparse_rref` of the system's sparse rows.
+    forward-only :func:`sparse_echelon` of the system's sparse rows.
     Each basis element, flattened, is 1 at its free column, its last
     nonzero entry, and every other element is 0 there: the free columns
     are unit columns, which :func:`_hom_coordinates` reads.
@@ -400,7 +404,7 @@ def hom_basis(m: Representation, n: Representation):
                 for start_x, c in na_row:
                     row[start_x + j] = row.get(start_x + j, 0) - c
                 rows.append(row)
-    echelon, pivots = sparse_rref(fld, rows)
+    echelon, pivots = sparse_echelon(fld, rows)
     basis = [_morphism_from_vector(m, n, vec)
              for vec in _kernel_vectors(fld, total, echelon, pivots)]
     a._cache[key] = basis
@@ -683,8 +687,9 @@ def decompose(m: Representation):
 
     Splits along Fitting decompositions of non-invertible, non-nilpotent
     endomorphisms, searching candidates deterministically (End basis, then
-    pairwise sums).  Raises :class:`DecompositionStalled` if End(m) is not
-    local but no splitting is found.
+    pairwise sums); each summand is the first piece of its class.  Raises
+    :class:`DecompositionStalled` if End(m) is not local but no splitting
+    is found.
     """
     key = ("decompose", m)
     hit = m.algebra._cache.get(key)
@@ -701,7 +706,8 @@ def decompose(m: Representation):
 
 def _split_completely(m: Representation):
     """The pieces of m, split along the first Fitting splitting among the
-    End basis, then its pairwise sums.
+    End basis, then its pairwise sums, and then each half split in turn
+    (:func:`_split_halves`).
 
     The End basis is tried before rad End is computed: if End(m) is local,
     every endomorphism is nilpotent or invertible and none splits, and if
@@ -715,9 +721,9 @@ def _split_completely(m: Representation):
     if d == 1:
         return [m]  # End(m) = k
     for f in basis:
-        pieces = _fitting_split(m, f)
-        if pieces:
-            return pieces
+        halves = _fitting_split(m, f)
+        if halves:
+            return _split_halves(*halves, d)
     if is_indecomposable(m):
         return [m]
     # the pairwise sums: built one at a time, as tried
@@ -727,18 +733,35 @@ def _split_completely(m: Representation):
         (basis[i] + basis[j].scale(two) for i in range(d) for j in range(d) if i != j),
     )
     for f in candidates:
-        pieces = _fitting_split(m, f)
-        if pieces:
-            return pieces
+        halves = _fitting_split(m, f)
+        if halves:
+            return _split_halves(*halves, d)
     raise DecompositionStalled(
         f"End has dim {d}, top dim {d - len(_end_radical(m))} > 1, "
         "but no splitting endomorphism was found"
     )
 
 
+def _split_halves(k: Representation, img: Representation, d: int):
+    """The pieces of k, then those of img, for a Fitting splitting
+    m = k + img with dim End(m) = d.
+
+    If the rank test of :func:`_an_isomorphism` finds img = k, then
+    End(m) = M_2(End k): d = 4 makes End(k) = k, so both halves are
+    indecomposable, and otherwise the pieces of k serve twice, which by
+    Krull-Schmidt gives :func:`decompose` the same summands and
+    multiplicities.  The test can miss only when k is decomposable."""
+    if _an_isomorphism(k, img) is not None:
+        if d == 4:
+            return [k, img]
+        pieces = _split_completely(k)
+        return pieces + pieces
+    return _split_completely(k) + _split_completely(img)
+
+
 def _fitting_split(m: Representation, f: Morphism):
-    """The pieces of m split along ker f^n + im f^n (n >= dim m), or None
-    when f is nilpotent or invertible.
+    """[ker f^n, im f^n] (n >= dim m), the halves of m's Fitting splitting
+    along f, or None when f is nilpotent or invertible.
 
     At each vertex ker f_v^k and im f_v^k are stable from k = dim m_v on,
     so each block is raised to its own power of 2 at or above that.  The
@@ -760,7 +783,7 @@ def _fitting_split(m: Representation, f: Morphism):
     img, _i_incl = image(power)
     if k.total_dim + img.total_dim != n:
         return None  # not yet a Fitting splitting (should not happen)
-    return _split_completely(k) + _split_completely(img)
+    return [k, img]
 
 
 def _summands_match(left, right) -> bool:

@@ -20,7 +20,7 @@ global ones (convexity in mod A, sections, complete slices, torsion pairs)
 enumerate the indecomposables and raise CapExceeded when they cannot.
 """
 
-from .exactlin import Matrix, leading_columns, read_coordinates, span_matrix, sparse_rref
+from .exactlin import Matrix, leading_columns, read_coordinates, span_matrix, sparse_echelon
 from .algebra import (
     CapExceeded,
     NotBasic,
@@ -902,7 +902,7 @@ def _bb_part_one(msum, incls, projs, er, c_dim, ann_dim):
                     if fr[k][s]:
                         row[r * d + k] = row.get(r * d + k, 0) - fr[k][s]
                 rows.append(row)
-    cent_dim = d * d - len(sparse_rref(fld, rows)[1])
+    cent_dim = d * d - len(sparse_echelon(fld, rows)[1])
     # the right-multiplication map
     phi_rows = []
     for word in msum.algebra.basis:

@@ -99,6 +99,31 @@ def test_bad_node_selector_exits_2_naming_it(capsys):
     assert out["error"] == "bad node selector 'node:x' (use node:<k>)"
 
 
+#: every command, with the words before its algebra argument
+CAP_COMMANDS = [["info"], ["indecomposables"], ["ar-quiver"], ["tau"],
+                ["check", "tilted"], ["bb-verify"], ["torsion-pair"], ["quotient"],
+                ["endo"], ["extend", "one-point"], ["slices", "find"],
+                ["orbit-graph"], ["count-stt"]]
+
+
+@pytest.mark.parametrize("cap", ["-5", "0", "two"])
+@pytest.mark.parametrize("words", CAP_COMMANDS, ids=" ".join)
+def test_non_positive_cap_is_a_usage_error(capsys, words, cap):
+    # argparse rejects it before any work, naming --cap
+    with pytest.raises(SystemExit) as exc:
+        main([*words, alg_path("a3"), "--cap", cap])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument --cap: '{cap}' is not a positive integer" in err
+
+
+def test_cap_of_one_is_accepted(capsys):
+    code, out = run_json(capsys, "ar-quiver", alg_path("a3"), "--cap", "1")
+    assert code == 2
+    assert out["error"] == "CapExceeded: more than 1 iso-classes; possibly representation-infinite"
+
+
 def test_algebra_hash_is_stable():
     a = fixdata.algebra("ex1")
     assert algebra_hash(a) == "20bed666af21e346"

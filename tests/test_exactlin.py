@@ -9,7 +9,7 @@ from tauslice.cli import parse_algebra_text
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
     row_space_basis, span_matrix, coordinates_in_basis, read_coordinates,
-    leading_columns, null_space, sparse_rref,
+    leading_columns, null_space, sparse_echelon, _kernel_vectors,
 )
 from tauslice.fixtures import path as fixture_path
 from tauslice.modrep import _direct_sum_rep, hom_basis, injective, projective, simple
@@ -375,49 +375,68 @@ def test_degenerate_shapes(field, shape):
     assert prod == Matrix(field, [[0] * nc for _ in range(nr)], nc)
 
 
-def check_sparse_rref(m):
-    """sparse_rref of m's rows, as dicts over every column with each entry
-    raised by the characteristic (so zeros are explicit and, over GF(p),
-    entries arrive unreduced), equals the dense rref without its zero rows."""
+def check_sparse_echelon(m):
+    """sparse_echelon of m's rows, as dicts over every column with each
+    entry raised by the characteristic (so zeros are explicit and, over
+    GF(p), entries arrive unreduced), is a row echelon form of m: the pivots
+    of the dense rref, one row per pivot with its leading entry a 1 there,
+    every row in the row space of m; and the kernel reader gives the same
+    basis off it as Matrix.kernel_basis off the dense rref."""
     f = m.field
     pad = f.characteristic
     rows = [{j: x + pad for j, x in enumerate(row)} for row in m.rows]
-    echelon, pivots = sparse_rref(f, rows)
+    echelon, pivots = sparse_echelon(f, rows)
     r, dense_pivots = m.rref()
     assert pivots == dense_pivots
     assert len(echelon) == len(pivots)
-    z = f.zero()
-    dense = [tuple(row.get(j, z) for j in range(m.ncols)) for row in echelon]
-    assert dense == list(r.rows[:len(pivots)])
+    for pc, row in zip(pivots, echelon):
+        assert min(row) == pc and row[pc] == f.one()
     assert all(x for row in echelon for x in row.values())
     if not pad:
         assert all(is_canonical(x) for row in echelon for x in row.values())
+    # each row is the combination of the rref's rows given by its pivot
+    # coordinates, so it lies in the row space of m
+    z = f.zero()
+    for row in echelon:
+        combo = [z] * m.ncols
+        for i, pc in enumerate(pivots):
+            combo = [f.add(s, f.mul(row.get(pc, z), x)) for s, x in zip(combo, r.rows[i])]
+        assert combo == [row.get(j, z) for j in range(m.ncols)]
+    kernel = [k.column_vector(0) for k in m.kernel_basis()]
+    assert [tuple(v) for v in _kernel_vectors(f, m.ncols, echelon, pivots)] == kernel
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sparse_rref_matches_dense_rref(field, data):
-    check_sparse_rref(data.draw(sparse_matrices(field, max_rows=7, max_cols=7)))
+    # the forward echelon agrees with the dense rref in pivots and kernel
+    check_sparse_echelon(data.draw(sparse_matrices(field, max_rows=7, max_cols=7)))
     if field == QQ:
-        check_sparse_rref(data.draw(sparse_matrices(field, entries=fractional_entries)))
+        check_sparse_echelon(data.draw(sparse_matrices(field, entries=fractional_entries)))
 
 
 def test_sparse_rref_negates_a_minus_one_pivot(monkeypatch):
     # every pivot of this system is -1 when its row is reached, so the rows
-    # are made monic by negation and no Fraction is built
-    rows = [[-1, 2, 0, 1, 3], [0, -1, 3, 0, 2], [1, -2, -1, 0, 1], [0, 0, 0, -1, 5]]
-    m = Matrix(QQ, rows, 5)
+    # are made monic by negation and no Fraction is built, neither by the
+    # echelon nor by the kernel reader
+    rows = [[-1, 2, 0, 1, 3, 1], [0, -1, 3, 0, 2, 0], [1, -2, -1, 0, 1, 2],
+            [0, 0, 0, -1, 5, 1]]
+    m = Matrix(QQ, rows, 6)
     r, pivots = m.rref()
+    kernel = [k.column_vector(0) for k in m.kernel_basis()]
 
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} built")
 
     monkeypatch.setattr(exactlin, "Fraction", no_fraction)
-    echelon, sparse_pivots = sparse_rref(QQ, [dict(enumerate(row)) for row in rows])
+    echelon, sparse_pivots = sparse_echelon(QQ, [dict(enumerate(row)) for row in rows])
     assert sparse_pivots == pivots == (0, 1, 2, 3)
-    assert [tuple(row.get(j, 0) for j in range(5)) for row in echelon] == list(r.rows)
     assert all(type(x) is int for row in echelon for x in row.values())
+    assert [row[pc] for pc, row in zip(pivots, echelon)] == [1, 1, 1, 1]
+    vectors = [tuple(v) for v in _kernel_vectors(QQ, 6, echelon, pivots)]
+    assert vectors == kernel and len(kernel) == 2
+    assert all(type(x) is int for v in vectors for x in v)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -425,9 +444,39 @@ def test_sparse_rref_negates_a_minus_one_pivot(monkeypatch):
 def test_sparse_rref_degenerate_shapes(field, shape):
     nr, nc = shape
     for rows in ([[0] * nc for _ in range(nr)], [[3] * nc for _ in range(nr)]):
-        check_sparse_rref(Matrix(field, rows, nc))
-    assert sparse_rref(field, []) == ([], ())
-    assert sparse_rref(field, [{}, {2: 0}]) == ([], ())
+        check_sparse_echelon(Matrix(field, rows, nc))
+    assert sparse_echelon(field, []) == ([], ())
+    assert sparse_echelon(field, [{}, {2: 0}]) == ([], ())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_is_the_pivot_count_of_rref(field, data):
+    # rank runs the forward elimination only; rref clears above pivots too
+    shape = data.draw(st.sampled_from([None, (0, 3), (3, 0), (0, 0), (1, 1)]))
+    entries = fractional_entries if field == QQ else st.integers(-4, 4)
+    m = data.draw(sparse_matrices(field, max_rows=6, max_cols=6, shape=shape,
+                                  entries=entries))
+    assert m.rank() == len(m.rref()[1]) == reference_rank(field, m.rows, m.ncols)
+
+
+def test_zero_and_identity_are_shared_per_field_instance():
+    for f in FIELDS:
+        assert Matrix.zero(f, 2, 3) is Matrix.zero(f, 2, 3)
+        assert Matrix.zero(f, 0, 0) is Matrix.zero(f, 0, 0)
+        assert Matrix.identity(f, 3) is Matrix.identity(f, 3)
+        assert Matrix.zero(f, 2, 3) == Matrix(f, [[0] * 3] * 2, 3)
+        assert Matrix.identity(f, 2) == Matrix(f, [[1, 0], [0, 1]], 2)
+        assert Matrix.zero(f, 1, 1) is not Matrix.zero(f, 1, 2)
+    # equal fields that are distinct objects each hold their own
+    g, h = PrimeField(5), PrimeField(5)
+    assert g == h and g is not h
+    for mg, mh in [(Matrix.zero(g, 2, 2), Matrix.zero(h, 2, 2)),
+                   (Matrix.identity(g, 2), Matrix.identity(h, 2))]:
+        assert mg == mh and mg is not mh
+        assert mg.field is g and mh.field is h
+
 
 def test_public_constructor_coerces():
     row = Matrix(QQ, [[1, Fraction(4, 2), "6/3", "1/2", True]])[0]

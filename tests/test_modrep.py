@@ -293,6 +293,21 @@ def test_morphism_rejects_a_failed_square_beside_zero_fibres(a3):
     assert ok.dims == (1, 1, 0)
 
 
+@pytest.mark.parametrize("dims, vertex", [
+    ((1.9, 1), "1"), ((1, True), "2"), ((-1, 1), "1"), (("1", 1), "1"),
+    ((1, Fraction(1)), "2"), ((1, 1.0), "2"),
+])
+def test_representation_rejects_a_dimension_that_is_not_an_int(a2, dims, vertex):
+    # refused before any arrow shape is compared, whether or not the
+    # relations are checked
+    with pytest.raises(ValueError, match=f"at vertex {vertex} is not a non-negative int"):
+        Representation(a2, dims, [Matrix(QQ, [[1]], 1)])
+    with pytest.raises(ValueError, match=f"at vertex {vertex} is not a non-negative int"):
+        Representation(a2, dims, [Matrix(QQ, [[1]], 1)], _checked=True)
+    assert Representation(a2, [1, 1], [Matrix(QQ, [[1]], 1)]).dims == (1, 1)
+    assert Representation(a2, (0, 0), [Matrix.zero(QQ, 0, 0)]).dims == (0, 0)
+
+
 def test_relation_check_skips_only_zero_fibres(a3, ex1):
     # over A3/(ab) the relation runs from 1 to 3: a zero fibre at either end
     # leaves nothing to check, and nonzero fibres at both ends are checked
@@ -682,7 +697,7 @@ def mesh_middle_terms(a, cap):
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F5"])
 @pytest.mark.parametrize("name", ["ex1", "ex2", "fig1", "fig2"])
-def test_fitting_split_matches_total_power(name, field, monkeypatch):
+def test_fitting_split_matches_total_power(name, field):
     a = parse_algebra_text(
         fixdata.path(f"{name}.alg").read_text(),
         None if field == "Q" else field_from_spec(field),
@@ -700,7 +715,103 @@ def test_fitting_split_matches_total_power(name, field, monkeypatch):
         cases += [(m, basis[i] + basis[j]) for i in range(d) for j in range(i + 1, d)]
         cases += [(m, basis[i] + basis[j].scale(two))
                   for i in range(d) for j in range(d) if i != j]
-    # the pieces of one split, without recursing into them
-    monkeypatch.setattr(modrep_module, "_split_completely", lambda x: [x])
+    # _fitting_split returns the two halves, unsplit
     for m, f in cases:
         assert modrep_module._fitting_split(m, f) == fitting_by_total_power(m, f)
+
+
+# ---------------------------------------------------------------------------
+# isomorphic Fitting halves: decompose against splitting both halves
+
+
+def _split_both_halves(k, img, d):
+    """_split_halves without its rule for isomorphic halves."""
+    return modrep_module._split_completely(k) + modrep_module._split_completely(img)
+
+
+def decomposed_with_and_without_the_rule(a, cap, modules, monkeypatch):
+    """Assert that decompose gives the same list, when _split_halves splits
+    both halves, for each of ``modules`` and each module that the closure
+    of ``a``, capped at ``cap`` nodes, decomposed.  Return (dim End m,
+    whether the halves are isomorphic) for each Fitting split made with
+    the rule."""
+    splits = []
+    rule = modrep_module._split_halves
+
+    def recording(k, img, d):
+        splits.append((d, _an_isomorphism(k, img) is not None))
+        return rule(k, img, d)
+
+    monkeypatch.setattr(modrep_module, "_split_halves", recording)
+    try:
+        ar_quiver(a, max_nodes=cap)
+    except CapExceeded:
+        pass
+    done = {key[1]: hit for key, hit in a._cache.items() if key[0] == "decompose"}
+    done.update((m, decompose(m)) for m in modules)
+    assert done
+    for m in done:
+        del a._cache["decompose", m]
+    monkeypatch.setattr(modrep_module, "_split_halves", _split_both_halves)
+    for m, hit in done.items():
+        assert decompose(m) == hit
+    return splits
+
+
+def powers_and_sums(a):
+    """Y^2, Y^3, Y^4 and Y + Z for a few indecomposables Y, Z of ``a``,
+    among them a Y with the largest End."""
+    nodes = ar_quiver(a).representatives()
+    widest = max(range(len(nodes)), key=lambda i: len(hom_basis(nodes[i], nodes[i])))
+    out = []
+    for i in sorted({0, len(nodes) // 2, len(nodes) - 1, widest}):
+        y, z = nodes[i], nodes[(i + 1) % len(nodes)]
+        out += [direct_sum(a, [y] * e)[0] for e in (2, 3, 4)]
+        out.append(direct_sum(a, [y, z])[0])
+    return out
+
+
+FINITE_FIXTURES = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
+                   "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]
+
+
+def load(name, field):
+    return parse_algebra_text(fixdata.path(f"{name}.alg").read_text(),
+                              None if field == "Q" else field_from_spec(field))
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_isomorphic_halves_rule_keeps_decompose(name, monkeypatch):
+    a = load(name, "Q")
+    splits = decomposed_with_and_without_the_rule(a, 512, powers_and_sums(a), monkeypatch)
+    # Y^2 of a Y with End = k splits into isomorphic halves with
+    # dim End = 4.  Y^4 splits as Y^3 + Y first (the End basis starts with
+    # a rank-one idempotent), so dim End > 4 with isomorphic halves comes
+    # from Y^2 of a Y with a larger End: ex1 has one, End of dim 2
+    assert (4, True) in splits
+    assert any(d > 4 and iso for d, iso in splits) == (name == "ex1")
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_split_halves_splits_both_when_they_differ(name):
+    # Y against rad Y + top Y: the same dimension vector, not isomorphic,
+    # in either order, so the pieces of each half are its own
+    a = load(name, "Q")
+    tried = 0
+    for y in ar_quiver(a).representatives():
+        r = radical_rep(y)[0]
+        if r.is_zero():
+            continue
+        z = direct_sum(a, [r, top_rep(y)[0]])[0]
+        m = direct_sum(a, [y, z])[0]
+        d = len(hom_basis(m, m))
+        for k, img in ((y, z), (z, y)):
+            assert modrep_module._split_halves(k, img, d) == _split_both_halves(k, img, d)
+        tried += 1
+    assert tried
+
+
+@pytest.mark.parametrize("field, cap", [("Q", 24), ("F5", 32)])
+def test_isomorphic_halves_rule_keeps_fig2_closure(field, cap, monkeypatch):
+    splits = decomposed_with_and_without_the_rule(load("fig2", field), cap, [], monkeypatch)
+    assert (4, True) in splits
