@@ -19,6 +19,10 @@ extension by the relation-extension bimodule; the split extension that
 ``ideal_bimodule`` gives for the ideal of each arrow; and, for the
 representation-finite fixtures, the orbit graph of the AR quiver.
 
+The fig2 records list only what the closure computed: a change that
+computes less (a translate it no longer needs, say) drops records from
+them, and their digests change with nothing else changed.
+
 Running it on two commits gives a one-command check that a change leaves
 the AR data and these constructions byte-identical:
 
@@ -26,7 +30,12 @@ the AR data and these constructions byte-identical:
     (cd ../parent && python3 scripts/ar_digest.py) > before.txt
     diff before.txt after.txt
 
-Usage: python3 scripts/ar_digest.py
+With ``--lines`` each digest line is followed by one line per digested
+record: a short hash of the record and the start of its first line.  Run
+on both commits, a diff then names the records that changed, were added
+or were dropped.  Without it the output is the digests alone.
+
+Usage: python3 scripts/ar_digest.py [--lines]
 """
 
 import hashlib
@@ -179,12 +188,28 @@ def orbit_graph_lines(a):
     yield og if isinstance(og, str) else f"orbits={og.orbits!r} edges={og.edges!r}"
 
 
-def digest(lines):
+def digest(lines, records=None):
+    """SHA-256 of the lines; each line is also appended to ``records``
+    when a list is given."""
     h = hashlib.sha256()
     for line in lines:
         h.update(line.encode())
         h.update(b"\n")
+        if records is not None:
+            records.append(line)
     return h.hexdigest()
+
+
+def report(label, text, records):
+    """Print a digest line, then one line per record in ``records`` (a
+    short hash and the start of its first line), and empty it."""
+    print(f"{label} {text}")
+    if records:
+        for line in records:
+            short = hashlib.sha256(line.encode()).hexdigest()[:12]
+            first = line.split("\n", 1)[0]
+            print(f"  {short} {first[:96]}")
+        records.clear()
 
 
 def load(name, spec):
@@ -192,28 +217,32 @@ def load(name, spec):
                               None if spec == "Q" else field_from_spec(spec))
 
 
-def guarded_digest(lines):
-    return recorded(lambda: digest(lines))
+def guarded_digest(lines, records=None):
+    return recorded(lambda: digest(lines, records))
 
 
-def main():
+def main(argv):
+    if argv not in ([], ["--lines"]):
+        sys.exit("usage: ar_digest.py [--lines]")
+    rec = [] if argv else None
     for name in FINITE:
         for spec in ("Q", "F5", "F3"):
-            print(f"{name} {spec} {guarded_digest(finite_lines(load(name, spec)))}")
+            report(f"{name} {spec}", guarded_digest(finite_lines(load(name, spec)), rec), rec)
     for spec, cap in FIG2_CLOSURES:
-        print(f"fig2 {spec} cap={cap} {digest(capped_lines(load('fig2', spec), cap))}")
+        report(f"fig2 {spec} cap={cap}", digest(capped_lines(load("fig2", spec), cap), rec), rec)
     for name in FINITE + ["fig2"]:
         for spec in ("Q", "F5", "F3"):
-            print(f"bimodule {name} {spec} "
-                  f"{guarded_digest(bimodule_lines(load(name, spec)))}")
+            report(f"bimodule {name} {spec}",
+                   guarded_digest(bimodule_lines(load(name, spec)), rec), rec)
     for name in FINITE + ["fig2"]:
         for spec in ("Q", "F5", "F3"):
-            print(f"quotients {name} {spec} {digest(quotient_lines(load(name, spec)))}")
-            print(f"extensions {name} {spec} {digest(extension_lines(load(name, spec)))}")
+            report(f"quotients {name} {spec}", digest(quotient_lines(load(name, spec)), rec), rec)
+            report(f"extensions {name} {spec}",
+                   digest(extension_lines(load(name, spec)), rec), rec)
             if name != "fig2":
-                print(f"orbit_graph {name} {spec} "
-                      f"{digest(orbit_graph_lines(load(name, spec)))}")
+                report(f"orbit_graph {name} {spec}",
+                       digest(orbit_graph_lines(load(name, spec)), rec), rec)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -414,6 +414,11 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     Hom(e_v A, n) = n_v, so for each generator k of P_{d-1} and each basis
     vector e of n at its vertex, psi_(k, e) sends generator k to e, the
     other generators to 0, and (k, word) to n.word_action(word) e.
+    Their blocks are built by rows, one product per vertex where summand k
+    meets nonzero fibres of Omega^d and n, and zeros elsewhere.  When Hom is
+    full, as for the semisimple syzygies of a radical-square-zero algebra,
+    the restrictions are their own hom coordinates
+    (:func:`_hom_coordinates`).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -431,22 +436,39 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     if not hom:
         return ExtData(m, n, degree, omega, incl, pen, [], [], Matrix.zero(fld, 0, 0))
     # the restrictions psi_(k, e) o incl: at each vertex w, row (e, i) of
-    # one product for all e is row i of the block of psi_(k, e) o incl
+    # one product for all e is row i of the block of psi_(k, e) o incl; a
+    # block with no row, no column or no word of summand k at w is 0
     p0, q = pres.p0, a.quiver
-    words = {word for fibre in p0.fibre_words.values() for _j, word in fibre}
-    acts = {word: n.word_action(word).rows for word in words}
+    z = fld.zero()
+    own = {w: {} for w in p0.fibre_words}  # w -> k -> [(position, word)]
+    for w, fibre in p0.fibre_words.items():
+        for pos, (k, word) in enumerate(fibre):
+            own[w].setdefault(k, []).append((pos, word))
+    acts = {}
     restrictions = []
     for k, v in enumerate(p0.vertex_list):
         dv = n.dims[q.vertex_index[v]]
+        if not dv:
+            continue  # no psi_(k, e)
         flat = [[] for _ in range(dv)]
-        for w, fibre in p0.fibre_words.items():
-            own = [(pos, acts[word]) for pos, (j, word) in enumerate(fibre) if j == k]
-            dw = n.dims[w]
-            lhs = tuple(tuple(act[i][e] for _p, act in own) for e in range(dv) for i in range(dw))
-            rhs = incl.blocks[w].submatrix([p for p, _a in own], range(omega.dims[w]))
-            rows = (Matrix._raw(fld, lhs, len(own)) @ rhs).rows
+        for w in p0.fibre_words:
+            dw, dom = n.dims[w], omega.dims[w]
+            mine = own[w].get(k)
+            if not (dw and dom and mine):
+                zeros = (z,) * (dw * dom)
+                for vec in flat:
+                    vec.extend(zeros)
+                continue
+            for _p, word in mine:
+                if word not in acts:
+                    acts[word] = n.word_action(word).rows
+            lhs = tuple(tuple(acts[word][i][e] for _p, word in mine)
+                        for e in range(dv) for i in range(dw))
+            rhs = incl.blocks[w].submatrix([p for p, _w in mine], range(dom))
+            rows = (Matrix._raw(fld, lhs, len(mine)) @ rhs).rows
             for e, vec in enumerate(flat):
-                vec.extend(x for row in rows[e * dw:(e + 1) * dw] for x in row)
+                for row in rows[e * dw:(e + 1) * dw]:
+                    vec.extend(row)
         restrictions += flat
     # their hom coordinates, at once
     co = _hom_coordinates(omega, n, hom, restrictions)
@@ -699,6 +721,13 @@ class ARQuiver:
 def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> ARQuiver:
     """Mesh closure of projectives, injectives and simples.
 
+    Each mesh is linked once.  A node popped after its mesh was linked
+    from its translate's side records the memoised sequence without
+    admitting its ends and middle summands again, and a node whose tau^{-1}
+    node is already linked does not compute tau^{-1}.  Either admission
+    could only find existing nodes, so the nodes, their ids and the work
+    order are what linking twice gives.
+
     Raises :class:`CapExceeded` when more than ``max_nodes`` iso-classes or a
     module of total dimension beyond ``max_dim`` appears (the algebra is then
     possibly representation-infinite).
@@ -738,8 +767,11 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
             work.append(ident)
         return ident
 
+    linked = {}  # node -> the node of its tau^{-1}, once their mesh is linked
+
     def mesh(left, right, ass):
         g.tau_link[right] = left
+        linked[left] = right
         for summand, mult in ass.middle_summands:
             mid = admit(summand)
             g.set_arrow(left, mid, mult)
@@ -760,13 +792,14 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
         else:
             ass = almost_split_sequence(rep)
             g.meshes[ident] = ass
-            mesh(admit(ass.left), ident, ass)
+            if ident not in g.tau_link:
+                mesh(admit(ass.left), ident, ass)
         if node.injective_label is not None:
             _soc, soc_incl = socle_rep(rep)
             quot, _proj = cokernel(soc_incl)
             for summand, mult in decompose(quot):
                 g.set_arrow(ident, admit(summand), mult)
-        else:
+        elif ident not in linked:
             # the mesh of tau^{-1} X's own representative: a fresh tau^{-1} X
             # may be an isomorphic copy, on which the cache would miss
             right = admit(tau_inverse(rep))

@@ -871,7 +871,7 @@ def build_parser():
     p = sub.add_parser("tau", help="Auslander-Reiten translate")
     _add_common(p, modules=True)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_positive_int, default=1)
     p.add_argument("--out", help="write the result as a .rep file")
     p.set_defaults(fn=cmd_tau)
 
@@ -880,7 +880,7 @@ def build_parser():
         list(_MODULE_CHECKS) + list(_SLICE_CHECKS) + ["tilted"]
     ))
     _add_common(p, modules=True)
-    p.add_argument("--limit", type=int, default=10000,
+    p.add_argument("--limit", type=_positive_int, default=10000,
                    help="search budget for check tilted")
     p.set_defaults(fn=cmd_check)
 
@@ -921,7 +921,7 @@ def build_parser():
     p = sub.add_parser("slices", help="slice searches")
     p.add_argument("action", choices=["find"])
     _add_common(p)
-    p.add_argument("--limit", type=int, default=10000)
+    p.add_argument("--limit", type=_positive_int, default=10000)
     p.set_defaults(fn=cmd_slices)
 
     p = sub.add_parser("orbit-graph", help="tau-orbit graph of a component")

@@ -433,7 +433,19 @@ def _flat_matrix(m, n, morphisms) -> Matrix:
 def _hom_coordinates(m, n, basis, vectors):
     """Coordinates of the flattened morphisms ``vectors`` along
     ``basis = hom_basis(m, n)``, read at its free columns (the last nonzero
-    entry of each element), or None when one lies outside their span."""
+    entry of each element), or None when one lies outside their span.
+
+    A full Hom, one basis element per block entry, came from a system with
+    no pivot, so its basis is the standard one in order and the vectors
+    are their own coordinates: they are returned after the length check
+    of :func:`read_coordinates`, without flattening the basis.
+    """
+    width = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
+    if len(basis) == width:
+        vecs = tuple(map(tuple, vectors))
+        if any(len(v) != width for v in vecs):
+            raise ValueError(f"vector length differs from {width}")
+        return Matrix._raw(m.algebra.field, vecs, width)
     flat = _flat_matrix(m, n, basis)
     units = [len(r) - 1 - next(i for i, x in enumerate(reversed(r)) if x) for r in flat.rows]
     return read_coordinates(flat, units, vectors)
@@ -463,15 +475,24 @@ def submodule(m: Representation, bases):
     the columns of the inclusion.  An arrow's map on S holds the
     coordinates of the images of its source basis along its target basis,
     read at the target basis's leading columns; ``ValueError`` when an
-    image leaves that span.
+    image leaves that span.  An arrow with an empty source or target basis
+    gets the shared :meth:`Matrix.zero`; when only the target is empty,
+    the images are still checked to be 0.
     """
     a = m.algebra
+    fld = a.field
     q = a.quiver
     units = [leading_columns(b) for b in bases]
     maps = []
     for j, mat in enumerate(m.maps):
         x, y = q.arrow_source[j], q.arrow_target[j]
-        co = read_coordinates(bases[y], units[y], (bases[x] @ mat.transpose()).rows)
+        bx, by = bases[x], bases[y]
+        if not (bx.nrows and by.nrows):
+            if bx.nrows and not (bx @ mat.transpose()).is_zero():
+                raise ValueError("spaces are not arrow-stable")
+            maps.append(Matrix.zero(fld, by.nrows, bx.nrows))
+            continue
+        co = read_coordinates(by, units[y], (bx @ mat.transpose()).rows)
         if co is None:
             raise ValueError("spaces are not arrow-stable")
         maps.append(co.transpose())
@@ -502,7 +523,9 @@ def cokernel(f: Morphism):
     At each vertex :func:`null_space` of the image columns gives both: the
     standard vectors e_i it keeps complete the image and are the quotient's
     basis, and its basis rows, the one with leading 1 at i giving the
-    coordinate along e_i, are the rows of proj.
+    coordinate along e_i, are the rows of proj.  The check that proj kills
+    the image is skipped only where that product is empty, and an arrow
+    at an empty quotient fibre gets the shared :meth:`Matrix.zero`.
     """
     m = f.target
     a = m.algebra
@@ -512,13 +535,16 @@ def cokernel(f: Morphism):
     for v, blk in enumerate(f.blocks):
         d = m.dims[v]
         keep, proj = null_space(fld, tuple(zip(*blk.rows)), d)
-        if not (proj @ blk).is_zero():
+        if proj.nrows and blk.ncols and not (proj @ blk).is_zero():
             raise ArithmeticError("cokernel projection does not kill the image")
         projs.append(proj)
         kept.append(keep)
     maps = []
     for j, mat in enumerate(m.maps):
         x, y = q.arrow_source[j], q.arrow_target[j]
+        if not (kept[x] and kept[y]):
+            maps.append(Matrix.zero(fld, len(kept[y]), len(kept[x])))
+            continue
         cols = Matrix._raw(fld, tuple(tuple(r[i] for i in kept[x]) for r in mat.rows), len(kept[x]))
         maps.append(projs[y] @ cols)
     qrep = Representation(a, [len(k) for k in kept], maps, _checked=True)
@@ -695,8 +721,13 @@ def decompose(m: Representation):
     hit = m.algebra._cache.get(key)
     if hit is not None:
         return hit
-    reps = []
-    idents = [_register(reps, p) for p in _split_completely(m)]
+    reps, idents = [], []
+    known = {}  # id of a piece -> its class; a repeated piece is one class
+    for p in _split_completely(m):
+        k = known.get(id(p))
+        if k is None:
+            k = known[id(p)] = _register(reps, p)
+        idents.append(k)
     result = [(rep, idents.count(k)) for k, rep in enumerate(reps)]
     if sum(rep.total_dim * mult for rep, mult in result) != m.total_dim:
         raise ArithmeticError("decomposition does not add up")
@@ -707,7 +738,8 @@ def decompose(m: Representation):
 def _split_completely(m: Representation):
     """The pieces of m, split along the first Fitting splitting among the
     End basis, then its pairwise sums, and then each half split in turn
-    (:func:`_split_halves`).
+    (:func:`_split_halves`).  A piece listed twice, as the same object,
+    stands for two isomorphic summands.
 
     The End basis is tried before rad End is computed: if End(m) is local,
     every endomorphism is nilpotent or invertible and none splits, and if
@@ -750,11 +782,11 @@ def _split_halves(k: Representation, img: Representation, d: int):
     End(m) = M_2(End k): d = 4 makes End(k) = k, so both halves are
     indecomposable, and otherwise the pieces of k serve twice, which by
     Krull-Schmidt gives :func:`decompose` the same summands and
-    multiplicities.  The test can miss only when k is decomposable."""
+    multiplicities.  Either way the pieces of k are listed twice, as the
+    same objects, so :func:`decompose` takes the verdict without testing
+    again.  The test can miss only when k is decomposable."""
     if _an_isomorphism(k, img) is not None:
-        if d == 4:
-            return [k, img]
-        pieces = _split_completely(k)
+        pieces = [k] if d == 4 else _split_completely(k)
         return pieces + pieces
     return _split_completely(k) + _split_completely(img)
 
@@ -764,16 +796,20 @@ def _fitting_split(m: Representation, f: Morphism):
     along f, or None when f is nilpotent or invertible.
 
     At each vertex ker f_v^k and im f_v^k are stable from k = dim m_v on,
-    so each block is raised to its own power of 2 at or above that.  The
-    ranks of these blocks reject a nilpotent f (all 0) or an invertible
-    one (all full) before any submodule is built.
+    so each block is raised to its own power of 2 at or above that; the
+    squaring stops early at an idempotent block, which every later power
+    equals.  The ranks of these blocks reject a nilpotent f (all 0) or an
+    invertible one (all full) before any submodule is built.
     """
     n = m.total_dim
     blocks = []
     for b, d in zip(f.blocks, m.dims):
         steps = 1
         while steps < d:
-            b = b @ b
+            square = b @ b
+            if square == b:
+                break
+            b = square
             steps *= 2
         blocks.append(b)
     if not 0 < sum(b.rank() for b in blocks) < n:

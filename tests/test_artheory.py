@@ -12,7 +12,7 @@ from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
     hom_basis, compose, is_isomorphic, fac_member, sub_member, dual, cokernel, Morphism,
-    identity_morphism,
+    identity_morphism, iso_index, _flat_matrix,
 )
 from tauslice.artheory import (
     ARNode, tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
@@ -534,3 +534,123 @@ def test_mesh_pipeline_solves_no_projective_hom_and_multiplies_nothing(monkeypat
     assert homs and projsums
     assert [m for m in homs if any(m is r for r in projsums)] == []
     assert products == []
+
+
+# ---------------------------------------------------------------------------
+# the closure links each mesh once
+
+CLOSURES = [(name, "Q", 512) for name in sorted(AR_SIZES_Q)]
+CLOSURES += [("fig2", "Q", 24), ("fig2", "F5", 32)]
+
+
+def record_closures(monkeypatch):
+    """The list to which ar_quiver, from now on, appends each ARQuiver it
+    starts to build, so that a capped closure can be inspected too."""
+    built = []
+
+    class Recorded(artheory_module.ARQuiver):
+        def __init__(self, algebra):
+            super().__init__(algebra)
+            built.append(self)
+
+    monkeypatch.setattr(artheory_module, "ARQuiver", Recorded)
+    return built
+
+
+def close(name, field, cap):
+    """ar_quiver over a fresh copy of fixture ``name``; fig2 stops at
+    ``cap`` nodes."""
+    a = load_over(name, field)
+    if name == "fig2":
+        with pytest.raises(CapExceeded):
+            ar_quiver(a, max_nodes=cap)
+    else:
+        ar_quiver(a, max_nodes=cap)
+
+
+@pytest.mark.parametrize("name, field, cap", CLOSURES)
+def test_closure_links_each_node_to_its_inverse_translate(name, field, cap, monkeypatch):
+    # the oracle recomputes tau^-1 and the isomorphism class, without the
+    # closure's own bookkeeping
+    built = record_closures(monkeypatch)
+    close(name, field, cap)
+    g, = built
+    nodes = g.representatives()
+    found = 0
+    for x, rep_x in enumerate(nodes):
+        if is_injective_rep(rep_x):
+            continue
+        w_node = iso_index(nodes, tau_inverse(rep_x))
+        if name != "fig2":
+            # a closed AR quiver holds every tau^-1 and links every mesh
+            assert w_node is not None and g.tau_link[w_node] == x, (name, x)
+        elif w_node is not None:
+            # a capped closure may stop before linking a mesh
+            assert g.tau_link.get(w_node, x) == x, (name, x)
+        found += w_node is not None
+    assert found
+    for right, left in g.tau_link.items():
+        assert iso_index(nodes, tau(nodes[right])) == left
+
+
+@pytest.mark.parametrize("name, field, cap", CLOSURES)
+def test_closure_computes_each_translate_and_sequence_once(name, field, cap, monkeypatch):
+    # tau^-1 is asked only for a node that is not yet the left end of a
+    # linked mesh, and neither it nor an almost split sequence is computed
+    # twice for one node
+    built = record_closures(monkeypatch)
+    inverse_calls, computed_sequences = [], []
+    original_inverse = artheory_module.tau_inverse
+    original_sequence = artheory_module.almost_split_sequence
+
+    def counted_inverse(m):
+        g, = built
+        x = next(i for i, node in enumerate(g.nodes) if node.rep is m)
+        assert x not in g.tau_link.values(), (name, x)
+        inverse_calls.append(x)
+        return original_inverse(m)
+
+    def counted_sequence(m):
+        if ("almost_split_sequence", m) not in m.algebra._cache:
+            computed_sequences.append(m)
+        return original_sequence(m)
+
+    monkeypatch.setattr(artheory_module, "tau_inverse", counted_inverse)
+    monkeypatch.setattr(artheory_module, "almost_split_sequence", counted_sequence)
+    close(name, field, cap)
+    assert inverse_calls and computed_sequences
+    assert len(set(inverse_calls)) == len(inverse_calls)
+    reps = built[0].representatives()
+    assert all(any(m is r for r in reps) for m in computed_sequences)
+    assert len({id(m) for m in computed_sequences}) == len(computed_sequences)
+
+
+# ---------------------------------------------------------------------------
+# Ext^1 on a full Hom
+
+
+@pytest.mark.parametrize("field, cap", [("Q", 24), ("F5", 32)])
+def test_ext_data_on_a_full_hom_matches_the_general_solve(field, cap, monkeypatch):
+    # every ext_data call of the fig2 closure, again with the coordinates
+    # solved along the flattened hom basis
+    calls = []
+    original = artheory_module.ext_data
+
+    def recorded(m, n, degree=1):
+        ext = original(m, n, degree)
+        calls.append((m, n, degree, ext))
+        return ext
+
+    monkeypatch.setattr(artheory_module, "ext_data", recorded)
+    close("fig2", field, cap)
+    assert calls
+
+    def solved(m, n, basis, vectors):
+        return coordinates_in_basis(_flat_matrix(m, n, basis), vectors)
+
+    monkeypatch.setattr(artheory_module, "_hom_coordinates", solved)
+    for m, n, degree, ext in calls:
+        # fig2 has radical square zero: Omega is semisimple and Hom full
+        assert len(ext.hom) == sum(a * b for a, b in zip(ext.omega.dims, n.dims))
+        again = original(m, n, degree)
+        assert (again.classes, again.proj) == (ext.classes, ext.proj)

@@ -118,6 +118,23 @@ def test_non_positive_cap_is_a_usage_error(capsys, words, cap):
     assert f"error: argument --cap: '{cap}' is not a positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "two"])
+@pytest.mark.parametrize("words, option, extra", [
+    pytest.param(["tau"], "--power", ["-m", "1,0,0"], id="tau --power"),
+    pytest.param(["check", "tilted"], "--limit", [], id="check tilted --limit"),
+    pytest.param(["slices", "find"], "--limit", [], id="slices find --limit"),
+])
+def test_non_positive_power_or_limit_is_a_usage_error(capsys, words, option, extra, value):
+    # a power of -2 used to return the source module as its own translate,
+    # and a limit of 0 an "inconclusive" search or a CapExceeded
+    with pytest.raises(SystemExit) as exc:
+        main([*words, alg_path("a3"), *extra, option, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {option}: '{value}' is not a positive integer" in err
+
+
 def test_cap_of_one_is_accepted(capsys):
     code, out = run_json(capsys, "ar-quiver", alg_path("a3"), "--cap", "1")
     assert code == 2

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata
-from tauslice.exactlin import FieldError, Matrix, PrimeField, QQ, span_matrix
+from tauslice.exactlin import (
+    FieldError, Matrix, PrimeField, QQ, coordinates_in_basis, span_matrix,
+)
 from tauslice.algebra import CapExceeded, FieldTooSmall, quotient
 from tauslice.cli import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
@@ -815,3 +817,89 @@ def test_split_halves_splits_both_when_they_differ(name):
 def test_isomorphic_halves_rule_keeps_fig2_closure(field, cap, monkeypatch):
     splits = decomposed_with_and_without_the_rule(load("fig2", field), cap, [], monkeypatch)
     assert (4, True) in splits
+
+
+def test_fitting_split_stops_at_idempotents(monkeypatch):
+    # every module that decompose splits, or finds unsplittable, in the
+    # closures of the fixtures (fig2 capped at 24 nodes), against the power
+    # of the whole morphism, on every End basis element
+    met = []
+    original = modrep_module._split_completely
+
+    def recording(m):
+        met.append(m)
+        return original(m)
+
+    monkeypatch.setattr(modrep_module, "_split_completely", recording)
+    for name in FINITE_FIXTURES:
+        ar_quiver(load(name, "Q"))
+    with pytest.raises(CapExceeded):
+        ar_quiver(load("fig2", "Q"), max_nodes=24)
+    monkeypatch.undo()
+    cases = [(m, f) for m in met for f in hom_basis(m, m)]
+    # their blocks are nilpotent of index at most 2 where not idempotent:
+    # add a nilpotent Jordan block of size 3 next to an idempotent and next
+    # to an invertible part, on S1^4 of a3 (End = M_4(k))
+    a = load("a3", "Q")
+    s4 = direct_sum(a, [simple(a, "1")] * 4)[0]
+    empty = Matrix.zero(a.field, 0, 0)
+    for last in (1, 2):
+        jordan = Matrix(a.field, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, last]])
+        cases.append((s4, Morphism(s4, s4, [jordan, empty, empty])))
+    idempotent = 0
+    for m, f in cases:
+        halves = modrep_module._fitting_split(m, f)
+        assert halves == fitting_by_total_power(m, f)
+        idempotent += halves is not None and compose(f, f) == f
+    assert idempotent
+
+
+def test_isomorphic_halves_are_tested_once(monkeypatch):
+    # Y + Y with End(Y) = k: the rank test of _split_halves, and no second
+    # one when decompose registers the halves
+    a = load("a3", "Q")
+    y = projective(a, "1")
+    m = direct_sum(a, [y, y])[0]
+    tests = []
+    monkeypatch.setattr(modrep_module, "_an_isomorphism",
+                        lambda u, v: tests.append(u) or _an_isomorphism(u, v))
+    (piece, mult), = decompose(m)
+    assert mult == 2 and _an_isomorphism(piece, y) is not None
+    assert len(tests) == 1
+
+
+def test_hom_coordinates_on_a_full_hom_are_the_vectors():
+    a = load("a3", "Q")
+    s1, s2 = simple(a, "1"), simple(a, "2")
+    m = direct_sum(a, [s1, s1, s2])[0]
+    n = direct_sum(a, [s1, s2, s2])[0]
+    basis = hom_basis(m, n)
+    assert len(basis) == 4  # every block entry: 1 x 2 at vertex 1, 2 x 1 at 2
+    vectors = [(1, Fraction(1, 2), 0, -3), (0, 0, 0, 0), (5, 0, 7, 1)]
+    co = modrep_module._hom_coordinates(m, n, basis, vectors)
+    assert co.rows == tuple(vectors)
+    assert co == coordinates_in_basis(modrep_module._flat_matrix(m, n, basis), vectors)
+    with pytest.raises(ValueError, match="vector length differs from 4"):
+        modrep_module._hom_coordinates(m, n, basis, [(1, 2, 3)])
+
+
+def test_hom_coordinates_outside_a_hom_that_is_not_full_are_none():
+    a = load("a3", "Q")
+    p = projective(a, "1")
+    basis = hom_basis(p, p)
+    assert len(basis) == 1  # End(P1) = k, of the 3 block entries
+    assert modrep_module._hom_coordinates(p, p, basis, [(1, 0, 0)]) is None
+    assert modrep_module._hom_coordinates(p, p, basis, [(2, 2, 2)]).rows == ((2,),)
+
+
+def test_submodule_checks_arrows_into_an_empty_fibre():
+    # P1 of a2 is 1 -> 1 with the identity: the fibre at 1 alone is not
+    # stable, the fibre at 2 alone is
+    a = load("a2", "Q")
+    p = projective(a, "1")
+    full, empty = Matrix.identity(a.field, 1), Matrix.zero(a.field, 0, 1)
+    with pytest.raises(ValueError, match="not arrow-stable"):
+        submodule(p, [full, empty])
+    s, incl = submodule(p, [empty, full])
+    assert s.dims == (0, 1) and s.maps[0] is Matrix.zero(a.field, 1, 0)
+    assert incl.blocks == (Matrix.zero(a.field, 1, 0), full)
