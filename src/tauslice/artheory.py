@@ -54,6 +54,7 @@ from .modrep import (
     _descend,
     _direct_sum_rep,
     _flat_matrix,
+    _full_hom,
     _hom_coordinates,
     _linear_combinations,
     _morphism_from_vector,
@@ -359,10 +360,13 @@ def tau_power(m: Representation, k: int) -> Representation:
 class ExtData(Record):
     """Ext^d(m, n) presented on Hom(Omega^d m, n).
 
-    ``hom`` is the full hom basis.  ``classes`` and ``proj`` are
-    :func:`null_space` of the coboundaries (the classes that extend to
-    P_{d-1}) in hom coordinates: cocycle k is ``hom[classes[k]]``, and row
-    k of ``proj`` is the class coordinate k of a hom-coordinate vector.
+    ``classes`` and ``proj`` are :func:`null_space` of the coboundaries (the
+    classes that extend to P_{d-1}) in hom coordinates: cocycle k is hom
+    basis element ``classes[k]``, and row k of ``proj`` is the class
+    coordinate k of a hom-coordinate vector.  When ``full``, Hom is every
+    family of blocks (:func:`_full_hom`): its basis is the unit morphisms in
+    order and a morphism's hom coordinates are its flattened entries, so
+    the cocycles are built alone and the hom basis is not built at all.
     """
 
     __slots__ = (
@@ -372,7 +376,7 @@ class ExtData(Record):
         "omega",
         "omega_incl",  # Omega^d -> P_{d-1}
         "penultimate",  # P_{d-1}
-        "hom",
+        "full",
         "classes",
         "proj",
     )
@@ -381,17 +385,37 @@ class ExtData(Record):
     def dim(self):
         return len(self.classes)
 
+    @property
+    def hom(self):
+        """The hom basis, ``hom_basis(omega, target)``."""
+        return hom_basis(self.omega, self.target)
+
+    def _hom_elements(self, positions) -> list:
+        """The hom basis elements at ``positions``; on a full Hom the unit
+        morphisms at those block entries, built alone."""
+        if not self.full:
+            hom = self.hom
+            return [hom[i] for i in positions]
+        z, o = self.proj.field.zero(), self.proj.field.one()
+        return [
+            _morphism_from_vector(
+                self.omega, self.target, [o if j == i else z for j in range(self.proj.ncols)]
+            )
+            for i in positions
+        ]
+
     def cocycle(self, coords) -> Morphism:
         """The cocycle with the given class coordinates, combining only the
         hom basis elements they use."""
         used = [(i, c) for i, c in zip(self.classes, coords) if c]
         return _linear_combinations(
-            self.omega, self.target, [self.hom[i] for i, _c in used], [[c for _i, c in used]]
+            self.omega, self.target, self._hom_elements([i for i, _c in used]),
+            [[c for _i, c in used]],
         )[0]
 
     def basis_cocycles(self) -> list:
         """The cocycles of the class basis."""
-        return [self.hom[i] for i in self.classes]
+        return self._hom_elements(self.classes)
 
     def matrix_of(self, cocycles) -> Matrix:
         """Class coordinates of the given cocycles, as the columns of a
@@ -400,9 +424,16 @@ class ExtData(Record):
         fld = self.source.algebra.field
         if not self.classes or not cocycles:
             return Matrix.zero(fld, self.dim, len(cocycles))
-        co = _hom_coordinates(self.omega, self.target, self.hom, [f.flatten() for f in cocycles])
-        if co is None:
-            raise ValueError("morphism does not lie in Hom(Omega^d, n)")
+        if self.full:
+            if any(f.source != self.omega or f.target != self.target for f in cocycles):
+                raise ValueError("morphism does not lie in Hom(Omega^d, n)")
+            co = _flat_matrix(self.omega, self.target, cocycles)
+        else:
+            co = _hom_coordinates(
+                self.omega, self.target, self.hom, [f.flatten() for f in cocycles]
+            )
+            if co is None:
+                raise ValueError("morphism does not lie in Hom(Omega^d, n)")
         return self.proj @ co.transpose()
 
 
@@ -416,9 +447,9 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
     other generators to 0, and (k, word) to n.word_action(word) e.
     Their blocks are built by rows, one product per vertex where summand k
     meets nonzero fibres of Omega^d and n, and zeros elsewhere.  When Hom is
-    full, as for the semisimple syzygies of a radical-square-zero algebra,
-    the restrictions are their own hom coordinates
-    (:func:`_hom_coordinates`).
+    full (:func:`_full_hom`), as for the semisimple syzygies of a
+    radical-square-zero algebra, the restrictions are their own hom
+    coordinates and no hom basis is built.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -429,12 +460,14 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
         cur = syzygy(cur)
     if cur.is_zero():
         z = zero_rep(a)
-        return ExtData(m, n, degree, z, zero_morphism(z, z), z, [], [], Matrix.zero(fld, 0, 0))
+        return ExtData(m, n, degree, z, zero_morphism(z, z), z, True, [], Matrix.zero(fld, 0, 0))
     pres = minimal_presentation(cur)
     omega, incl, pen = pres.omega, pres.omega_incl, pres.p0.rep
-    hom = hom_basis(omega, n)
-    if not hom:
-        return ExtData(m, n, degree, omega, incl, pen, [], [], Matrix.zero(fld, 0, 0))
+    full = _full_hom(omega, n)
+    hom = None if full else hom_basis(omega, n)
+    size = sum(do * dn for do, dn in zip(omega.dims, n.dims)) if full else len(hom)
+    if not size:
+        return ExtData(m, n, degree, omega, incl, pen, full, [], Matrix.zero(fld, 0, 0))
     # the restrictions psi_(k, e) o incl: at each vertex w, row (e, i) of
     # one product for all e is row i of the block of psi_(k, e) o incl; a
     # block with no row, no column or no word of summand k at w is 0
@@ -471,11 +504,13 @@ def ext_data(m: Representation, n: Representation, degree: int = 1) -> ExtData:
                     vec.extend(row)
         restrictions += flat
     # their hom coordinates, at once
-    co = _hom_coordinates(omega, n, hom, restrictions)
-    if co is None:
-        raise ArithmeticError("restriction escaped Hom(Omega, n)")
-    classes, proj = null_space(fld, co.rows, len(hom))
-    return ExtData(m, n, degree, omega, incl, pen, hom, classes, proj)
+    if not full:
+        co = _hom_coordinates(omega, n, hom, restrictions)
+        if co is None:
+            raise ArithmeticError("restriction escaped Hom(Omega, n)")
+        restrictions = co.rows
+    classes, proj = null_space(fld, restrictions, size)
+    return ExtData(m, n, degree, omega, incl, pen, full, classes, proj)
 
 
 def ext_dim(m: Representation, n: Representation, degree: int = 1) -> int:
@@ -547,12 +582,21 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
 
 
 class AlmostSplitSequence(Record):
+    """0 -> left -> E -> right -> 0, with E = ``ses.middle``.
+
+    ``middle_summands`` is ``decompose(E)``, [(rep, mult)], memoised in
+    the algebra's cache: E is decomposed only when they are read.
+    """
+
     __slots__ = (
         "ses",
         "left",  # tau(right)
         "right",
-        "middle_summands",  # [(rep, mult)]
     )
+
+    @property
+    def middle_summands(self):
+        return decompose(self.ses.middle)
 
 
 def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
@@ -560,10 +604,13 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
 
     Requires m indecomposable non-projective.  The class is the socle
     generator of Ext^1(m, tau m) under the right End(m)-action
-    [phi].g = [phi o Omega(g)].  The sequence is memoised in the algebra's
-    cache and ends at m itself: a hit computed for an earlier, equal object
-    is re-anchored on m, and shares tau m, E and the middle summands with it;
-    a hit computed for m itself is returned as is.
+    [phi].g = [phi o Omega(g)].  When Ext^1(m, tau m) is a line, rad End(m),
+    nilpotent, acts on it by 0, so the socle is all of it and rad End(m) is
+    not computed.  The sequence is memoised in the algebra's cache and ends
+    at m itself: a hit computed for an earlier, equal object is re-anchored
+    on m, and shares tau m and E with it; a hit computed for m itself is
+    returned as is.  E is not decomposed here (see
+    :class:`AlmostSplitSequence`).
     """
     key = ("almost_split_sequence", m)
     hit = m.algebra._cache.get(key)
@@ -574,7 +621,7 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
         ses = ShortExactSequence(
             old.sub, old.middle, m, old.left_map, _retarget(old.right_map, m)
         )
-        return AlmostSplitSequence(ses, hit.left, m, hit.middle_summands)
+        return AlmostSplitSequence(ses, hit.left, m)
     # m is projective exactly when its projective cover is onto with kernel
     # 0; tau(m) builds and memoises this presentation first anyway
     if m.is_zero() or minimal_presentation(m).omega.is_zero():
@@ -584,28 +631,30 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     if ext.dim == 0:
         raise ArithmeticError("Ext^1(m, tau m) vanishes; m cannot be indecomposable")
     fld = m.algebra.field
-    pres = minimal_presentation(m)
-    rad_end = end_radical_morphisms(m)
-    # the action matrices of all of rad End(m), side by side, from one
-    # batched call; the socle is their common kernel (all of Ext^1(m, tau m)
-    # when End(m) = k and there are none)
     d = ext.dim
-    basis = ext.basis_cocycles()
-    omegas = [syzygy_map(g, pres, pres) for g in rad_end]
-    side = ext.matrix_of([compose(phi, w) for w in omegas for phi in basis])
-    stacked = Matrix._raw(fld, tuple(
-        row[k * d:(k + 1) * d] for k in range(len(rad_end)) for row in side.rows
-    ), d)
-    kern = stacked.kernel_basis()
-    if len(kern) != 1:
-        raise SocleNotOneDimensional(
-            f"socle of Ext^1(m, tau m) has dimension {len(kern)} (expected 1); "
-            "is m indecomposable?"
-        )
-    coords = tuple(kern[0].rows[i][0] for i in range(ext.dim))
+    if d == 1:
+        coords = (fld.one(),)
+    else:
+        pres = minimal_presentation(m)
+        rad_end = end_radical_morphisms(m)
+        # the action matrices of all of rad End(m), side by side, from one
+        # batched call; the socle is their common kernel (all of
+        # Ext^1(m, tau m) when End(m) = k and there are none)
+        basis = ext.basis_cocycles()
+        omegas = [syzygy_map(g, pres, pres) for g in rad_end]
+        side = ext.matrix_of([compose(phi, w) for w in omegas for phi in basis])
+        stacked = Matrix._raw(fld, tuple(
+            row[k * d:(k + 1) * d] for k in range(len(rad_end)) for row in side.rows
+        ), d)
+        kern = stacked.kernel_basis()
+        if len(kern) != 1:
+            raise SocleNotOneDimensional(
+                f"socle of Ext^1(m, tau m) has dimension {len(kern)} (expected 1); "
+                "is m indecomposable?"
+            )
+        coords = tuple(kern[0].rows[i][0] for i in range(d))
     ses = realize_extension(ext, coords)
-    summands = decompose(ses.middle)
-    result = AlmostSplitSequence(ses, ses.sub, m, summands)
+    result = AlmostSplitSequence(ses, ses.sub, m)
     m.algebra._cache[key] = result
     return result
 
@@ -616,8 +665,8 @@ def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
     It is the memoised sequence ending at tau^{-1} m, whose left end
     tau tau^{-1} m is isomorphic to m but need not equal it; its left map is
     precomposed with an isomorphism m -> tau tau^{-1} m, so the result starts
-    at m itself and shares E, tau^{-1} m and the middle summands with the
-    cached sequence.  Requires m indecomposable non-injective.
+    at m itself and shares E and tau^{-1} m with the cached sequence.
+    Requires m indecomposable non-injective.
     """
     if m.is_zero() or tau_inverse(m).is_zero():
         raise ValueError("almost split sequences start at non-injective modules")
@@ -630,7 +679,7 @@ def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
         m, old.middle, old.quot, compose(old.left_map, iso), old.right_map
     )
     ses.verify()
-    return AlmostSplitSequence(ses, m, ass.right, ass.middle_summands)
+    return AlmostSplitSequence(ses, m, ass.right)
 
 
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
@@ -678,7 +727,9 @@ class ARQuiver:
     projectives, injectives, simples, then mesh closure); the ids are the
     CLI's ``node:K`` selectors, so the discovery order must not change.
     ``arrows`` maps (source id, target id) to the multiplicity of irreducible
-    maps; ``tau_link`` maps a non-projective node to its translate's node and
+    maps, and ``successors`` maps a source id to {target id: multiplicity}
+    of the arrows recorded out of it; neither is in a meaningful order.
+    ``tau_link`` maps a non-projective node to its translate's node and
     ``meshes`` to the almost split sequence ending at it.  Every mesh is
     computed once, over the algebra itself: the arrows out of a node X come
     from the sequence ending at tau^{-1} X.
@@ -688,6 +739,7 @@ class ARQuiver:
         self.algebra = algebra
         self.nodes: list[ARNode] = []
         self.arrows: dict = {}
+        self.successors: dict = {}
         self.tau_link: dict = {}
         self.meshes: dict = {}
 
@@ -709,6 +761,7 @@ class ARQuiver:
                 f"inconsistent multiplicity for arrow {src}->{tgt}: {old} vs {mult}"
             )
         self.arrows[(src, tgt)] = mult
+        self.successors.setdefault(src, {})[tgt] = mult
 
     @property
     def count(self):
@@ -716,6 +769,42 @@ class ARQuiver:
 
     def representatives(self):
         return [n.rep for n in self.nodes]
+
+
+def _isomorphic_to_sum(e: Representation, summands) -> bool:
+    """Whether e is isomorphic to the direct sum of ``summands``,
+    [(Y, mult)] with pairwise non-isomorphic indecomposables Y, shown by an
+    explicit isomorphism.
+
+    When the dimension vectors add up, one map + Y^mult -> e is built from
+    elements of ``hom_basis(Y, e)``: for each Y in turn, the first basis
+    elements that keep the columns chosen so far independent at every
+    vertex, until mult are chosen.  If every Y gets its mult, the blocks are
+    square of full rank, so the map is an isomorphism and, by Krull-Schmidt,
+    the summands and multiplicities are ``decompose(e)``'s.  False means
+    only that no isomorphism was found this way.
+    """
+    dims = [0] * len(e.dims)
+    for y, mult in summands:
+        dims = [d + mult * dy for d, dy in zip(dims, y.dims)]
+    if tuple(dims) != e.dims:
+        return False
+    fld = e.algebra.field
+    cols = [() for _ in e.dims]  # per vertex, the chosen columns as rows
+    for y, mult in summands:
+        need = mult
+        for f in hom_basis(y, e):
+            trial = [c + f.blocks[v].transpose().rows if y.dims[v] else c
+                     for v, c in enumerate(cols)]
+            if all(Matrix._raw(fld, t, e.dims[v]).rank() == len(t)
+                   for v, t in enumerate(trial) if y.dims[v]):
+                cols = trial
+                need -= 1
+                if not need:
+                    break
+        if need:
+            return False
+    return True
 
 
 def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> ARQuiver:
@@ -727,6 +816,14 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
     node is already linked does not compute tau^{-1}.  Either admission
     could only find existing nodes, so the nodes, their ids and the work
     order are what linking twice gives.
+
+    A mesh tau X -> E -> X is knitted when it can be: every arrow recorded
+    out of tau X so far ends at a middle summand, with its multiplicity, so
+    when :func:`_isomorphic_to_sum` certifies E as the sum of those targets
+    the mesh is linked from them, without decomposing E; the targets are
+    nodes already, so admitting them could only find them again.  Otherwise
+    E is decomposed and its summands admitted.  Either way the nodes, ids,
+    arrows and ``tau_link`` are the same.
 
     Raises :class:`CapExceeded` when more than ``max_nodes`` iso-classes or a
     module of total dimension beyond ``max_dim`` appears (the algebra is then
@@ -772,6 +869,11 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
     def mesh(left, right, ass):
         g.tau_link[right] = left
         linked[left] = right
+        known = list(g.successors.get(left, {}).items())
+        if _isomorphic_to_sum(ass.ses.middle, [(g.nodes[t].rep, k) for t, k in known]):
+            for mid, mult in known:
+                g.set_arrow(mid, right, mult)
+            return
         for summand, mult in ass.middle_summands:
             mid = admit(summand)
             g.set_arrow(left, mid, mult)

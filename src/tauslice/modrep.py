@@ -411,6 +411,20 @@ def hom_basis(m: Representation, n: Representation):
     return basis
 
 
+def _full_hom(m: Representation, n: Representation) -> bool:
+    """Whether each arrow x -> y with m_x and n_y nonzero acts by 0 on both
+    m and n.  Then the intertwining system of :func:`hom_basis` has no
+    nonzero row, on a loop too, so Hom(m, n) is every family of blocks and
+    its basis is the unit morphisms, in order of their block entries.  The
+    converse fails only where a loop acts by the same nonzero scalar on
+    both, which an admissible ideal rules out."""
+    q = m.algebra.quiver
+    return all(
+        not (m.dims[x] and n.dims[y]) or (m.maps[j].is_zero() and n.maps[j].is_zero())
+        for j, (x, y) in enumerate(zip(q.arrow_source, q.arrow_target))
+    )
+
+
 def _morphism_from_vector(m, n, vec):
     fld = m.algebra.field
     q = m.algebra.quiver

@@ -12,7 +12,7 @@ from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
     hom_basis, compose, is_isomorphic, fac_member, sub_member, dual, cokernel, Morphism,
-    identity_morphism, iso_index, _flat_matrix,
+    identity_morphism, iso_index, _flat_matrix, _full_hom,
 )
 from tauslice.artheory import (
     ARNode, tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
@@ -323,12 +323,10 @@ def load_over(name, field):
                               None if field == "Q" else field_from_spec(field))
 
 
-# Over F2, ex1 is left out: it still raises FieldTooSmall, in the trace-form
-# radical of a piece with two-dimensional End on which no basis element
-# splits.
+# ex1 over F2 needs no trace-form radical either: the one middle term with a
+# summand of two-dimensional End is knitted, not decomposed.
 @pytest.mark.parametrize("name, field", [
     (name, field) for field in ("F3", "F2") for name in sorted(AR_SIZES_Q)
-    if (name, field) != ("ex1", "F2")
 ])
 def test_small_fields_agree_with_q(name, field):
     a = load_over(name, field)
@@ -654,3 +652,228 @@ def test_ext_data_on_a_full_hom_matches_the_general_solve(field, cap, monkeypatc
         assert len(ext.hom) == sum(a * b for a, b in zip(ext.omega.dims, n.dims))
         again = original(m, n, degree)
         assert (again.classes, again.proj) == (ext.classes, ext.proj)
+
+
+def test_full_hom_is_read_off_the_arrows():
+    # the arrow test of _full_hom says exactly when the hom basis has one
+    # element per block entry
+    for name in ("ex1", "ex2", "fig1", "fig2"):
+        a = load_over(name, "Q")
+        reps = capped_closure_nodes(a, 12) if name == "fig2" else ar_quiver(a).representatives()
+        for x in reps:
+            for y in reps:
+                width = sum(dx * dy for dx, dy in zip(x.dims, y.dims))
+                assert _full_hom(x, y) == (len(hom_basis(x, y)) == width), (name, x, y)
+
+
+@pytest.mark.parametrize("field, cap", [("Q", 24), ("F5", 32)])
+def test_ext_data_on_a_full_hom_builds_no_hom_basis(field, cap, monkeypatch):
+    # every Omega of fig2 is semisimple, so every Hom(Omega, tau m) is full
+    # and read without hom_basis; reading ExtData.hom still gives it, and
+    # the general path, with the coordinates solved along the flattened hom
+    # basis, gives the same classes, projection and cocycles
+    calls, inside = [], []
+    original, original_hom = artheory_module.ext_data, artheory_module.hom_basis
+
+    def recorded(m, n, degree=1):
+        inside.append(m)
+        ext = original(m, n, degree)
+        inside.pop()
+        calls.append((m, n, degree, ext))
+        return ext
+
+    def guarded_hom(m, n):
+        assert not inside, "hom_basis inside ext_data"
+        return original_hom(m, n)
+
+    monkeypatch.setattr(artheory_module, "ext_data", recorded)
+    monkeypatch.setattr(artheory_module, "hom_basis", guarded_hom)
+    a = load_over("fig2", field)
+    with pytest.raises(CapExceeded):
+        ar_quiver(a, max_nodes=cap)
+    assert calls and all(ext.full for _m, _n, _d, ext in calls)
+    monkeypatch.undo()
+    ext = calls[-1][3]
+    basis = ext.hom
+    assert len(basis) == len(ext.proj.rows[0])
+    assert ext.basis_cocycles() == [basis[i] for i in ext.classes]
+    assert ext.matrix_of(ext.basis_cocycles()) == Matrix.identity(a.field, ext.dim)
+    monkeypatch.setattr(artheory_module, "_full_hom", lambda m, n: False)
+    monkeypatch.setattr(artheory_module, "_hom_coordinates", lambda m, n, basis, vectors: (
+        coordinates_in_basis(_flat_matrix(m, n, basis), vectors)))
+    for m, n, degree, ext in calls:
+        again = original(m, n, degree)
+        assert not again.full
+        assert (again.classes, again.proj) == (ext.classes, ext.proj)
+        assert again.basis_cocycles() == ext.basis_cocycles()
+
+
+# ---------------------------------------------------------------------------
+# knitted meshes: a mesh is linked from the arrows recorded out of tau X
+# when they certify E, and from decompose(E) otherwise
+
+KNIT_CLOSURES = [(name, field, 512) for name in sorted(AR_SIZES_Q)
+                 for field in ("Q", "F3", "F5")]
+KNIT_CLOSURES += [("fig2", "Q", 24), ("fig2", "F5", 32)]
+
+
+def closure_record(name, field, cap, monkeypatch):
+    """(nodes, sorted arrows, sorted tau_link, how the closure ended) of a
+    fresh closure; a node is its dimension vector, its maps' rows and its
+    projective and injective labels."""
+    built = record_closures(monkeypatch)
+    try:
+        ar_quiver(load_over(name, field), max_nodes=cap)
+        ending = "closed"
+    except (CapExceeded, ArithmeticError, ValueError) as e:
+        ending = f"{type(e).__name__}: {e}"
+    g = built[-1]
+    nodes = [(n.rep.dims, [m.rows for m in n.rep.maps], n.projective_label, n.injective_label)
+             for n in g.nodes]
+    return nodes, sorted(g.arrows.items()), sorted(g.tau_link.items()), ending
+
+
+def certifications(monkeypatch):
+    """The list to which each _isomorphic_to_sum call of ar_quiver, from
+    now on, appends (E, prediction, verdict)."""
+    calls = []
+    original = artheory_module._isomorphic_to_sum
+
+    def recorded(e, summands):
+        verdict = original(e, summands)
+        calls.append((e, summands, verdict))
+        return verdict
+
+    monkeypatch.setattr(artheory_module, "_isomorphic_to_sum", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, field, cap", KNIT_CLOSURES)
+def test_knitting_keeps_the_closure(name, field, cap, monkeypatch):
+    # the same closure with every certification failing, so that every
+    # mesh is linked from decompose(E) and its summands are admitted
+    calls = certifications(monkeypatch)
+    knitted = closure_record(name, field, cap, monkeypatch)
+    assert any(verdict for _e, _s, verdict in calls)
+    monkeypatch.setattr(artheory_module, "_isomorphic_to_sum", lambda e, summands: False)
+    decomposed = closure_record(name, field, cap, monkeypatch)
+    assert knitted == decomposed
+    assert (knitted[3] != "closed") == (name == "fig2")
+
+
+@pytest.mark.parametrize("name, field, cap", KNIT_CLOSURES)
+def test_certified_meshes_match_decompose(name, field, cap, monkeypatch):
+    # a certified prediction is decompose(E) up to isomorphism; the arrows
+    # recorded out of tau X always end at middle summands, so a prediction
+    # whose dimension vectors add up is right and is certified
+    calls = certifications(monkeypatch)
+    closure_record(name, field, cap, monkeypatch)
+    assert calls
+    for e, summands, verdict in calls:
+        total = [sum(k * y.dims[v] for y, k in summands) for v in range(len(e.dims))]
+        assert verdict == (tuple(total) == e.dims)
+        if not verdict:
+            continue
+        pieces = decompose(e)
+        assert len(pieces) == len(summands)
+        reps = [r for r, _k in pieces]
+        for y, k in summands:
+            i = iso_index(reps, y)
+            assert i is not None and pieces[i][1] == k
+
+
+def test_a_wrong_prediction_is_rejected():
+    # ex1 has two non-isomorphic nodes of dimension vector (1, 1, 0)
+    a = load_over("ex1", "Q")
+    y, other = [r for r in ar_quiver(a).representatives() if r.dims == (1, 1, 0)]
+    assert not is_isomorphic(y, other)
+    certify = artheory_module._isomorphic_to_sum
+    twice = direct_sum(a, [y, y])[0]
+    mixed = direct_sum(a, [y, other])[0]
+    assert certify(twice, [(y, 2)])
+    assert certify(mixed, [(y, 1), (other, 1)])
+    # a non-isomorphic node with the right dimensions
+    assert not certify(twice, [(y, 1), (other, 1)])
+    assert not certify(mixed, [(other, 2)])
+    # a wrong multiplicity
+    assert not certify(mixed, [(y, 2)])
+    assert not certify(twice, [(y, 1)])
+    assert not certify(twice, [(y, 3)])
+
+
+def test_a_multi_summand_prediction_is_certified(monkeypatch):
+    # ex1's middle term of dimension vector (2, 2, 2) is certified, although
+    # the first basis element of each hom_basis(Y, E) is no isomorphism
+    calls = certifications(monkeypatch)
+    ar_quiver(load_over("ex1", "Q"))
+    (e, summands, verdict), = [c for c in calls if c[0].dims == (2, 2, 2)]
+    assert verdict and len(summands) == 3
+    firsts = [hom_basis(y, e)[0] for y, k in summands for _ in range(k)]
+    ranks = [
+        Matrix(e.algebra.field, [r for f in firsts for r in f.blocks[v].transpose().rows],
+               e.dims[v]).rank()
+        for v in range(len(e.dims))
+    ]
+    assert ranks != list(e.dims)
+
+
+# the self-injective Nakayama algebra with two simples and Loewy length 4:
+# its uniserial modules of length 3 are not projective, and each has an
+# End of dimension 2 and a one-dimensional Ext^1(m, tau m)
+NAKAYAMA = """field Q
+vertex 1
+vertex 2
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+relation a*b*a*b
+relation b*a*b*a
+"""
+
+
+@pytest.mark.parametrize("name", sorted(AR_SIZES_Q) + ["nakayama"])
+def test_a_line_of_ext_needs_no_end_radical(name):
+    # on a one-dimensional Ext^1(m, tau m) rad End(m) acts by 0, so the
+    # socle generator read through that action is the class (1,) that
+    # almost_split_sequence takes
+    a = parse_algebra_text(NAKAYAMA) if name == "nakayama" else load_over(name, "Q")
+    fld = a.field
+    lines = radicals = 0
+    for node in ar_quiver(a).nodes:
+        m = node.rep
+        if node.projective_label is not None:
+            continue
+        ext = ext_data(m, tau(m), 1)
+        assert ext.dim == 1
+        lines += 1
+        pres = minimal_presentation(m)
+        omegas = [artheory_module.syzygy_map(g, pres, pres)
+                  for g in artheory_module.end_radical_morphisms(m)]
+        radicals += len(omegas)
+        phi, = ext.basis_cocycles()
+        side = ext.matrix_of([compose(phi, w) for w in omegas])
+        assert side.is_zero()
+        kern, = Matrix(fld, [[x] for x in side.rows[0]], 1).kernel_basis()
+        coords = (kern.rows[0][0],)
+        assert coords == (fld.one(),)
+        assert ext.cocycle(coords) == phi
+        ses = almost_split_sequence(m).ses
+        assert realize_extension(ext, coords).middle == ses.middle
+    assert lines
+    assert (radicals > 0) == (name == "nakayama")
+
+
+def test_fig2_knits_eleven_of_its_meshes_without_decompose(monkeypatch):
+    calls = certifications(monkeypatch)
+    decomposed = []
+    original = artheory_module.decompose
+
+    def recorded(m):
+        decomposed.append(m)
+        return original(m)
+
+    monkeypatch.setattr(artheory_module, "decompose", recorded)
+    with pytest.raises(CapExceeded):
+        ar_quiver(load_over("fig2", "F5"), max_nodes=32)
+    certified = [e for e, _s, verdict in calls if verdict]
+    assert (len(certified), len(calls)) == (11, 23)
+    assert not [m for m in decomposed if any(m == e for e in certified)]
