@@ -248,7 +248,10 @@ def _overlap_amalgams(t1, t2):
             yield a1[:-k], a2[k:]
 
 
-def _complete_groebner(quiver, elements, fld, length_cap, max_rules=4096):
+_MAX_RULES = 4096  # rewriting rules a completion may hold before CapExceeded
+
+
+def _complete_groebner(quiver, elements, fld, length_cap):
     """Buchberger-style completion for a two-sided ideal of kQ."""
     rules = []  # list of (tip, monic element)
 
@@ -289,8 +292,8 @@ def _complete_groebner(quiver, elements, fld, length_cap, max_rules=4096):
         rules = keep
         rules.append((tip, elt))
         rules.sort(key=lambda r: word_key(r[0]))
-        if len(rules) > max_rules:
-            raise CapExceeded(f"more than {max_rules} rewriting rules generated")
+        if len(rules) > _MAX_RULES:
+            raise CapExceeded(f"more than {_MAX_RULES} rewriting rules generated")
         for other_tip, other in list(rules):
             queue.extend(spair(tip, elt, other_tip, other))
             if other is not elt:
@@ -316,6 +319,8 @@ def _complete_groebner(quiver, elements, fld, length_cap, max_rules=4096):
 # ---------------------------------------------------------------------------
 # the presented algebra
 
+_MISSING = object()  # a memo miss, told apart from any stored value
+
 
 class PresentedAlgebra:
     """Finite dimensional algebra kQ/I with a fixed reduced-word basis.
@@ -334,10 +339,20 @@ class PresentedAlgebra:
         self.length_cap = length_cap
         self.dim = len(basis)
         self._opposite = None
-        # the one memo store for this algebra and its modules, keyed
-        # (kind, *args), e.g. ("mult", i, j), ("tau", m), ("hom", m, n);
-        # it is freed with the algebra
         self._cache = {}
+
+    def memo(self, key, build, *args):
+        """The value stored under ``key``, ``build(*args)`` stored first on a miss.
+
+        The one memo store for this algebra and its modules, keyed
+        (kind, *args), e.g. ("mult", i, j), ("tau", m), ("hom", m, n); it is
+        freed with the algebra.  Keys holding modules match on structural
+        equality, so a hit may have been built for an earlier, equal object.
+        """
+        hit = self._cache.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = self._cache[key] = build(*args)
+        return hit
 
     # -- elements -----------------------------------------------------
 
@@ -378,24 +393,23 @@ class PresentedAlgebra:
 
     def basis_by_class(self):
         """dict (source_idx, target_idx) -> list of basis indices."""
-        key = ("basis_by_class",)
-        if key not in self._cache:
-            out = {}
-            for i, w in enumerate(self.basis):
-                out.setdefault((w[0], self.word_target(w)), []).append(i)
-            self._cache[key] = out
-        return self._cache[key]
+        return self.memo(("basis_by_class",), self._basis_by_class)
+
+    def _basis_by_class(self):
+        out = {}
+        for i, w in enumerate(self.basis):
+            out.setdefault((w[0], self.word_target(w)), []).append(i)
+        return out
 
     def mult_basis(self, i, j):
         """Coordinates of basis[i] * basis[j]."""
-        key = ("mult", i, j)
-        if key not in self._cache:
-            w = word_concat(self.quiver, self.basis[i], self.basis[j])
-            if w is None:
-                self._cache[key] = tuple([self.field.zero()] * self.dim)
-            else:
-                self._cache[key] = self.coords({w: self.field.one()})
-        return self._cache[key]
+        return self.memo(("mult", i, j), self._mult_basis, i, j)
+
+    def _mult_basis(self, i, j):
+        w = word_concat(self.quiver, self.basis[i], self.basis[j])
+        if w is None:
+            return tuple([self.field.zero()] * self.dim)
+        return self.coords({w: self.field.one()})
 
     def format_element(self, elt) -> str:
         if not elt:
@@ -617,7 +631,6 @@ def quiverize(
     idempotents,
     labels=None,
     arrow_prefix: str = "a",
-    length_cap: int = 16,
 ) -> QuiverizeResult:
     """Recover a bound quiver presentation from structure constants.
 
@@ -728,7 +741,7 @@ def quiverize(
                 if rel:
                     relations.append(rel)
 
-    algebra = build_algebra(quiver, relations, fld, length_cap)
+    algebra = build_algebra(quiver, relations, fld)
     if algebra.dim != n:
         raise ArithmeticError(f"presentation has dimension {algebra.dim}, expected {n}")
     path_images = {w: eval_word(w) for w in algebra.basis}
@@ -806,7 +819,7 @@ def _substitute(quiver: Quiver, fld, elt, start, image):
     return out
 
 
-def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
+def quotient(a: PresentedAlgebra, gens) -> QuotientMap:
     """Quotient of A by the two-sided ideal generated by ``gens``.
 
     Each generator must be either a trivial path (killing a vertex: the
@@ -815,7 +828,6 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
     path with longer parallel paths is rejected.
     """
     fld = a.field
-    cap = length_cap or a.length_cap
     components = []
     for g in gens:
         g = a.normal_form({w: fld.coerce(c) for w, c in g.items()})
@@ -904,7 +916,8 @@ def quotient(a: PresentedAlgebra, gens, length_cap=None) -> QuotientMap:
         if ar.name not in removed_arrows
     ]
     new_quiver = Quiver(alive, new_arrows)
-    b = build_algebra(new_quiver, [_rename(w, a.quiver, new_quiver) for w in work], fld, cap)
+    b = build_algebra(new_quiver, [_rename(w, a.quiver, new_quiver) for w in work], fld,
+                       a.length_cap)
 
     vertex_alive = {v: (v not in killed) for v in a.quiver.vertices}
     arrow_images = {}

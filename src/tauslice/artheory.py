@@ -123,14 +123,10 @@ class ProjSum:
 
 
 def _proj_sum(algebra: PresentedAlgebra, vertex_list) -> ProjSum:
-    """The ProjSum of ``vertex_list``, one per list, memoised in the
-    algebra's cache; callers share it and must not mutate it."""
+    """The ProjSum of ``vertex_list``, one per list, memoised by
+    :meth:`PresentedAlgebra.memo`; callers share it and must not mutate it."""
     labels = tuple(str(v) for v in vertex_list)
-    key = ("projsum", labels)
-    cache = algebra._cache
-    if key not in cache:
-        cache[key] = ProjSum(algebra, labels)
-    return cache[key]
+    return algebra.memo(("projsum", labels), ProjSum, algebra, labels)
 
 
 class Presentation(Record):
@@ -177,26 +173,26 @@ def _retarget(f: Morphism, target: Representation) -> Morphism:
 def minimal_presentation(m: Representation) -> Presentation:
     """The minimal projective presentation of m; ``module`` is m itself.
 
-    It is memoised in the algebra's cache, which matches on structural
-    equality, so a hit may have been computed for an earlier, equal object;
-    it is re-anchored on m.  A hit computed for m itself is returned as is.
+    It is memoised by :meth:`PresentedAlgebra.memo`, which matches on
+    structural equality, so a hit may have been computed for an earlier,
+    equal object; it is re-anchored on m.  A hit computed for m itself is
+    returned as is.
     """
-    key = ("presentation", m)
-    hit = m.algebra._cache.get(key)
-    if hit is not None:
-        if hit.module is m:
-            return hit
-        return Presentation(
-            m, hit.p0, _retarget(hit.cover, m), hit.omega, hit.omega_incl,
-            hit.p1, hit.p1_cover, hit.differential,
-        )
+    hit = m.algebra.memo(("presentation", m), _presentation, m)
+    if hit.module is m:
+        return hit
+    return Presentation(
+        m, hit.p0, _retarget(hit.cover, m), hit.omega, hit.omega_incl,
+        hit.p1, hit.p1_cover, hit.differential,
+    )
+
+
+def _presentation(m: Representation) -> Presentation:
     p0, cover = projective_cover_data(m)
     omega, om_incl = kernel(cover)
     p1, p1_cover = projective_cover_data(omega)
-    differential = compose(om_incl, p1_cover)
-    pres = Presentation(m, p0, cover, omega, om_incl, p1, p1_cover, differential)
-    m.algebra._cache[key] = pres
-    return pres
+    return Presentation(m, p0, cover, omega, om_incl, p1, p1_cover,
+                        compose(om_incl, p1_cover))
 
 
 def syzygy(m: Representation, power: int = 1) -> Representation:
@@ -332,18 +328,12 @@ def transpose(m: Representation) -> Representation:
 
 def tau(m: Representation) -> Representation:
     """Auslander-Reiten translate D Tr; kills projective summands."""
-    key = ("tau", m)
-    if key not in m.algebra._cache:
-        m.algebra._cache[key] = dual(transpose(m))
-    return m.algebra._cache[key]
+    return m.algebra.memo(("tau", m), lambda: dual(transpose(m)))
 
 
 def tau_inverse(m: Representation) -> Representation:
     """Inverse translate Tr D; kills injective summands."""
-    key = ("tau_inverse", m)
-    if key not in m.algebra._cache:
-        m.algebra._cache[key] = transpose(dual(m))
-    return m.algebra._cache[key]
+    return m.algebra.memo(("tau_inverse", m), lambda: transpose(dual(m)))
 
 
 def tau_power(m: Representation, k: int) -> Representation:
@@ -584,8 +574,8 @@ def realize_extension(ext: ExtData, coords) -> ShortExactSequence:
 class AlmostSplitSequence(Record):
     """0 -> left -> E -> right -> 0, with E = ``ses.middle``.
 
-    ``middle_summands`` is ``decompose(E)``, [(rep, mult)], memoised in
-    the algebra's cache: E is decomposed only when they are read.
+    ``middle_summands`` is ``decompose(E)``, [(rep, mult)], which
+    :func:`decompose` memoises: E is decomposed only when they are read.
     """
 
     __slots__ = (
@@ -606,22 +596,23 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     generator of Ext^1(m, tau m) under the right End(m)-action
     [phi].g = [phi o Omega(g)].  When Ext^1(m, tau m) is a line, rad End(m),
     nilpotent, acts on it by 0, so the socle is all of it and rad End(m) is
-    not computed.  The sequence is memoised in the algebra's cache and ends
-    at m itself: a hit computed for an earlier, equal object is re-anchored
-    on m, and shares tau m and E with it; a hit computed for m itself is
-    returned as is.  E is not decomposed here (see
-    :class:`AlmostSplitSequence`).
+    not computed.  The sequence is memoised by
+    :meth:`PresentedAlgebra.memo` and ends at m itself: a hit computed for an
+    earlier, equal object is re-anchored on m, and shares tau m and E with
+    it; a hit computed for m itself is returned as is.  E is not decomposed
+    here (see :class:`AlmostSplitSequence`).
     """
-    key = ("almost_split_sequence", m)
-    hit = m.algebra._cache.get(key)
-    if hit is not None:
-        if hit.right is m:
-            return hit
-        old = hit.ses
-        ses = ShortExactSequence(
-            old.sub, old.middle, m, old.left_map, _retarget(old.right_map, m)
-        )
-        return AlmostSplitSequence(ses, hit.left, m)
+    hit = m.algebra.memo(("almost_split_sequence", m), _almost_split_sequence, m)
+    if hit.right is m:
+        return hit
+    old = hit.ses
+    ses = ShortExactSequence(
+        old.sub, old.middle, m, old.left_map, _retarget(old.right_map, m)
+    )
+    return AlmostSplitSequence(ses, hit.left, m)
+
+
+def _almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     # m is projective exactly when its projective cover is onto with kernel
     # 0; tau(m) builds and memoises this presentation first anyway
     if m.is_zero() or minimal_presentation(m).omega.is_zero():
@@ -654,9 +645,7 @@ def almost_split_sequence(m: Representation) -> AlmostSplitSequence:
             )
         coords = tuple(kern[0].rows[i][0] for i in range(d))
     ses = realize_extension(ext, coords)
-    result = AlmostSplitSequence(ses, ses.sub, m)
-    m.algebra._cache[key] = result
-    return result
+    return AlmostSplitSequence(ses, ses.sub, m)
 
 
 def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
@@ -707,17 +696,11 @@ def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
 class ARNode:
     __slots__ = ("ident", "rep", "projective_label", "injective_label")
 
-    def __init__(
-        self,
-        ident: int,
-        rep: Representation,
-        projective_label: str | None = None,
-        injective_label: str | None = None,
-    ):
+    def __init__(self, ident: int, rep: Representation):
         self.ident = ident
         self.rep = rep
-        self.projective_label = projective_label
-        self.injective_label = injective_label
+        self.projective_label = None  # set by ar_quiver for e_v A
+        self.injective_label = None  # set by ar_quiver for D(A e_v)
 
 
 class ARQuiver:
@@ -827,11 +810,13 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
 
     Raises :class:`CapExceeded` when more than ``max_nodes`` iso-classes or a
     module of total dimension beyond ``max_dim`` appears (the algebra is then
-    possibly representation-infinite).
+    possibly representation-infinite).  Memoised by
+    :meth:`PresentedAlgebra.memo` per pair of caps.
     """
-    cache_key = ("ar_quiver", max_nodes, max_dim)
-    if cache_key in a._cache:
-        return a._cache[cache_key]
+    return a.memo(("ar_quiver", max_nodes, max_dim), _ar_closure, a, max_nodes, max_dim)
+
+
+def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
     g = ARQuiver(a)
     work = []
     for v in a.quiver.vertices:
@@ -906,7 +891,6 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
             # may be an isomorphic copy, on which the cache would miss
             right = admit(tau_inverse(rep))
             mesh(ident, right, almost_split_sequence(g.nodes[right].rep))
-    a._cache[cache_key] = g
     return g
 
 
@@ -1030,17 +1014,18 @@ class EndAlgebraResult(Record):
         The tensor product is the cokernel of ``rel``, whose target
         + y_i (x) M_i holds dim y_i copies of each M_i, and whose source
         holds one copy of M_j per arrow b: i -> j of End(M) and basis vector
-        e of y_i, sent to y.b (x) m - e (x) b.m.  Memoised in the cache of
-        End(M), on structural equality: the result does not refer to y.
+        e of y_i, sent to y.b (x) m - e (x) b.m.  Memoised by End(M)'s
+        :meth:`PresentedAlgebra.memo`, on structural equality: the result
+        does not refer to y.
         """
+        if y.algebra is not self.algebra:
+            raise ValueError("tensor argument is not a module over End(M)")
+        return self.algebra.memo(("tensor", y), self._tensor, y)
+
+    def _tensor(self, y: Representation):
         a = self.module.algebra
         b = self.algebra
         fld = a.field
-        if y.algebra is not b:
-            raise ValueError("tensor argument is not a module over End(M)")
-        key = ("tensor", y)
-        if key in b._cache:
-            return b._cache[key]
         ms = self.summands
         arrows = [
             (b.quiver.vertex_index[ar.source], b.quiver.vertex_index[ar.target],
@@ -1069,8 +1054,7 @@ class EndAlgebraResult(Record):
                                 rows[pos][col] = fld.sub(rows[pos][col], fv[r][e_m])
                         col += 1
             blocks.append(Matrix._raw(fld, tuple(map(tuple, rows)), source.dims[v]))
-        b._cache[key] = cokernel(Morphism(source, target, blocks, _checked=True))
-        return b._cache[key]
+        return cokernel(Morphism(source, target, blocks, _checked=True))
 
     def tensor_on_map(self, g: Morphism) -> Morphism:
         """g (x) id between the tensor images of g's source and target."""

@@ -254,11 +254,13 @@ def simple(a: PresentedAlgebra, label) -> Representation:
 def projective(a: PresentedAlgebra, label) -> Representation:
     """Indecomposable projective e_v A: fibres spanned by paths from v.
 
-    Memoised in the algebra's cache: every call returns the same object.
+    Memoised by :meth:`PresentedAlgebra.memo`: every call returns the same
+    object.
     """
-    key = ("projective", str(label))
-    if key in a._cache:
-        return a._cache[key]
+    return a.memo(("projective", str(label)), _projective, a, label)
+
+
+def _projective(a: PresentedAlgebra, label) -> Representation:
     q = a.quiver
     v = q.vertex_index[str(label)]
     words = [w for w in a.basis if w[0] == v]
@@ -281,19 +283,15 @@ def projective(a: PresentedAlgebra, label) -> Representation:
             for w2, c in prod.items():
                 mat[index[w2]][col] = c
         maps.append(Matrix(fld, mat, dims[x]))
-    a._cache[key] = Representation(a, dims, maps)
-    return a._cache[key]
+    return Representation(a, dims, maps)
 
 
 def injective(a: PresentedAlgebra, label) -> Representation:
     """Indecomposable injective D(A e_v), via the opposite projective.
 
-    Memoised in the algebra's cache, as :func:`projective` is.
+    Memoised by :meth:`PresentedAlgebra.memo`, as :func:`projective` is.
     """
-    key = ("injective", str(label))
-    if key not in a._cache:
-        a._cache[key] = dual(projective(a.opposite(), label))
-    return a._cache[key]
+    return a.memo(("injective", str(label)), lambda: dual(projective(a.opposite(), label)))
 
 
 def regular_module(a: PresentedAlgebra):
@@ -361,16 +359,17 @@ def hom_basis(m: Representation, n: Representation):
     Each basis element, flattened, is 1 at its free column, its last
     nonzero entry, and every other element is 0 there: the free columns
     are unit columns, which :func:`_hom_coordinates` reads.
-    The basis is memoised in the algebra's cache, on structural equality;
-    the morphisms run from m to n themselves: a hit computed for earlier,
-    equal objects is rebuilt on m and n with the same blocks.
+    The basis is memoised by :meth:`PresentedAlgebra.memo`, on structural
+    equality; the morphisms run from m to n themselves: a hit computed for
+    earlier, equal objects is rebuilt on m and n with the same blocks.
     """
-    key = ("hom", m, n)
-    hit = m.algebra._cache.get(key)
-    if hit is not None:
-        if hit and (hit[0].source is not m or hit[0].target is not n):
-            return [Morphism(m, n, f.blocks, _checked=True) for f in hit]
-        return hit
+    hit = m.algebra.memo(("hom", m, n), _hom_basis, m, n)
+    if hit and (hit[0].source is not m or hit[0].target is not n):
+        return [Morphism(m, n, f.blocks, _checked=True) for f in hit]
+    return hit
+
+
+def _hom_basis(m: Representation, n: Representation):
     a = m.algebra
     if a is not n.algebra:
         raise ValueError("hom between modules over different algebras")
@@ -405,10 +404,8 @@ def hom_basis(m: Representation, n: Representation):
                     row[start_x + j] = row.get(start_x + j, 0) - c
                 rows.append(row)
     echelon, pivots = sparse_echelon(fld, rows)
-    basis = [_morphism_from_vector(m, n, vec)
-             for vec in _kernel_vectors(fld, total, echelon, pivots)]
-    a._cache[key] = basis
-    return basis
+    return [_morphism_from_vector(m, n, vec)
+            for vec in _kernel_vectors(fld, total, echelon, pivots)]
 
 
 def _full_hom(m: Representation, n: Representation) -> bool:
@@ -654,17 +651,13 @@ def _end_radical(m: Representation):
 
     An End of dimension at most 1 is 0 or k.id, whose radical is 0.
     Otherwise one product table and one trace-form radical per module,
-    memoised in the algebra's cache on structural equality.  Coordinates,
-    not morphisms, are kept, so a hit serves an equal module as well.
+    memoised by :meth:`PresentedAlgebra.memo` on structural equality.
+    Coordinates, not morphisms, are kept, so a hit serves an equal module
+    as well.
     """
     if len(hom_basis(m, m)) <= 1:
         return ()
-    key = ("end_radical", m)
-    cache = m.algebra._cache
-    if key not in cache:
-        _basis, sc = end_structure(m)
-        cache[key] = radical_span(sc).rows
-    return cache[key]
+    return m.algebra.memo(("end_radical", m), lambda: radical_span(end_structure(m)[1]).rows)
 
 
 def end_radical_morphisms(m: Representation):
@@ -731,10 +724,10 @@ def decompose(m: Representation):
     :class:`DecompositionStalled` if End(m) is not local but no splitting
     is found.
     """
-    key = ("decompose", m)
-    hit = m.algebra._cache.get(key)
-    if hit is not None:
-        return hit
+    return m.algebra.memo(("decompose", m), _decompose, m)
+
+
+def _decompose(m: Representation):
     reps, idents = [], []
     known = {}  # id of a piece -> its class; a repeated piece is one class
     for p in _split_completely(m):
@@ -745,7 +738,6 @@ def decompose(m: Representation):
     result = [(rep, idents.count(k)) for k, rep in enumerate(reps)]
     if sum(rep.total_dim * mult for rep, mult in result) != m.total_dim:
         raise ArithmeticError("decomposition does not add up")
-    m.algebra._cache[key] = result
     return result
 
 

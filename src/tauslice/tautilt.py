@@ -227,10 +227,10 @@ class SliceCandidate:
 
     __slots__ = ("algebra", "members", "_module")
 
-    def __init__(self, algebra: PresentedAlgebra, members: list, _module: Representation = None):
+    def __init__(self, algebra: PresentedAlgebra, members: list):
         self.algebra = algebra
         self.members = members
-        self._module = _module
+        self._module = None
 
     @property
     def size(self):
@@ -251,17 +251,16 @@ class SliceCandidate:
         return [u.dims for u in self.members]
 
 
-def slice_candidate(algebra, members, check=True) -> SliceCandidate:
+def slice_candidate(algebra, members) -> SliceCandidate:
     """Build a slice candidate, verifying indecomposability and basicness."""
     members = list(members)
-    if check:
-        for u in members:
-            if u.algebra is not algebra:
-                raise ValueError("member is not a module over the given algebra")
-            if u.is_zero() or not is_indecomposable(u):
-                raise ValueError("slice members must be nonzero indecomposables")
-        if any(iso_index(members[:i], u) is not None for i, u in enumerate(members)):
-            raise NotBasic("repeated member")
+    for u in members:
+        if u.algebra is not algebra:
+            raise ValueError("member is not a module over the given algebra")
+        if u.is_zero() or not is_indecomposable(u):
+            raise ValueError("slice members must be nonzero indecomposables")
+    if any(iso_index(members[:i], u) is not None for i, u in enumerate(members)):
+        raise NotBasic("repeated member")
     return SliceCandidate(algebra, members)
 
 
@@ -292,18 +291,18 @@ def local_out_neighbors(x: Representation):
 
     For non-injective x these are the middle summands of the almost split
     sequence starting at x; for injective x the summands of x/soc x.  The
-    tuple is memoised in the algebra's cache on structural equality.
+    tuple is memoised by :meth:`PresentedAlgebra.memo` on structural
+    equality.
     """
-    key = ("out_neighbors", x)
-    cache = x.algebra._cache
-    if key not in cache:
-        if is_injective_rep(x):
-            _soc, incl = socle_rep(x)
-            quot, _proj = cokernel(incl)
-            cache[key] = () if quot.is_zero() else tuple(decompose(quot))
-        else:
-            cache[key] = tuple(almost_split_sequence_starting(x).middle_summands)
-    return cache[key]
+    return x.algebra.memo(("out_neighbors", x), _out_neighbors, x)
+
+
+def _out_neighbors(x: Representation):
+    if is_injective_rep(x):
+        _soc, incl = socle_rep(x)
+        quot, _proj = cokernel(incl)
+        return () if quot.is_zero() else tuple(decompose(quot))
+    return tuple(almost_split_sequence_starting(x).middle_summands)
 
 
 def local_in_neighbors(y: Representation):
@@ -311,17 +310,16 @@ def local_in_neighbors(y: Representation):
 
     For non-projective y the middle summands of the almost split sequence
     ending at y; for projective y the summands of rad y.  The tuple is
-    memoised in the algebra's cache on structural equality.
+    memoised by :meth:`PresentedAlgebra.memo` on structural equality.
     """
-    key = ("in_neighbors", y)
-    cache = y.algebra._cache
-    if key not in cache:
-        if is_projective_rep(y):
-            rad, _incl = radical_rep(y)
-            cache[key] = () if rad.is_zero() else tuple(decompose(rad))
-        else:
-            cache[key] = tuple(almost_split_sequence(y).middle_summands)
-    return cache[key]
+    return y.algebra.memo(("in_neighbors", y), _in_neighbors, y)
+
+
+def _in_neighbors(y: Representation):
+    if is_projective_rep(y):
+        rad, _incl = radical_rep(y)
+        return () if rad.is_zero() else tuple(decompose(rad))
+    return tuple(almost_split_sequence(y).middle_summands)
 
 
 def member_quiver(sigma: SliceCandidate):
@@ -450,30 +448,25 @@ def is_complete_tau_slice(sigma: SliceCandidate) -> bool:
 # ---------------------------------------------------------------------------
 # convexity
 
+_MAX_STATES = 4096  # states a convexity search explores before CapExceeded
 
-def _dedupe_universe(a, universe, extra, max_nodes):
-    """Pairwise non-isomorphic indecomposables, with ``extra`` merged in."""
-    if universe is None:
-        objs = list(ar_quiver(a, max_nodes=max_nodes).representatives())
-    else:
-        objs = []
-        for r in universe:
-            _register(objs, r)
+
+def _dedupe_universe(a, extra, max_nodes):
+    """The AR quiver's indecomposables, with ``extra`` merged in."""
+    objs = list(ar_quiver(a, max_nodes=max_nodes).representatives())
     for r in extra:
         _register(objs, r)
     return objs
 
 
-def convex_in_mod_a_witness(sigma: SliceCandidate, universe=None, max_nodes=512):
+def convex_in_mod_a_witness(sigma: SliceCandidate, max_nodes=512):
     """(verdict, witness): convexity with respect to chains of nonzero maps.
 
     A violation is an indecomposable Z outside the candidate with paths of
-    nonzero morphisms (through indecomposables of the universe) from some
-    member to Z and from Z to some member.  With the default universe (the
-    full AR quiver) the verdict is exact; a partial universe can only miss
-    violations, so False is always definitive.
+    nonzero morphisms (through indecomposables of the AR quiver) from some
+    member to Z and from Z to some member.  The verdict is exact.
     """
-    objs = _dedupe_universe(sigma.algebra, universe, sigma.members, max_nodes)
+    objs = _dedupe_universe(sigma.algebra, sigma.members, max_nodes)
     member_ids = {
         k for k, o in enumerate(objs) if sigma.contains(o)
     }
@@ -500,7 +493,7 @@ def _can_still_reach(sigma, w, span_morphs):
     return False
 
 
-def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
+def weakly_convex_witness(sigma: SliceCandidate):
     """(verdict, witness path) for weak convexity.
 
     Explores AR-quiver paths leaving each member, carrying the span of all
@@ -508,7 +501,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
     span vanishes (no choice of irreducible morphisms composes to a nonzero
     map) or when no member receives a nonzero morphism composed with the
     span; a violation is a surviving path back into the candidate passing
-    through an outsider.  Raises CapExceeded past ``max_states``.
+    through an outsider.  Raises CapExceeded past ``_MAX_STATES`` states.
     """
     fld = sigma.algebra.field
     reps = []  # the modules reached, up to isomorphism
@@ -547,7 +540,7 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
     while queue:
         s_idx, zid, span, flag, path = queue.pop(0)
         explored += 1
-        if explored > max_states:
+        if explored > _MAX_STATES:
             raise CapExceeded("weak convexity search exceeded its state budget")
         x0 = sigma.members[s_idx]
         z = reps[zid]
@@ -583,14 +576,15 @@ def weakly_convex_witness(sigma: SliceCandidate, max_states=4096):
     return True, None
 
 
-def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
+def sectionally_convex_witness(sigma: SliceCandidate):
     """(verdict, witness path) for sectional convexity.
 
     A sectional path avoids X_i = tau X_{i+2}; every sectional path between
     members must stay inside the candidate.  Composites along sectional
     paths are automatically nonzero, so no span bookkeeping is needed, but a
     surviving path must still reach a member through a nonzero morphism,
-    which prunes the search on infinite components.
+    which prunes the search on infinite components.  Raises CapExceeded
+    past ``_MAX_STATES`` states.
     """
     reps = []  # the modules reached, up to isomorphism
     visited = set()
@@ -610,7 +604,7 @@ def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
     while queue:
         s_idx, pid, zid, flag, path = queue.pop(0)
         explored += 1
-        if explored > max_states:
+        if explored > _MAX_STATES:
             raise CapExceeded("sectional convexity search exceeded its state budget")
         prev = reps[pid]
         z = reps[zid]
@@ -635,24 +629,24 @@ def sectionally_convex_witness(sigma: SliceCandidate, max_states=4096):
     return True, None
 
 
-def is_convex_in_mod_a(sigma, universe=None, max_nodes=512) -> bool:
-    return convex_in_mod_a_witness(sigma, universe, max_nodes)[0]
+def is_convex_in_mod_a(sigma) -> bool:
+    return convex_in_mod_a_witness(sigma)[0]
 
 
-def is_weakly_convex(sigma, max_states=4096) -> bool:
-    return weakly_convex_witness(sigma, max_states)[0]
+def is_weakly_convex(sigma) -> bool:
+    return weakly_convex_witness(sigma)[0]
 
 
-def is_sectionally_convex(sigma, max_states=4096) -> bool:
-    return sectionally_convex_witness(sigma, max_states)[0]
+def is_sectionally_convex(sigma) -> bool:
+    return sectionally_convex_witness(sigma)[0]
 
 
-def convexity_suite(sigma: SliceCandidate, universe=None, max_states=4096):
+def convexity_suite(sigma: SliceCandidate):
     """All three convexity notions at once (the global one may need rep-finiteness)."""
     return {
-        "convex_in_modA": is_convex_in_mod_a(sigma, universe),
-        "weakly_convex": is_weakly_convex(sigma, max_states),
-        "sectionally_convex": is_sectionally_convex(sigma, max_states),
+        "convex_in_modA": is_convex_in_mod_a(sigma),
+        "weakly_convex": is_weakly_convex(sigma),
+        "sectionally_convex": is_sectionally_convex(sigma),
     }
 
 
@@ -737,14 +731,14 @@ def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
     return True
 
 
-def is_complete_slice(sigma: SliceCandidate, universe=None, max_nodes=512) -> bool:
+def is_complete_slice(sigma: SliceCandidate, max_nodes=512) -> bool:
     """Ringel's slice axioms: sincere, convex in mod A, and the two almost
     split sequence conditions (at most one end in the slice; a middle summand
     in the slice forces an end in).
 
     The sequence conditions only involve sequences touching the candidate and
-    are checked locally; convexity in mod A needs the indecomposables (pass a
-    partial ``universe`` for a sound refutation on an infinite algebra).
+    are checked locally; convexity in mod A needs the indecomposables, the
+    AR quiver's up to ``max_nodes``.
     """
     mod = sigma.module()
     if not is_sincere(mod):
@@ -761,17 +755,17 @@ def is_complete_slice(sigma: SliceCandidate, universe=None, max_nodes=512) -> bo
             if sigma.contains(w) or sigma.contains(tau(w)):
                 continue
             return False
-    ok, _witness = convex_in_mod_a_witness(sigma, universe, max_nodes)
+    ok, _witness = convex_in_mod_a_witness(sigma, max_nodes)
     return ok
 
 
-def is_local_slice(sigma: SliceCandidate, max_states=4096) -> bool:
+def is_local_slice(sigma: SliceCandidate) -> bool:
     """Presection, sectionally convex, with one member per vertex."""
     if sigma.size != sigma.algebra.quiver.n_vertices:
         return False
     if not is_presection(sigma):
         return False
-    return sectionally_convex_witness(sigma, max_states)[0]
+    return sectionally_convex_witness(sigma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +782,7 @@ class TorsionPairReport(Record):
         return not self.neither
 
 
-def torsion_pair_of(m: Representation, universe=None, max_nodes=512) -> TorsionPairReport:
+def torsion_pair_of(m: Representation, max_nodes=512) -> TorsionPairReport:
     """Classify every indecomposable against (Fac M, Sub tau M).
 
     Requires M support tau-tilting; Hom(torsion, torsion-free) = 0 is
@@ -797,7 +791,7 @@ def torsion_pair_of(m: Representation, universe=None, max_nodes=512) -> TorsionP
     if not is_support_tau_tilting(m):
         raise ValueError("module is not support tau-tilting")
     tm = tau(m)
-    objs = _dedupe_universe(m.algebra, universe, [], max_nodes)
+    objs = _dedupe_universe(m.algebra, [], max_nodes)
     torsion, free, neither = [], [], []
     orthogonal = True
     for x in objs:
@@ -1050,14 +1044,14 @@ def bb_verify(m: Representation, max_nodes=512) -> BBReport:
     )
 
 
-def bb_verify_dual(m: Representation, max_nodes=512) -> BBReport:
+def bb_verify_dual(m: Representation) -> BBReport:
     """The cotilting-side run: the same verification for D(m) over A^op.
 
     Hom(-,M) and Ext^1(-,M) on mod A translate to Hom and Ext out of D(M)
     over the opposite algebra, so all verdicts transport through the
     duality.
     """
-    return bb_verify(dual(m), max_nodes=max_nodes)
+    return bb_verify(dual(m))
 
 
 # ---------------------------------------------------------------------------
@@ -1081,9 +1075,7 @@ class QuotientPreservationReport(Record):
         )
 
 
-def quotient_preservation_check(
-    sigma: SliceCandidate, gens, length_cap=None
-) -> QuotientPreservationReport:
+def quotient_preservation_check(sigma: SliceCandidate, gens) -> QuotientPreservationReport:
     """Pass a tau-slice to A/I for an ideal I inside its annihilator.
 
     Verifies the containment, re-runs the tau-slice test over the quotient,
@@ -1098,7 +1090,7 @@ def quotient_preservation_check(
     gen_span = a.ideal_span(norm)
     if read_coordinates(ann, leading_columns(ann), gen_span.rows) is None:
         raise ValueError("ideal is not contained in the annihilator of the slice")
-    qmap = quotient(a, gens, length_cap)
+    qmap = quotient(a, gens)
     members_b = [inflate_along_quotient(u, qmap) for u in sigma.members]
     sigma_b = SliceCandidate(qmap.target, members_b)
     preserved = is_tau_slice(sigma_b)
@@ -1211,19 +1203,19 @@ def orbit_graph(arq: ARQuiver, seed=None) -> OrbitGraph:
     return OrbitGraph(orbits=orbits, edges=sorted(edges))
 
 
-def is_simply_connected_component(arq: ARQuiver, seed=None) -> bool:
-    """Whether the orbit graph of the component is a tree."""
-    return orbit_graph(arq, seed).is_tree()
+def is_simply_connected_component(arq: ARQuiver) -> bool:
+    """Whether the orbit graph of the (connected) AR quiver is a tree."""
+    return orbit_graph(arq).is_tree()
 
 
-def is_generalized_standard(arq: ARQuiver, seed=None) -> bool:
-    """rad^infinity(X, Y) = 0 for all X, Y in the component.
+def is_generalized_standard(arq: ARQuiver) -> bool:
+    """rad^infinity(X, Y) = 0 for all X, Y in the (connected) AR quiver.
 
     The radical powers are propagated over all indecomposables until they
     stabilise; generalized standard means the stable spans vanish on the
     component.
     """
-    comp = sorted(_component_or_all(arq, seed))
+    comp = sorted(_component_or_all(arq, None))
     tower = _radical_tower(arq.representatives(), "infinity")
     return all(tower[(i, j)].nrows == 0 for i in comp for j in comp)
 

@@ -627,33 +627,6 @@ def test_closure_computes_each_translate_and_sequence_once(name, field, cap, mon
 # Ext^1 on a full Hom
 
 
-@pytest.mark.parametrize("field, cap", [("Q", 24), ("F5", 32)])
-def test_ext_data_on_a_full_hom_matches_the_general_solve(field, cap, monkeypatch):
-    # every ext_data call of the fig2 closure, again with the coordinates
-    # solved along the flattened hom basis
-    calls = []
-    original = artheory_module.ext_data
-
-    def recorded(m, n, degree=1):
-        ext = original(m, n, degree)
-        calls.append((m, n, degree, ext))
-        return ext
-
-    monkeypatch.setattr(artheory_module, "ext_data", recorded)
-    close("fig2", field, cap)
-    assert calls
-
-    def solved(m, n, basis, vectors):
-        return coordinates_in_basis(_flat_matrix(m, n, basis), vectors)
-
-    monkeypatch.setattr(artheory_module, "_hom_coordinates", solved)
-    for m, n, degree, ext in calls:
-        # fig2 has radical square zero: Omega is semisimple and Hom full
-        assert len(ext.hom) == sum(a * b for a, b in zip(ext.omega.dims, n.dims))
-        again = original(m, n, degree)
-        assert (again.classes, again.proj) == (ext.classes, ext.proj)
-
-
 def test_full_hom_is_read_off_the_arrows():
     # the arrow test of _full_hom says exactly when the hom basis has one
     # element per block entry
@@ -668,9 +641,10 @@ def test_full_hom_is_read_off_the_arrows():
 
 @pytest.mark.parametrize("field, cap", [("Q", 24), ("F5", 32)])
 def test_ext_data_on_a_full_hom_builds_no_hom_basis(field, cap, monkeypatch):
-    # every Omega of fig2 is semisimple, so every Hom(Omega, tau m) is full
-    # and read without hom_basis; reading ExtData.hom still gives it, and
-    # the general path, with the coordinates solved along the flattened hom
+    # fig2 has radical square zero, so every Omega is semisimple and every
+    # Hom(Omega, tau m) is full and read without hom_basis; reading
+    # ExtData.hom still gives it, one element per block entry, and the
+    # general path, with the coordinates solved along the flattened hom
     # basis, gives the same classes, projection and cocycles
     calls, inside = [], []
     original, original_hom = artheory_module.ext_data, artheory_module.hom_basis
@@ -702,6 +676,7 @@ def test_ext_data_on_a_full_hom_builds_no_hom_basis(field, cap, monkeypatch):
     monkeypatch.setattr(artheory_module, "_hom_coordinates", lambda m, n, basis, vectors: (
         coordinates_in_basis(_flat_matrix(m, n, basis), vectors)))
     for m, n, degree, ext in calls:
+        assert len(ext.hom) == sum(x * y for x, y in zip(ext.omega.dims, n.dims))
         again = original(m, n, degree)
         assert not again.full
         assert (again.classes, again.proj) == (ext.classes, ext.proj)

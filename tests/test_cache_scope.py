@@ -1,4 +1,5 @@
-"""Every memo lives in its algebra's ``_cache`` and dies with the algebra.
+"""Every memo lives in its algebra's ``_cache``, is reached through
+``PresentedAlgebra.memo`` and dies with the algebra.
 
 A module-level dict would outlive the algebras whose modules it keys on and
 keep them alive; the library keeps none.
@@ -30,6 +31,57 @@ def test_dropped_algebra_is_freed():
     del a, total, _incls, _projs
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_memo_builds_once_per_key():
+    a = fixdata.algebra("a2")
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        return list(args)
+
+    first = a.memo(("probe", 1), build, 1, 2)
+    assert a.memo(("probe", 1), build, 3, 4) is first
+    assert (first, calls) == ([1, 2], [(1, 2)])
+    assert a.memo(("probe", 2), build, 1, 2) is not first
+    assert len(calls) == 2
+
+    def nothing():
+        calls.append(())
+
+    # a stored None is a hit like any other value
+    assert a.memo(("probe", 3), nothing) is None
+    assert a.memo(("probe", 3), nothing) is None
+    assert len(calls) == 3
+
+
+def _cache_scopes():
+    """(file, qualified scope) of every use of the attribute ``_cache`` in
+    ``src/tauslice/*.py``."""
+    found = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_cache":
+                found.add((path.name, ".".join(scope)))
+            inner = (scope + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+            visit(child, inner, path)
+
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (), path)
+    return found
+
+
+def test_the_memo_store_is_opened_only_by_memo():
+    # every lookup goes through PresentedAlgebra.memo, so its policy (and
+    # any count of hits and misses) lives in one place
+    allowed = {("algebra.py", "PresentedAlgebra.__init__"),
+               ("algebra.py", "PresentedAlgebra.memo")}
+    scopes = _cache_scopes()
+    assert sorted(scopes - allowed) == []
+    assert allowed <= scopes
 
 
 def _is_empty_dict(node):

@@ -185,7 +185,7 @@ def test_fig2_slice_is_local_only(fig2):
     # certifying a complete slice needs the full list of indecomposables,
     # which does not exist here
     with pytest.raises(CapExceeded):
-        is_complete_slice(sig, universe=None, max_nodes=16)
+        is_complete_slice(sig, max_nodes=16)
     m = sig.module()
     assert is_sincere(m)
     assert not is_faithful(m)
