@@ -55,7 +55,7 @@ from tauslice.artheory import (  # noqa: E402
     ar_quiver, minimal_presentation, relation_extension_bimodule, tau,
     tau_inverse,
 )
-from tauslice.cli import field_from_spec, parse_algebra_text, print_algebra  # noqa: E402
+from tauslice.formats import field_from_spec, parse_algebra_text, print_algebra  # noqa: E402
 from tauslice.modrep import injective, projective, simple  # noqa: E402
 from tauslice.tautilt import orbit_graph  # noqa: E402
 

@@ -15,11 +15,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from tauslice import fixtures as fixdata
-from tauslice.algebra import CapExceeded
-from tauslice.artheory import end_algebra, is_hereditary
-from tauslice.tautilt import find_complete_tau_slices, is_complete_slice
-from tauslice.cli import parse_algebra_text
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tauslice import fixtures as fixdata  # noqa: E402
+from tauslice.algebra import CapExceeded  # noqa: E402
+from tauslice.artheory import end_algebra, is_hereditary  # noqa: E402
+from tauslice.tautilt import find_complete_tau_slices, is_complete_slice  # noqa: E402
+from tauslice.formats import parse_algebra_text  # noqa: E402
 
 DEFAULTS = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
             "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]

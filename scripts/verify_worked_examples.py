@@ -34,7 +34,7 @@ from tauslice.tautilt import (
     bb_verify, quotient_preservation_check, is_tilted, onepoint_slice_extend,
     splitex_check, find_complete_tau_slices,
 )
-from tauslice.cli import parse_rep_text
+from tauslice.formats import parse_rep_text
 
 FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
           "ex5_tilde", "ex5_a", "ex5_aprime", "ex5_c"]

@@ -18,8 +18,10 @@ rest:
     the translate tau, almost split sequences, the AR quiver, Ext.
 ``tautilt``
     tau-tilting tests, tau-slices, tilted-ness search, equivalence reports.
+``formats``
+    the on-disk ``.alg`` / ``.rep`` formats: parsers and canonical printers.
 ``cli``
-    the ``tauslice`` command and the on-disk ``.alg`` / ``.rep`` formats.
+    the ``tauslice`` command.
 """
 
 from .exactlin import Matrix, QQ, PrimeField
@@ -45,6 +47,7 @@ from .tautilt import (
     orbit_graph, is_tilted, bb_verify, bb_verify_dual,
     quotient_preservation_check, onepoint_slice_extend, splitex_check,
 )
+from .formats import parse_algebra_text, parse_rep_text, print_algebra, print_rep
 
 __version__ = "0.1.0"
 
@@ -67,13 +70,3 @@ __all__ = [
     "onepoint_slice_extend", "splitex_check",
     "parse_algebra_text", "parse_rep_text", "print_algebra", "print_rep",
 ]
-
-
-def __getattr__(name):
-    # The cli re-exports load on first use: an eager import would put
-    # tauslice.cli in sys.modules before ``python -m tauslice.cli`` runs it.
-    if name in ("parse_algebra_text", "parse_rep_text", "print_algebra", "print_rep"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -422,7 +422,7 @@ class PresentedAlgebra:
             if c == fld.one():
                 parts.append(word)
             else:
-                parts.append(f"{fld.fmt(c)} {word}")
+                parts.append(f"{c} {word}")
         return " + ".join(parts)
 
     def format_word(self, w) -> str:

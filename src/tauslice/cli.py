@@ -1,52 +1,29 @@
 """Command line front end.
 
-Algebras are read from ``.alg`` files::
-
-    field Q
-    vertex 1
-    vertex 2
-    arrow a: 1 -> 2
-    relation a*b - 3/2 c*d
-    option length_cap 16
-
-and modules from ``.rep`` files tied to an algebra::
-
-    dim 1=1
-    dim 2=2
-    map a = [[1, 0]]
-
-``#`` starts a comment; missing ``map`` lines mean zero matrices; matrices
-are row lists over the algebra's field.  Formats have a canonical printer
-(``print_algebra`` / ``print_rep``) and parsing a canonical print returns an
-equal presentation, so hashes are stable.
-
-Commands print one JSON report to stdout: command, algebra hash, verdict,
-witnesses (dimension vectors with AR-quiver discovery indices where known),
-and a timing slot (normalised to "-" so reports are byte-identical across
-runs).  Exit status: 0 for a true verdict or plain success, 1 for a false
-verdict, 2 for errors, caps and inconclusive searches.
+Commands read algebras and modules in the ``.alg`` / ``.rep`` formats of
+:mod:`tauslice.formats` and print one JSON report to stdout: command,
+algebra hash, verdict, witnesses (dimension vectors with AR-quiver
+discovery indices where known), and a timing slot (normalised to "-" so
+reports are byte-identical across runs).  Exit status: 0 for a true verdict
+or plain success, 1 for a false verdict, 2 for errors, caps and
+inconclusive searches.
 
 Modules are selected by ``-m``: a path to a ``.rep`` file, a dimension
 vector like ``1,1,0`` (resolved against the AR quiver; ambiguity is an
 error listing the candidates), or ``node:<k>`` for a discovery index.
 """
 
-import hashlib
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .exactlin import Matrix, QQ, PrimeField, FieldError
+from .exactlin import FieldError
 from .algebra import (
-    Arrow,
     CapExceeded,
     NotBasic,
     NotNilpotent,
     PresentedAlgebra,
-    Quiver,
-    build_algebra,
     ideal_bimodule,
     one_point_coextension,
     one_point_extension,
@@ -54,14 +31,24 @@ from .algebra import (
     quotient,
     split_extension,
 )
+from .formats import (
+    CliError,
+    _parse_relation_terms,
+    algebra_hash,
+    field_from_spec,
+    field_spec,
+    parse_algebra_text,
+    parse_rep_text,
+    print_algebra,
+    print_rep,
+)
 from .modrep import DecompositionStalled, Representation, direct_sum
 from .artheory import (
     ar_quiver,
     end_algebra,
     is_hereditary,
     relation_extension_bimodule,
-    tau,
-    tau_inverse,
+    tau_power,
 )
 from .tautilt import (
     bb_verify,
@@ -86,305 +73,13 @@ from .tautilt import (
 )
 
 
-class CliError(Exception):
-    """A user-facing problem: bad input, ambiguous selector, parse failure."""
-
-
-# ---------------------------------------------------------------------------
-# scalars and fields
-
-
-def field_from_spec(spec: str):
-    spec = spec.strip()
-    if spec == "Q":
-        return QQ
-    m = re.fullmatch(r"F(?:p:)?(\d+)", spec)
-    if m:
-        return PrimeField(int(m.group(1)))
-    raise CliError(f"unknown field {spec!r} (use Q or F<p>)")
-
-
-def field_spec(fld) -> str:
-    if fld is QQ or isinstance(fld, type(QQ)):
-        return "Q"
-    return f"F{fld.p}"
-
-
-def parse_scalar(fld, token: str):
-    m = re.fullmatch(r"([+-]?\d+)(?:/(\d+))?", token)
-    if not m:
-        raise CliError(f"bad coefficient {token!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 1:
-        return fld.coerce(num)
-    return fld.div(fld.coerce(num), fld.coerce(den))
-
-
-def scalar_str(fld, value) -> str:
-    return str(value)
-
-
-# ---------------------------------------------------------------------------
-# .alg format
-
-
-_WORD_RE = re.compile(r"[A-Za-z_]\w*(?:\*[A-Za-z_]\w*)*")
-_COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
-def _parse_relation_terms(rest: str, quiver: Quiver, fld):
-    """``[+-] [coeff] word [+- [coeff] word ...]`` into an element dict."""
-    tokens = rest.replace("+", " + ").replace("-", " - ").split()
-    # re-glue coefficient signs: a lone sign binds to the following term
-    elt = {}
-    sign = 1
-    coeff = None
-    for tok in tokens:
-        if tok == "+":
-            if coeff is not None:
-                raise CliError(f"dangling coefficient in relation {rest!r}")
-            sign = 1
-            continue
-        if tok == "-":
-            if coeff is not None:
-                raise CliError(f"dangling coefficient in relation {rest!r}")
-            sign = -1
-            continue
-        if _COEFF_RE.fullmatch(tok) and coeff is None:
-            coeff = parse_scalar(fld, tok)
-            continue
-        if not _WORD_RE.fullmatch(tok):
-            raise CliError(f"bad term {tok!r} in relation {rest!r}")
-        names = tok.split("*")
-        for name in names:
-            if name not in quiver.arrow_index:
-                raise CliError(f"unknown arrow {name!r} in relation {rest!r}")
-        idxs = tuple(quiver.arrow_index[name] for name in names)
-        src = quiver.arrow_source[idxs[0]]
-        for k in range(1, len(idxs)):
-            if quiver.arrow_source[idxs[k]] != quiver.arrow_target[idxs[k - 1]]:
-                raise CliError(f"word {tok!r} is not a path")
-        c = coeff if coeff is not None else fld.one()
-        if sign < 0:
-            c = fld.neg(c)
-        key = (src, idxs)
-        c = fld.add(elt.get(key, fld.zero()), c)
-        if c == fld.zero():
-            elt.pop(key, None)
-        else:
-            elt[key] = c
-        sign = 1
-        coeff = None
-    if coeff is not None:
-        raise CliError(f"dangling coefficient in relation {rest!r}")
-    if not elt:
-        raise CliError(f"empty relation {rest!r}")
-    return elt
-
-
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
-def parse_algebra_text(text: str, field_override=None) -> PresentedAlgebra:
-    fld = None
-    vertices = []
-    arrow_specs = {}  # name -> (lineno, source, target)
-    relation_lines = []
-    length_cap = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "field":
-            if fld is not None:
-                raise CliError(f"line {lineno}: repeated field line")
-            try:
-                fld = field_from_spec(rest)
-            except (CliError, ValueError) as e:
-                raise CliError(f"line {lineno}: {e}") from None
-        elif head == "vertex":
-            for label in rest.split():
-                if label in vertices:
-                    raise CliError(f"line {lineno}: duplicate vertex {label!r}")
-                vertices.append(label)
-        elif head == "arrow":
-            m = re.fullmatch(r"(\w+)\s*:\s*(\S+)\s*->\s*(\S+)", rest)
-            if not m:
-                raise CliError(f"line {lineno}: bad arrow line {line!r}")
-            name, src, tgt = m.groups()
-            if name in arrow_specs:
-                raise CliError(f"line {lineno}: duplicate arrow {name!r}")
-            arrow_specs[name] = (lineno, src, tgt)
-        elif head == "relation":
-            relation_lines.append((lineno, rest))
-        elif head == "option":
-            m = re.fullmatch(r"length_cap\s+(\d+)", rest)
-            if not m:
-                raise CliError(f"line {lineno}: unknown option {rest!r}")
-            if length_cap is not None:
-                raise CliError(f"line {lineno}: repeated option 'length_cap'")
-            length_cap = int(m.group(1))
-        else:
-            raise CliError(f"line {lineno}: unknown directive {head!r}")
-    if field_override is not None:
-        fld = field_override
-    if fld is None:
-        fld = QQ
-    if not vertices:
-        raise CliError("algebra file declares no vertices")
-    for name, (lineno, src, tgt) in arrow_specs.items():
-        if src not in vertices or tgt not in vertices:
-            raise CliError(f"line {lineno}: arrow {name!r} uses undeclared vertices")
-    quiver = Quiver(vertices, [Arrow(n, s, t) for n, (_l, s, t) in arrow_specs.items()])
-    relations = []
-    for lineno, rest in relation_lines:
-        try:
-            relations.append(_parse_relation_terms(rest, quiver, fld))
-        except CliError as e:
-            raise CliError(f"line {lineno}: {e}") from None
-    if length_cap is None:
-        length_cap = 16
-    return build_algebra(quiver, relations, fld, length_cap=length_cap)
-
-
-def _word_names(a: PresentedAlgebra, word) -> str:
-    return "*".join(a.quiver.arrows[i].name for i in word[1])
-
-
-def print_algebra(a: PresentedAlgebra) -> str:
-    fld = a.field
-    lines = [f"field {field_spec(fld)}"]
-    for v in a.quiver.vertices:
-        lines.append(f"vertex {v}")
-    for ar in a.quiver.arrows:
-        lines.append(f"arrow {ar.name}: {ar.source} -> {ar.target}")
-    for rel in a.relations:
-        terms = sorted(rel.items())
-        parts = []
-        for pos, (word, c) in enumerate(terms):
-            name = _word_names(a, word)
-            text = scalar_str(fld, c)
-            negative = text.startswith("-")
-            mag = text[1:] if negative else text
-            body = name if mag == "1" else f"{mag} {name}"
-            if pos == 0:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        lines.append("relation " + " ".join(parts))
-    if a.length_cap != 16:
-        lines.append(f"option length_cap {a.length_cap}")
-    return "\n".join(lines) + "\n"
-
-
-def algebra_hash(a: PresentedAlgebra) -> str:
-    return hashlib.sha256(print_algebra(a).encode()).hexdigest()[:16]
-
-
-def load_algebra(path, field_override=None) -> PresentedAlgebra:
+def _load(path, parse, *context):
+    """Parse the file at ``path`` with ``parse(text, *context)``."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
-    return parse_algebra_text(text, field_override)
-
-
-# ---------------------------------------------------------------------------
-# .rep format
-
-
-def _parse_matrix_literal(fld, text: str, nrows: int, ncols: int) -> Matrix:
-    compact = text.replace(" ", "")
-    if not (compact.startswith("[[") and compact.endswith("]]")) and compact != "[]":
-        raise CliError(f"bad matrix literal {text!r}")
-    if compact == "[]" or compact == "[[]]":
-        rows = []
-    else:
-        rows = compact[2:-2].split("],[")
-    entries = [r.split(",") if r else [] for r in rows]
-    if len(entries) != nrows or any(len(r) != ncols for r in entries):
-        raise CliError(
-            f"matrix {text!r} has shape {len(entries)}x"
-            f"{len(entries[0]) if entries else 0}, expected {nrows}x{ncols}"
-        )
-    return Matrix(fld, [[parse_scalar(fld, x) for x in row] for row in entries], ncols)
-
-
-def parse_rep_text(text: str, a: PresentedAlgebra) -> Representation:
-    fld = a.field
-    q = a.quiver
-    dims = {}
-    map_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "dim":
-            for part in rest.split():
-                label, _, value = part.partition("=")
-                if label not in q.vertex_index:
-                    raise CliError(f"line {lineno}: unknown vertex {label!r}")
-                if label in dims:
-                    raise CliError(f"line {lineno}: repeated vertex {label!r}")
-                if not value.isdecimal():
-                    raise CliError(f"line {lineno}: dimension {value!r} at vertex {label!r} "
-                                   "is not a non-negative integer")
-                dims[label] = int(value)
-        elif head == "map":
-            name, _, literal = rest.partition("=")
-            name = name.strip()
-            if name not in q.arrow_index:
-                raise CliError(f"line {lineno}: unknown arrow {name!r}")
-            if name in map_lines:
-                raise CliError(f"line {lineno}: repeated arrow {name!r}")
-            map_lines[name] = (lineno, literal.strip())
-        else:
-            raise CliError(f"line {lineno}: unknown directive {head!r}")
-    dim_list = [dims.get(v, 0) for v in q.vertices]
-    mats = []
-    for j, ar in enumerate(q.arrows):
-        ds = dim_list[q.arrow_source[j]]
-        dt = dim_list[q.arrow_target[j]]
-        if ar.name in map_lines:
-            lineno, literal = map_lines[ar.name]
-            try:
-                mats.append(_parse_matrix_literal(fld, literal, dt, ds))
-            except CliError as e:
-                raise CliError(f"line {lineno}: {e}") from None
-        else:
-            mats.append(Matrix.zero(fld, dt, ds))
-    return Representation(a, dim_list, mats)
-
-
-def print_rep(r: Representation) -> str:
-    a = r.algebra
-    q = a.quiver
-    lines = []
-    for v, d in zip(q.vertices, r.dims):
-        lines.append(f"dim {v}={d}")
-    for j, ar in enumerate(q.arrows):
-        mat = r.maps[j]
-        if mat.nrows and mat.ncols and not mat.is_zero():
-            body = ", ".join(
-                "[" + ", ".join(scalar_str(a.field, x) for x in row) + "]"
-                for row in mat.rows
-            )
-            lines.append(f"map {ar.name} = [{body}]")
-    return "\n".join(lines) + "\n"
-
-
-def load_rep(path, a: PresentedAlgebra) -> Representation:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from None
-    return parse_rep_text(text, a)
+    return parse(text, *context)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +93,7 @@ def resolve_module(sel: str, a: PresentedAlgebra, cap: int) -> Representation:
     """A ``.rep`` path, ``node:<k>``, or a dimension vector like ``1,0,2``."""
     p = Path(sel)
     if p.suffix == ".rep" or p.exists():
-        return load_rep(p, a)
+        return _load(p, parse_rep_text, a)
     if sel.startswith("node:"):
         try:
             k = int(sel[5:])
@@ -434,7 +129,9 @@ def _gather_modules(args, a: PresentedAlgebra):
     return [resolve_module(sel, a, args.cap) for sel in args.module]
 
 
-def _modules_as_sum(mods, a):
+def _module_sum(args, a: PresentedAlgebra):
+    """The direct sum of the ``-m`` modules."""
+    mods = _gather_modules(args, a)
     if len(mods) == 1:
         return mods[0]
     total, _i, _p = direct_sum(a, mods)
@@ -461,7 +158,7 @@ def _indexed_witnesses(reps, a, cap):
 def emit(command, a, verdict, witnesses=None, extra=None):
     out = {
         "command": command,
-        "algebra_hash": algebra_hash(a) if a is not None else None,
+        "algebra_hash": algebra_hash(a),
         "verdict": verdict,
         "witnesses": witnesses or [],
         "timings": "-",
@@ -471,12 +168,17 @@ def emit(command, a, verdict, witnesses=None, extra=None):
     print(json.dumps(out, indent=2))
 
 
+def _write_out(args, text):
+    """Write ``text`` to the ``--out`` path, when one was given."""
+    if args.out:
+        Path(args.out).write_text(text)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_info(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_info(args, a):
     q = a.quiver
     emit("info", a, True, extra={
         "field": field_spec(a.field),
@@ -489,8 +191,7 @@ def cmd_info(args):
     return 0
 
 
-def cmd_indecomposables(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_indecomposables(args, a):
     arq = ar_quiver(a, max_nodes=args.cap)
     wits = []
     for node in arq.nodes:
@@ -525,8 +226,7 @@ def _dot_text(arq) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_ar_quiver(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_ar_quiver(args, a):
     arq = ar_quiver(a, max_nodes=args.cap)
     if args.dot:
         sys.stdout.write(_dot_text(arq))
@@ -543,16 +243,10 @@ def cmd_ar_quiver(args):
     return 0
 
 
-def cmd_tau(args):
-    a = load_algebra(args.algebra, args.field)
-    mods = _gather_modules(args, a)
-    m = _modules_as_sum(mods, a)
-    out = m
-    step = tau_inverse if args.inverse else tau
-    for _ in range(args.power):
-        out = step(out)
-    if args.out:
-        Path(args.out).write_text(print_rep(out))
+def cmd_tau(args, a):
+    m = _module_sum(args, a)
+    out = tau_power(m, -args.power if args.inverse else args.power)
+    _write_out(args, print_rep(out))
     emit("tau", a, True, [_witness(out)], extra={
         "inverse": args.inverse,
         "power": args.power,
@@ -572,14 +266,13 @@ _SLICE_CHECKS = {
     "presection": lambda sig, args: is_presection(sig),
     "tau-slice": lambda sig, args: is_tau_slice(sig),
     "complete-tau-slice": lambda sig, args: is_complete_tau_slice(sig),
-    "section": None,  # needs the AR quiver, handled inline
+    "section": lambda sig, args: is_section(sig, ar_quiver(sig.algebra, max_nodes=args.cap)),
     "complete-slice": lambda sig, args: is_complete_slice(sig, max_nodes=args.cap),
     "local-slice": lambda sig, args: is_local_slice(sig),
 }
 
 
-def cmd_check(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_check(args, a):
     kind = args.kind
     if kind == "tilted":
         v = is_tilted(a, search_cap=args.limit, max_nodes=args.cap)
@@ -593,27 +286,20 @@ def cmd_check(args):
             return 1
         return 2
     if kind in _MODULE_CHECKS:
-        mods = _gather_modules(args, a)
-        m = _modules_as_sum(mods, a)
+        m = _module_sum(args, a)
         verdict = _MODULE_CHECKS[kind](m)
         emit(f"check {kind}", a, verdict, [_witness(m)])
         return 0 if verdict else 1
     mods = _gather_modules(args, a)
     sig = slice_candidate(a, mods)
-    if kind == "section":
-        arq = ar_quiver(a, max_nodes=args.cap)
-        verdict = is_section(sig, arq)
-    else:
-        verdict = _SLICE_CHECKS[kind](sig, args)
+    verdict = _SLICE_CHECKS[kind](sig, args)
     emit(f"check {kind}", a, verdict,
          [_witness(u) for u in sig.members])
     return 0 if verdict else 1
 
 
-def cmd_bb_verify(args):
-    a = load_algebra(args.algebra, args.field)
-    mods = _gather_modules(args, a)
-    m = _modules_as_sum(mods, a)
+def cmd_bb_verify(args, a):
+    m = _module_sum(args, a)
     r = bb_verify(m, max_nodes=args.cap)
     ok = (
         r.part1_isomorphism
@@ -635,10 +321,8 @@ def cmd_bb_verify(args):
     return 0 if ok else 1
 
 
-def cmd_torsion_pair(args):
-    a = load_algebra(args.algebra, args.field)
-    mods = _gather_modules(args, a)
-    m = _modules_as_sum(mods, a)
+def cmd_torsion_pair(args, a):
+    m = _module_sum(args, a)
     tp = torsion_pair_of(m, max_nodes=args.cap)
     emit("torsion-pair", a, tp.orthogonal, extra={
         "torsion": [list(x.dims) for x in tp.torsion],
@@ -660,16 +344,14 @@ def _parse_gens(args, a):
     return gens
 
 
-def cmd_quotient(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_quotient(args, a):
     gens = _parse_gens(args, a)
     if args.module:
         mods = _gather_modules(args, a)
         sig = slice_candidate(a, mods)
         r = quotient_preservation_check(sig, gens)
         text = print_algebra(r.qmap.target)
-        if args.out:
-            Path(args.out).write_text(text)
+        _write_out(args, text)
         emit("quotient", a, r.passed, extra={
             "quotient_dimension": r.qmap.target.dim,
             "tau_slice_preserved": r.tau_slice_preserved,
@@ -682,8 +364,7 @@ def cmd_quotient(args):
         return 0 if r.passed else 1
     qmap = quotient(a, gens)
     text = print_algebra(qmap.target)
-    if args.out:
-        Path(args.out).write_text(text)
+    _write_out(args, text)
     emit("quotient", a, True, extra={
         "quotient_dimension": qmap.target.dim,
         "algebra_text": text,
@@ -691,14 +372,11 @@ def cmd_quotient(args):
     return 0
 
 
-def cmd_endo(args):
-    a = load_algebra(args.algebra, args.field)
-    mods = _gather_modules(args, a)
-    m = _modules_as_sum(mods, a)
+def cmd_endo(args, a):
+    m = _module_sum(args, a)
     er = end_algebra(m)
     text = print_algebra(er.algebra)
-    if args.out:
-        Path(args.out).write_text(text)
+    _write_out(args, text)
     emit("endo", a, True, extra={
         "summands": [list(s.dims) for s in er.summands],
         "dimension": er.algebra.dim,
@@ -708,12 +386,10 @@ def cmd_endo(args):
     return 0
 
 
-def cmd_extend(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_extend(args, a):
     mode = args.mode
     if mode in ("one-point", "coextend"):
-        mods = _gather_modules(args, a)
-        x = _modules_as_sum(mods, a)
+        x = _module_sum(args, a)
         if args.slice_member:
             members = [resolve_module(s, a, args.cap) for s in args.slice_member]
             sig = slice_candidate(a, members)
@@ -721,8 +397,7 @@ def cmd_extend(args):
                 a, sig, x, new_vertex=args.vertex, arrow_prefix=args.prefix
             )
             text = print_algebra(res.extension.algebra)
-            if args.out:
-                Path(args.out).write_text(text)
+            _write_out(args, text)
             emit("extend one-point", a, res.verified,
                  [_witness(u) for u in res.slice.members],
                  extra={
@@ -734,8 +409,7 @@ def cmd_extend(args):
         build = one_point_extension if mode == "one-point" else one_point_coextension
         res = build(a, x, new_vertex=args.vertex, arrow_prefix=args.prefix)
         text = print_algebra(res.algebra)
-        if args.out:
-            Path(args.out).write_text(text)
+        _write_out(args, text)
         emit(f"extend {mode}", a, True, extra={
             "new_vertex": res.new_vertex,
             "new_arrows": list(res.new_arrows),
@@ -751,8 +425,7 @@ def cmd_extend(args):
         c = ib.quotient_map.target
         ser = split_extension(c, ib.bimodule)
         text = print_algebra(ser.algebra)
-        if args.out:
-            Path(args.out).write_text(text)
+        _write_out(args, text)
         iso = presentation_isomorphism(ser.algebra, a)
         emit("extend split", a, iso is not None, extra={
             "base_dimension": c.dim,
@@ -765,8 +438,7 @@ def cmd_extend(args):
         e = relation_extension_bimodule(a)
         ser = split_extension(a, e)
         text = print_algebra(ser.algebra)
-        if args.out:
-            Path(args.out).write_text(text)
+        _write_out(args, text)
         emit("extend trivial", a, True, extra={
             "bimodule_dimension": e.dim,
             "dimension": ser.algebra.dim,
@@ -776,8 +448,7 @@ def cmd_extend(args):
     raise CliError(f"unknown extension mode {mode!r}")
 
 
-def cmd_slices(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_slices(args, a):
     found = find_complete_tau_slices(a, limit=args.limit, max_nodes=args.cap)
     arq = ar_quiver(a, max_nodes=args.cap)
     wits = [
@@ -793,8 +464,7 @@ def cmd_slices(args):
     return 0 if found else 1
 
 
-def cmd_orbit_graph(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_orbit_graph(args, a):
     arq = ar_quiver(a, max_nodes=args.cap)
     seed = None
     if args.seed:
@@ -811,8 +481,7 @@ def cmd_orbit_graph(args):
     return 0 if tree else 1
 
 
-def cmd_count_stt(args):
-    a = load_algebra(args.algebra, args.field)
+def cmd_count_stt(args, a):
     n = count_support_tau_tilting(a, cap=args.cap)
     emit("count-stt", a, True, extra={"count": n})
     return 0
@@ -941,7 +610,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load(args.algebra, parse_algebra_text, args.field))
     except CliError as e:
         print(json.dumps({"command": args.command, "error": str(e)}, indent=2))
         return 2

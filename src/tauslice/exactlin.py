@@ -55,15 +55,9 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a):
-        return a == self.zero()
-
     def parse(self, text: str):
         """Parse an element from its decimal / p/q string form."""
         raise NotImplementedError
-
-    def fmt(self, a) -> str:
-        return str(a)
 
 
 def _canon(x):
@@ -132,11 +126,43 @@ class RationalField(Field):
         return hash("QQ")
 
 
+#: Miller-Rabin with these bases decides primality exactly below
+#: _PRIME_TEST_LIMIT (Sorenson and Webster, 2015)
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for ``n < _PRIME_TEST_LIMIT``."""
+    if n < 2:
+        return False
+    for b in _PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     """GF(p) with elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _PRIME_TEST_LIMIT:
+            raise ValueError(f"modulus {p} is too large (the primality test is exact "
+                             f"only below {_PRIME_TEST_LIMIT})")
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         super().__init__()
         self.p = p
@@ -290,7 +316,7 @@ class Matrix:
         return self._hash
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     @property

@@ -1,7 +1,7 @@
 """Packaged worked examples: bound quiver algebras with named modules.
 
 The ``.alg`` / ``.rep`` files in this directory are in the canonical format
-of :mod:`tauslice.cli`.  ``algebra(name)`` and ``module(a, name, rep)`` load
+of :mod:`tauslice.formats`.  ``algebra(name)`` and ``module(a, name, rep)`` load
 them; ``members(a, name, group)`` loads one of the named compatible families
 (slice candidates, summand lists) from :data:`MEMBER_SETS`.
 
@@ -24,7 +24,7 @@ Available algebras:
 
 from importlib import resources
 
-from ..cli import parse_algebra_text, parse_rep_text
+from ..formats import parse_algebra_text, parse_rep_text
 
 #: named compatible module families, as (algebra, group) -> [rep names]
 MEMBER_SETS = {

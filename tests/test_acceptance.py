@@ -31,7 +31,8 @@ from tauslice.tautilt import (
     bb_verify, quotient_preservation_check, is_tilted,
     onepoint_slice_extend, splitex_check,
 )
-from tauslice.cli import main, parse_rep_text
+from tauslice.cli import main
+from tauslice.formats import parse_rep_text
 
 from helpers import w, rep, is_path_graph, undirected_degrees
 

@@ -73,7 +73,7 @@ def test_opposite_involution(ex2):
 
 
 def test_quotient_matches_packaged_files(ex5_tilde):
-    from tauslice.cli import print_algebra
+    from tauslice.formats import print_algebra
     qt = ex5_tilde.quiver
     qm = quotient(ex5_tilde, [{w(qt, "1", "om"): Fraction(1)}])
     assert qm.target.dim == 8

@@ -7,7 +7,7 @@ from tauslice import artheory as artheory_module
 from tauslice.algebra import (
     CapExceeded, PresentedAlgebra, ideal_bimodule, split_extension, presentation_isomorphism,
 )
-from tauslice.cli import field_from_spec, parse_algebra_text
+from tauslice.formats import field_from_spec, parse_algebra_text
 from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,

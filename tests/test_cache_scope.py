@@ -245,3 +245,13 @@ def test_import_loads_no_dataclasses_inspect_or_argparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == []
+
+
+def test_library_import_loads_no_cli():
+    # the formats live below the command line: the package and its bundled
+    # examples parse .alg / .rep files without loading tauslice.cli
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import tauslice, tauslice.fixtures; print('tauslice.cli' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]

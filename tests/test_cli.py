@@ -1,15 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tauslice import fixtures as fixdata
-from tauslice.cli import (
-    main, parse_algebra_text, print_algebra, parse_rep_text, print_rep,
+from tauslice.cli import main
+from tauslice.formats import (
+    parse_algebra_text, print_algebra, parse_rep_text, print_rep,
     algebra_hash, field_from_spec,
 )
 from tauslice.exactlin import PrimeField
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +96,32 @@ def test_bad_algebra_lines_exit_2_naming_the_line(tmp_path, capsys, text, error)
     code, out = run_json(capsys, "info", str(alg))
     assert code == 2
     assert out["error"] == error
+
+
+@pytest.mark.parametrize("field, bad", [("Q", "1/0"), ("F5", "1/5")])
+@pytest.mark.parametrize("kind", ["alg", "rep"])
+def test_zero_denominator_exits_2_naming_the_line(tmp_path, capsys, field, bad, kind):
+    # a zero denominator used to surface as a ZeroDivisionError with no line
+    alg = tmp_path / "a.alg"
+    mod = tmp_path / "m.rep"
+    relation = f"relation {bad} a*b - c\n" if kind == "alg" else ""
+    alg.write_text(f"field {field}\nvertex 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+                   f"arrow c: 1 -> 3\n{relation}")
+    mod.write_text(f"dim 1=1 2=1\nmap a = [[{bad if kind == 'rep' else 1}]]\n")
+    code, out = run_json(capsys, "tau", str(alg), "-m", str(mod))
+    assert code == 2
+    line = 6 if kind == "alg" else 2
+    assert out["error"] == f"line {line}: coefficient '{bad}' has denominator 0 in {field}"
+
+
+def test_unknown_field_option_is_a_usage_error(capsys):
+    # an unknown --field used to end in a CliError traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["info", alg_path("a2"), "--field", "X"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --field: invalid field_from_spec value: 'X'" in err
 
 
 def test_bad_node_selector_exits_2_naming_it(capsys):
@@ -393,6 +424,16 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "info"
     assert proc.stderr == ""
+
+
+def test_slice_census_runs_without_pythonpath():
+    # the script puts src/ on sys.path itself, like the other two scripts
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "slice_census.py"), "a3"],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "a3: 4 complete tau-slice(s)"
 
 
 def test_error_report_shape(capsys):

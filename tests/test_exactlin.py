@@ -1,11 +1,12 @@
 import functools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauslice import exactlin
-from tauslice.cli import parse_algebra_text
+from tauslice.formats import parse_algebra_text
 from tauslice.exactlin import (
     Matrix, QQ, PrimeField, FieldError,
     row_space_basis, span_matrix, coordinates_in_basis, read_coordinates,
@@ -65,6 +66,27 @@ def test_prime_field_arithmetic():
         PrimeField(6)
     with pytest.raises(FieldError):
         F5.coerce(Fraction(1, 5))
+
+
+def test_prime_field_modulus_is_tested_exactly_and_fast():
+    # trial division up to sqrt(p) took minutes at 2^61 - 1
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 0.5
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; the last is beyond the exact range of the test
+    for n in (1, 4, 561, 3215031751, (2 ** 31 - 1) * (2 ** 61 - 1)):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+    small = [n for n in range(2, 2000) if all(n % q for q in range(2, n))]
+    accepted = []
+    for n in range(-3, 2000):
+        try:
+            accepted.append(PrimeField(n).p)
+        except ValueError:
+            pass
+    assert accepted == small
 
 
 def test_span_helpers():
@@ -196,7 +218,7 @@ def reference_rank(field, rows, ncols):
     rank = 0
     for c in range(ncols):
         pr = next((i for i in range(rank, len(rows))
-                   if not field.is_zero(rows[i][c])), None)
+                   if rows[i][c] != field.zero()), None)
         if pr is None:
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
@@ -214,12 +236,12 @@ def check_rref(m):
     assert list(pivots) == sorted(set(pivots))
     for i, row in enumerate(r.rows):
         if i >= len(pivots):
-            assert all(f.is_zero(x) for x in row)
+            assert all(x == f.zero() for x in row)
             continue
-        lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
+        lead = next(j for j, x in enumerate(row) if x != f.zero())
         assert lead == pivots[i] and row[lead] == f.one()
         for k, other in enumerate(r.rows):
-            assert k == i or f.is_zero(other[lead])
+            assert k == i or other[lead] == f.zero()
     # every row of m is the combination of the rows of r given by its
     # pivot coordinates, so row(m) lies in row(r); equal ranks give equality
     for row in m.rows:
@@ -592,7 +614,7 @@ def test_rational_outputs_are_canonical(data):
 
 
 def test_rational_field_returns_ints():
-    from tauslice.cli import parse_scalar
+    from tauslice.formats import parse_scalar
 
     for value, expected in ((QQ.inv(-1), -1), (QQ.div(4, 2), 2),
                             (parse_scalar(QQ, "4/2"), 2), (QQ.zero(), 0), (QQ.one(), 1)):
@@ -625,7 +647,7 @@ def check_coordinates(basis, vectors):
         assert combo == tuple(v)
     for t in range(k):
         if reference_rank(f, basis.rows[:t + 1], n) == reference_rank(f, basis.rows[:t], n):
-            assert all(f.is_zero(row[t]) for row in co.rows)
+            assert all(row[t] == f.zero() for row in co.rows)
     if vectors and k:
         rhs = Matrix(f, vectors, n).transpose()
         assert co.rows == basis.transpose().solve(rhs).transpose().rows

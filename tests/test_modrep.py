@@ -8,7 +8,7 @@ from tauslice.exactlin import (
     FieldError, Matrix, PrimeField, QQ, coordinates_in_basis, span_matrix,
 )
 from tauslice.algebra import CapExceeded, FieldTooSmall, quotient
-from tauslice.cli import field_from_spec, parse_algebra_text
+from tauslice.formats import field_from_spec, parse_algebra_text
 from tauslice import algebra as algebra_module
 from tauslice import modrep as modrep_module
 from tauslice.artheory import ar_quiver, minimal_presentation, projective_cover_data

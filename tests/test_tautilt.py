@@ -352,7 +352,7 @@ def test_onepoint_extension_keeps_old_slice_incomplete(ex5_aprime):
 
 
 def test_split_extension_recovers_algebra(ex5_a):
-    from tauslice.cli import parse_rep_text
+    from tauslice.formats import parse_rep_text
     q = ex5_a.quiver
     ib = ideal_bimodule(ex5_a, [{w(q, "1", "al"): Fraction(1)}])
     c = ib.quotient_map.target
