@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per AR closure, over every matrix the closure computed,
-and one per fixture for its quotients, extensions and orbit graph.
+"""Print two SHA-256 per AR closure, one over every matrix the closure
+computed and one over what it decided, and one per fixture for its
+quotients, extensions and orbit graph.
 
 For each representation-finite fixture and each field it digests the
 closure's node matrices, the minimal presentation of every node (cover,
@@ -10,6 +11,17 @@ the almost split sequence and its middle summands).  The closures of the
 representation-infinite fig2, which stop with ``CapExceeded``, are digested
 from what they left in the algebra's cache: each almost split sequence,
 presentation and translate, in the order they were computed.
+
+The second line of each closure, the invariant tier, digests only what
+does not depend on the representatives the engine picks: per node in id
+order its dimension vector, projective and injective labels, dim End and
+the dimension vectors of its top and socle; the arrows with their
+multiplicities; the tau-links; how the closure ended; and, on the
+representation-finite fixtures, dim Hom for every ordered pair of nodes.
+For the capped fig2 closures it reads the almost split sequences from the
+cache, as the matrix tier does, and digests the sorted dimension vectors
+of their right and left ends and middle summands.  A change must keep the
+invariant tier; it may move the matrix tier only with a stated reason.
 
 Per fixture and field it also digests the printed algebra (and the vertex
 and arrow images) of ``quotient`` by each vertex, each arrow and each
@@ -56,7 +68,9 @@ from tauslice.artheory import (  # noqa: E402
     tau_inverse,
 )
 from tauslice.formats import field_from_spec, parse_algebra_text, print_algebra  # noqa: E402
-from tauslice.modrep import injective, projective, simple  # noqa: E402
+from tauslice.modrep import (  # noqa: E402
+    hom_dim, injective, projective, simple, socle_rep, top_rep,
+)
 from tauslice.tautilt import orbit_graph  # noqa: E402
 
 FINITE = ["a2", "a3", "ex1", "ex2", "fig1", "fig3",
@@ -110,13 +124,42 @@ def finite_lines(a):
         yield f"mesh {ident}\n" + mesh(g.meshes[ident])
 
 
-def capped_lines(a, cap):
+def finite_invariant_lines(a):
+    g = ar_quiver(a)
+    for node in g.nodes:
+        r = node.rep
+        yield (f"node {node.ident} P={node.projective_label} I={node.injective_label} "
+               f"dims={r.dims} end={hom_dim(r, r)} "
+               f"top={top_rep(r)[0].dims} "
+               f"socle={socle_rep(r)[0].dims}")
+    yield "arrows=" + repr(sorted(g.arrows.items()))
+    yield "tau_link=" + repr(sorted(g.tau_link.items()))
+    yield "closed"
+    reps = g.representatives()
+    for i, x in enumerate(reps):
+        yield f"hom {i}: " + " ".join(str(hom_dim(x, y)) for y in reps)
+
+
+def close_capped(a, cap):
+    """How the closure of ``a`` at ``cap`` nodes ended."""
     try:
         ar_quiver(a, max_nodes=cap)
     except CapExceeded as e:
-        yield f"capped: {e}"
-    else:
-        yield "closed"
+        return f"capped: {e}"
+    return "closed"
+
+
+def capped_invariant_lines(a, ending):
+    yield ending
+    meshes = [(ass.right.dims, ass.left.dims, sorted((s.dims, k) for s, k in ass.middle_summands))
+              for key, ass in list(a._cache.items())
+              if isinstance(key, tuple) and key[0] == "almost_split_sequence"]
+    for right, left, middle in sorted(meshes):
+        yield f"mesh right={right} left={left} middle={middle}"
+
+
+def capped_lines(a, ending):
+    yield ending
     for key, val in list(a._cache.items()):
         if not isinstance(key, tuple):
             continue
@@ -229,9 +272,16 @@ def main(argv):
     rec = [] if argv else None
     for name in FINITE:
         for spec in ("Q", "F5", "F3"):
-            report(f"{name} {spec}", guarded_digest(finite_lines(load(name, spec)), rec), rec)
+            a = load(name, spec)
+            report(f"{name} {spec}", guarded_digest(finite_lines(a), rec), rec)
+            report(f"invariants {name} {spec}",
+                   guarded_digest(finite_invariant_lines(a), rec), rec)
     for spec, cap in FIG2_CLOSURES:
-        report(f"fig2 {spec} cap={cap}", digest(capped_lines(load("fig2", spec), cap), rec), rec)
+        a = load("fig2", spec)
+        ending = close_capped(a, cap)
+        report(f"fig2 {spec} cap={cap}", digest(capped_lines(a, ending), rec), rec)
+        report(f"invariants fig2 {spec} cap={cap}",
+               digest(capped_invariant_lines(a, ending), rec), rec)
     for name in FINITE + ["fig2"]:
         for spec in ("Q", "F5", "F3"):
             report(f"bimodule {name} {spec}",

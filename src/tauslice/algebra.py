@@ -25,6 +25,7 @@ from .exactlin import (
     Matrix,
     QQ,
     leading_columns,
+    null_space,
     read_coordinates,
     span_matrix,
 )
@@ -1125,8 +1126,10 @@ def one_point_extension(
     """One point extension A[x]: a new source vertex with rad P_new = x.
 
     ``x`` is a representation of A (see modrep).  New arrows run from the new
-    vertex to the vertices supporting top(x); the relations out of the new
-    vertex are the kernel of evaluating extended paths in x.
+    vertex to the vertices supporting top(x).  The combinations of paths
+    out of the new vertex that vanish on x form K, a right A-submodule; the
+    relations out of the new vertex generate it minimally: a complement of
+    K rad A in K.
     """
     from .modrep import top_data  # late import; modrep depends on algebra
 
@@ -1151,36 +1154,54 @@ def one_point_extension(
     new_v_idx = quiver.vertex_index[vertex]
     words_by_target = {}
     values_by_target = {}
+    place = {}  # (top k, basis index of A) -> (target label, index of its word)
     for k, (v, vec) in enumerate(tops):
         ai = quiver.arrow_index[arrow_names[k]]
-        for w, nw in zip(a.basis, renamed):
+        for i, (w, nw) in enumerate(zip(a.basis, renamed)):
             if a.quiver.vertices[w[0]] != v:
                 continue
             tgt_label = a.quiver.vertices[a.word_target(w)]
-            word = (new_v_idx, (ai,) + nw[1])
-            val = _act_on_vector(x, vec, w)
-            words_by_target.setdefault(tgt_label, []).append(word)
-            values_by_target.setdefault(tgt_label, []).append(val)
-    for tgt_label in sorted(words_by_target):
-        words = words_by_target[tgt_label]
-        vals = values_by_target[tgt_label]
-        width = len(vals[0])
-        if width == 0:
-            for w in words:
-                if len(w[1]) >= 2:
-                    relations.append({w: fld.one()})
-                else:
-                    raise ArithmeticError("top vector over a zero fibre")
-            continue
-        mat = Matrix(fld, vals, width)
-        for kvec in mat.transpose().kernel_basis():
-            rel = {}
-            for idx, w in enumerate(words):
-                c = kvec.rows[idx][0]
+            words = words_by_target.setdefault(tgt_label, [])
+            place[(k, i)] = (tgt_label, len(words))
+            words.append((new_v_idx, (ai,) + nw[1]))
+            values_by_target.setdefault(tgt_label, []).append(_act_on_vector(x, vec, w))
+    # K, the relation space out of the new vertex, per target: the words'
+    # combinations that vanish on x (all of them over a zero fibre)
+    kernels = {}
+    for tgt_label, vals in values_by_target.items():
+        n, width = len(vals), len(vals[0])
+        mat = Matrix(fld, vals, width) if width else Matrix.zero(fld, n, 1)
+        kernels[tgt_label] = [kv.column_vector(0) for kv in mat.transpose().kernel_basis()]
+    # K rad A, per target: each element of K times each arrow of A
+    words_at = {place[key]: key for key in place}
+    multiples = {tgt_label: [] for tgt_label in kernels}
+    for ai, ar in enumerate(a.quiver.arrows):
+        arrow = a.basis_index[(a.quiver.arrow_source[ai], (ai,))]
+        for vec in kernels.get(ar.source, []):
+            out = [fld.zero()] * len(words_by_target.get(ar.target, ()))
+            for idx, c in enumerate(vec):
                 if c != fld.zero():
-                    rel[w] = c
-            if not rel:
-                continue
+                    k, i = words_at[(ar.source, idx)]
+                    for j, d in enumerate(a.mult_basis(i, arrow)):
+                        if d != fld.zero():
+                            _tgt, into = place[(k, j)]
+                            out[into] = fld.add(out[into], fld.mul(c, d))
+            if any(c != fld.zero() for c in out):
+                multiples[ar.target].append(out)
+    # the relations are a complement of K rad A in K: a minimal generating
+    # set of K as a right A-module
+    for tgt_label in sorted(words_by_target):
+        words, kern = words_by_target[tgt_label], kernels[tgt_label]
+        keep = range(len(kern))
+        if multiples[tgt_label]:
+            # a kernel_basis vector's last nonzero entry is its free column,
+            # where it is 1 and every other one is 0
+            units = [max(j for j, c in enumerate(vec) if c != fld.zero()) for vec in kern]
+            coords = read_coordinates(Matrix(fld, kern, len(words)), units,
+                                      multiples[tgt_label])
+            keep, _basis = null_space(fld, coords.rows, len(kern))
+        for idx in keep:
+            rel = {w: c for w, c in zip(words, kern[idx]) if c != fld.zero()}
             if any(len(w[1]) < 2 for w in rel):
                 raise ArithmeticError("one point extension produced a length-1 relation")
             relations.append(rel)

@@ -58,7 +58,6 @@ from .modrep import (
     _hom_coordinates,
     _linear_combinations,
     _morphism_from_vector,
-    _register,
 )
 
 
@@ -671,24 +670,6 @@ def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
     return AlmostSplitSequence(ses, m, ass.right)
 
 
-def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
-    """dim of Hom(n, t) modulo maps factoring through injectives."""
-    a = n.algebra
-    fld = a.field
-    homs = hom_basis(n, t)
-    if not homs:
-        return 0
-    width = len(homs[0].flatten())
-    factoring = []
-    for v in a.quiver.vertices:
-        i_v = injective(a, v)
-        for g in hom_basis(n, i_v):
-            for h in hom_basis(i_v, t):
-                factoring.append(compose(h, g).flatten())
-    fact_dim = span_matrix(fld, factoring, width).nrows
-    return span_matrix(fld, [h.flatten() for h in homs] + factoring, width).nrows - fact_dim
-
-
 # ---------------------------------------------------------------------------
 # the AR quiver
 
@@ -715,7 +696,11 @@ class ARQuiver:
     ``tau_link`` maps a non-projective node to its translate's node and
     ``meshes`` to the almost split sequence ending at it.  Every mesh is
     computed once, over the algebra itself: the arrows out of a node X come
-    from the sequence ending at tau^{-1} X.
+    from the sequence ending at tau^{-1} X.  A node's representative is the
+    module that first showed its class: a projective, injective or simple,
+    a summand from ``decompose``, or, for a middle summand named by a
+    prediction (see :func:`ar_quiver`), the translate tau^{-1} Z or tau W
+    that the closure computed for its neighbour.
     """
 
     def __init__(self, algebra):
@@ -800,13 +785,23 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
     could only find existing nodes, so the nodes, their ids and the work
     order are what linking twice gives.
 
-    A mesh tau X -> E -> X is knitted when it can be: every arrow recorded
-    out of tau X so far ends at a middle summand, with its multiplicity, so
-    when :func:`_isomorphic_to_sum` certifies E as the sum of those targets
-    the mesh is linked from them, without decomposing E; the targets are
-    nodes already, so admitting them could only find them again.  Otherwise
-    E is decomposed and its summands admitted.  Either way the nodes, ids,
-    arrows and ``tau_link`` are the same.
+    A mesh tau X -> E -> X is knitted when it can be (Ringel, LNM 1099,
+    2.4).  First the arrows recorded out of tau X so far, each ending at a
+    middle summand with its multiplicity, are certified by
+    :func:`_isomorphic_to_sum` as a decomposition of E; the targets are
+    nodes already.  Failing that, the prediction adds the summands named
+    from both sides of the mesh: tau^{-1} Z for each recorded arrow
+    Z -> tau X with Z neither injective nor linked, and tau W for each
+    recorded arrow X -> W with W neither projective nor tau-linked, with
+    the arrow's multiplicity.  Named summands that are nodes join the
+    known ones; when at most one is new and the whole prediction is
+    certified, the new one is admitted, which gives it the id that
+    admitting ``decompose``'s summands would.  Otherwise E is decomposed
+    and its summands admitted.  Either way the nodes, ids, arrows and
+    ``tau_link`` are the same; only the representative of a predicted node
+    differs: it is the translate itself.  Each tau^{-1} Z is kept for the closure, which reads it again
+    for Z's own mesh instead of computing tau^{-1} twice, and tau W is the
+    memoised translate that W's almost split sequence reads.
 
     Raises :class:`CapExceeded` when more than ``max_nodes`` iso-classes or a
     module of total dimension beyond ``max_dim`` appears (the algebra is then
@@ -850,17 +845,54 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
         return ident
 
     linked = {}  # node -> the node of its tau^{-1}, once their mesh is linked
+    inverses = {}  # node -> tau^{-1} of its representative, once computed
+
+    def predict(left, right, known):
+        """The middle summands that Ringel's knitting rule names beyond
+        ``known`` (node -> multiplicity, completed in place by those that
+        are nodes already), as [(rep, multiplicity)], or None when none is
+        named.  An arrow Z -> tau X names tau^{-1} Z, and an arrow X -> W
+        names tau W, with the arrow's multiplicity; a linked Z, an
+        injective Z, a tau-linked W and a projective W name nothing."""
+        named = []
+        for (z, t), mult in g.arrows.items():
+            if t == left and z not in linked and g.nodes[z].injective_label is None:
+                if z not in inverses:
+                    inverses[z] = tau_inverse(g.nodes[z].rep)
+                named.append((inverses[z], mult))
+        for w, mult in g.successors.get(right, {}).items():
+            if w not in g.tau_link and g.nodes[w].projective_label is None:
+                named.append((tau(g.nodes[w].rep), mult))
+        if not named:
+            return None
+        fresh = []
+        for y, mult in named:
+            ident = g.find(y)
+            if ident is None:
+                fresh.append((y, mult))
+            else:
+                known[ident] = mult
+        return fresh
 
     def mesh(left, right, ass):
         g.tau_link[right] = left
         linked[left] = right
-        known = list(g.successors.get(left, {}).items())
-        if _isomorphic_to_sum(ass.ses.middle, [(g.nodes[t].rep, k) for t, k in known]):
-            for mid, mult in known:
-                g.set_arrow(mid, right, mult)
-            return
-        for summand, mult in ass.middle_summands:
-            mid = admit(summand)
+        e = ass.ses.middle
+        links = dict(g.successors.get(left, {}))
+
+        def summands():
+            return [(g.nodes[t].rep, k) for t, k in links.items()]
+
+        if not _isomorphic_to_sum(e, summands()):
+            fresh = predict(left, right, links)
+            # two new summands are left to decompose, which admits them in
+            # its own order
+            if fresh is not None and len(fresh) <= 1 and _isomorphic_to_sum(
+                    e, summands() + fresh):
+                links.update((admit(y), mult) for y, mult in fresh)
+            else:
+                links = {admit(y): mult for y, mult in ass.middle_summands}
+        for mid, mult in links.items():
             g.set_arrow(left, mid, mult)
             g.set_arrow(mid, right, mult)
 
@@ -889,7 +921,7 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
         elif ident not in linked:
             # the mesh of tau^{-1} X's own representative: a fresh tau^{-1} X
             # may be an isomorphic copy, on which the cache would miss
-            right = admit(tau_inverse(rep))
+            right = admit(inverses[ident] if ident in inverses else tau_inverse(rep))
             mesh(ident, right, almost_split_sequence(g.nodes[right].rep))
     return g
 
@@ -950,18 +982,6 @@ def _radical_tower(objs, power):
         cur = nxt
         k += 1
     return cur
-
-
-def radical_power_dim(x, y, power, universe) -> int:
-    """dim rad^power(x, y), composing radical maps through ``universe``.
-
-    x and y join the universe unless they are isomorphic to a member.
-    """
-    if power == 1:
-        return len(radical_hom_basis(x, y))
-    objs = list(universe)
-    ends = (_register(objs, x), _register(objs, y))
-    return _radical_tower(objs, power)[ends].nrows
 
 
 # ---------------------------------------------------------------------------

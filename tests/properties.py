@@ -15,12 +15,13 @@ from tauslice import fixtures as fixdata
 from tauslice.algebra import quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
-    projective, hom_dim, annihilator, fac_member, compose, dual, is_isomorphic,
+    Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
+    compose, dual, is_isomorphic, _register,
 )
 from tauslice.artheory import (
-    ar_quiver, tau, end_algebra, ext_dim, stable_hom_dim_mod_injectives,
-    radical_hom_basis, is_hereditary, is_projective_rep, is_injective_rep,
-    almost_split_sequence, almost_split_sequence_starting,
+    ar_quiver, tau, end_algebra, ext_dim, radical_hom_basis, is_hereditary,
+    is_projective_rep, is_injective_rep, almost_split_sequence,
+    almost_split_sequence_starting, _radical_tower,
 )
 from tauslice.tautilt import (
     slice_candidate, boundary_neighbors, member_quiver, is_weakly_convex,
@@ -282,6 +283,36 @@ def starting_sequence_duality_failures(a):
                 unmatched.remove(hit)
         bad += [f"node {ident}: dual summand {r.dims} x{k} is missing" for r, k in unmatched]
     return bad
+
+
+def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
+    """dim of Hom(n, t) modulo maps factoring through injectives."""
+    a = n.algebra
+    fld = a.field
+    homs = hom_basis(n, t)
+    if not homs:
+        return 0
+    width = len(homs[0].flatten())
+    factoring = []
+    for v in a.quiver.vertices:
+        i_v = injective(a, v)
+        for g in hom_basis(n, i_v):
+            for h in hom_basis(i_v, t):
+                factoring.append(compose(h, g).flatten())
+    fact_dim = span_matrix(fld, factoring, width).nrows
+    return span_matrix(fld, [h.flatten() for h in homs] + factoring, width).nrows - fact_dim
+
+
+def radical_power_dim(x, y, power, universe) -> int:
+    """dim rad^power(x, y), composing radical maps through ``universe``.
+
+    x and y join the universe unless they are isomorphic to a member.
+    """
+    if power == 1:
+        return len(radical_hom_basis(x, y))
+    objs = list(universe)
+    ends = (_register(objs, x), _register(objs, y))
+    return _radical_tower(objs, power)[ends].nrows
 
 
 def ext_stable_hom_failures(algebras, sample=50, seed=7):

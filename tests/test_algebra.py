@@ -122,6 +122,49 @@ def test_one_point_extension_shape(ex5_aprime, ex5_a):
     assert presentation_isomorphism(res.algebra, ex5_a) is not None
 
 
+def test_one_point_extension_keeps_only_generating_relations(a3):
+    # w1*a*b = (w1*a)*b lies in the ideal of w1*a
+    from tauslice.formats import print_algebra
+    from tauslice.modrep import simple
+    text = print_algebra(one_point_extension(a3, simple(a3, "1")).algebra)
+    assert [line for line in text.splitlines() if line.startswith("relation")] == [
+        "relation w1*a"]
+
+
+def extension_modules(a):
+    from tauslice.modrep import injective, projective, simple
+    return [make(a, v) for v in a.quiver.vertices for make in (simple, projective, injective)]
+
+
+@pytest.mark.parametrize("name", fixdata.ALGEBRAS)
+def test_one_point_extension_dimension(algebras, name):
+    # e_new A[x] is spanned by e_new and a copy of x, and the other
+    # projectives are A's: dim A[x] = dim A + dim x + 1
+    a = algebras[name]
+    for x in extension_modules(a):
+        assert one_point_extension(a, x).algebra.dim == a.dim + x.total_dim + 1, (name, x)
+
+
+@pytest.mark.parametrize("name", fixdata.ALGEBRAS)
+def test_one_point_extension_drops_no_needed_relation(algebras, name):
+    # without any one relation out of the new vertex the ideal is smaller:
+    # the algebra grows, or is refused as not admissible
+    a = algebras[name]
+    for x in extension_modules(a):
+        res = one_point_extension(a, x)
+        b = res.algebra
+        new = b.quiver.vertex_index[res.new_vertex]
+        own = [r for r in b.relations if next(iter(r))[0] == new]
+        rest = [r for r in b.relations if next(iter(r))[0] != new]
+        for i in range(len(own)):
+            try:
+                smaller = build_algebra(b.quiver, rest + own[:i] + own[i + 1:], b.field,
+                                        b.length_cap)
+            except NonAdmissible:
+                continue
+            assert smaller.dim > b.dim, (name, x, i)
+
+
 def test_one_point_coextension_of_line(a2):
     from tauslice.modrep import simple, injective
     # [S2](kA2) is 1 -> 2 -> n with the length-two composite zero: the new

@@ -278,6 +278,15 @@ def test_ar_quiver_over_f3_matches_q(capsys):
     for key in ("nodes", "arrows", "tau"):
         assert out_f3[key] == out_q[key], key
 
+
+def test_ar_quiver_over_f2_matches_q(capsys):
+    # the smallest field the CLI accepts gives the same quiver
+    code_q, out_q = run_json(capsys, "ar-quiver", alg_path("ex1"))
+    code_f2, out_f2 = run_json(capsys, "ar-quiver", alg_path("ex1"), "--field", "F2")
+    assert code_q == code_f2 == 0
+    for key in ("nodes", "arrows", "tau"):
+        assert out_f2[key] == out_q[key], key
+
 def test_ar_quiver_dot_deterministic(capsys):
     code1, out1 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")
     code2, out2 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")
