@@ -44,8 +44,9 @@ from .tautilt import (
     is_tau_rigid, is_tau_tilting, is_support_tau_tilting, is_tilting,
     count_support_tau_tilting, slice_candidate, is_tau_slice,
     is_complete_tau_slice, is_complete_slice, find_complete_tau_slices,
-    orbit_graph, is_tilted, bb_verify, bb_verify_dual,
-    quotient_preservation_check, onepoint_slice_extend, splitex_check,
+    orbit_graph, is_simply_connected_component, is_tilted, bb_verify,
+    bb_verify_dual, quotient_preservation_check, onepoint_slice_extend,
+    splitex_check, is_convex_in_mod_a, is_weakly_convex, is_sectionally_convex,
 )
 from .formats import parse_algebra_text, parse_rep_text, print_algebra, print_rep
 
@@ -65,8 +66,10 @@ __all__ = [
     "is_tau_rigid", "is_tau_tilting", "is_support_tau_tilting",
     "is_tilting", "count_support_tau_tilting", "slice_candidate",
     "is_tau_slice", "is_complete_tau_slice", "is_complete_slice",
-    "find_complete_tau_slices", "orbit_graph", "is_tilted",
+    "find_complete_tau_slices", "orbit_graph",
+    "is_simply_connected_component", "is_tilted",
     "bb_verify", "bb_verify_dual", "quotient_preservation_check",
     "onepoint_slice_extend", "splitex_check",
+    "is_convex_in_mod_a", "is_weakly_convex", "is_sectionally_convex",
     "parse_algebra_text", "parse_rep_text", "print_algebra", "print_rep",
 ]

@@ -647,27 +647,56 @@ def _almost_split_sequence(m: Representation) -> AlmostSplitSequence:
     return AlmostSplitSequence(ses, ses.sub, m)
 
 
-def almost_split_sequence_starting(m: Representation) -> AlmostSplitSequence:
-    """The almost split sequence 0 -> m -> E -> tau^{-1} m -> 0.
+# ---------------------------------------------------------------------------
+# the AR arrows at a module
 
-    It is the memoised sequence ending at tau^{-1} m, whose left end
-    tau tau^{-1} m is isomorphic to m but need not equal it; its left map is
-    precomposed with an isomorphism m -> tau tau^{-1} m, so the result starts
-    at m itself and shares E and tau^{-1} m with the cached sequence.
-    Requires m indecomposable non-injective.
+
+def _radical_summands(p: Representation):
+    """The summands of rad p, [(rep, mult)]: the sources of the AR arrows
+    into the projective p."""
+    rad, _incl = radical_rep(p)
+    return decompose(rad)
+
+
+def _socle_quotient_summands(i: Representation):
+    """The summands of i/soc i, [(rep, mult)]: the targets of the AR arrows
+    out of the injective i."""
+    _soc, incl = socle_rep(i)
+    quot, _proj = cokernel(incl)
+    return decompose(quot)
+
+
+def local_out_neighbors(x: Representation):
+    """Targets of the AR-quiver arrows out of x, with multiplicities.
+
+    For non-injective x these are the middle summands of the almost split
+    sequence starting at x, the one ending at tau^{-1} x; for injective x
+    the summands of x/soc x.  The tuple is memoised by
+    :meth:`PresentedAlgebra.memo` on structural equality.
     """
-    if m.is_zero() or tau_inverse(m).is_zero():
-        raise ValueError("almost split sequences start at non-injective modules")
-    ass = almost_split_sequence(tau_inverse(m))
-    iso = _an_isomorphism(m, ass.left)
-    if iso is None:
-        raise ArithmeticError("tau tau^{-1} m is not isomorphic to m; is m indecomposable?")
-    old = ass.ses
-    ses = ShortExactSequence(
-        m, old.middle, old.quot, compose(old.left_map, iso), old.right_map
-    )
-    ses.verify()
-    return AlmostSplitSequence(ses, m, ass.right)
+    return x.algebra.memo(("out_neighbors", x), _out_neighbors, x)
+
+
+def _out_neighbors(x: Representation):
+    if is_injective_rep(x):
+        return tuple(_socle_quotient_summands(x))
+    return tuple(almost_split_sequence(tau_inverse(x)).middle_summands)
+
+
+def local_in_neighbors(y: Representation):
+    """Sources of the AR-quiver arrows into y, with multiplicities.
+
+    For non-projective y the middle summands of the almost split sequence
+    ending at y; for projective y the summands of rad y.  The tuple is
+    memoised by :meth:`PresentedAlgebra.memo` on structural equality.
+    """
+    return y.algebra.memo(("in_neighbors", y), _in_neighbors, y)
+
+
+def _in_neighbors(y: Representation):
+    if is_projective_rep(y):
+        return tuple(_radical_summands(y))
+    return tuple(almost_split_sequence(y).middle_summands)
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +934,7 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
         node = g.nodes[ident]
         rep = node.rep
         if node.projective_label is not None:
-            rad, _incl = radical_rep(rep)
-            for summand, mult in decompose(rad):
+            for summand, mult in _radical_summands(rep):
                 g.set_arrow(admit(summand), ident, mult)
         else:
             ass = almost_split_sequence(rep)
@@ -914,9 +942,7 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
             if ident not in g.tau_link:
                 mesh(admit(ass.left), ident, ass)
         if node.injective_label is not None:
-            _soc, soc_incl = socle_rep(rep)
-            quot, _proj = cokernel(soc_incl)
-            for summand, mult in decompose(quot):
+            for summand, mult in _socle_quotient_summands(rep):
                 g.set_arrow(ident, admit(summand), mult)
         elif ident not in linked:
             # the mesh of tau^{-1} X's own representative: a fresh tau^{-1} X
@@ -943,45 +969,6 @@ def radical_hom_basis(x: Representation, y: Representation):
         return hom_basis(x, y)
     # transport rad End(y) along the iso x -> y
     return [compose(r, iso) for r in end_radical_morphisms(y)]
-
-
-def _radical_tower(objs, power):
-    """Spans of rad^power(objs[i], objs[j]) for indecomposables, keyed (i, j).
-
-    Starts from rad(u, v) and composes with rad on the right, through every
-    object, until ``power`` (an int, or "infinity") is reached or no span
-    changes.  The spans only shrink, so a step that changes none of them
-    has reached the fixed point that every higher power shares.
-    """
-    pairs = [(i, j) for i in range(len(objs)) for j in range(len(objs))]
-    rad1 = {(i, j): radical_hom_basis(objs[i], objs[j]) for i, j in pairs}
-
-    def span(i, j, morphisms):
-        width = sum(du * dv for du, dv in zip(objs[i].dims, objs[j].dims))
-        return span_matrix(objs[i].algebra.field, [f.flatten() for f in morphisms], width)
-
-    cur = {(i, j): span(i, j, rad1[(i, j)]) for i, j in pairs}
-    k = 1
-    while k != power:
-        # morphisms i -> z in cur, then z -> j in rad1
-        morphs = {
-            (i, z): [_morphism_from_vector(objs[i], objs[z], row) for row in cur[(i, z)].rows]
-            for i, z in pairs
-        }
-        nxt = {
-            (i, j): span(i, j, [
-                compose(g, f)
-                for z in range(len(objs))
-                for f in morphs[(i, z)]
-                for g in rad1[(z, j)]
-            ])
-            for i, j in pairs
-        }
-        if all(nxt[p].nrows == cur[p].nrows for p in pairs):
-            break
-        cur = nxt
-        k += 1
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -294,11 +294,6 @@ def injective(a: PresentedAlgebra, label) -> Representation:
     return a.memo(("injective", str(label)), lambda: dual(projective(a.opposite(), label)))
 
 
-def regular_module(a: PresentedAlgebra):
-    """A as a right module over itself: direct sum of the projectives."""
-    return direct_sum(a, [projective(a, v) for v in a.quiver.vertices])
-
-
 def dual(m: Representation) -> Representation:
     """D M = Hom_k(M, k) over the opposite algebra (same vertex labels)."""
     a = m.algebra

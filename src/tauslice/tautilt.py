@@ -15,9 +15,12 @@ tau-tilting.  Sections, Ringel's (complete) slices and local slices are
 checked axiom by axiom.
 
 Predicates that only consume almost split sequences at the members and their
-immediate neighbours work over representation-infinite algebras too; the
-global ones (convexity in mod A, sections, complete slices, torsion pairs)
-enumerate the indecomposables and raise CapExceeded when they cannot.
+immediate neighbours work over representation-infinite algebras too.  They
+read the AR arrows at a module from ``artheory.local_in_neighbors`` and
+``artheory.local_out_neighbors``, which compute rad P and I/soc I as the AR
+closure does.  The global ones (convexity in mod A, sections, complete
+slices, torsion pairs) enumerate the indecomposables and raise CapExceeded
+when they cannot.
 """
 
 from .exactlin import Matrix, leading_columns, read_coordinates, span_matrix, sparse_echelon
@@ -33,7 +36,6 @@ from .algebra import (
 )
 from .modrep import (
     Representation,
-    cokernel,
     compose,
     decompose,
     direct_sum,
@@ -53,8 +55,6 @@ from .modrep import (
     restrict_scalars,
     extend_by_zero,
     projective,
-    radical_rep,
-    socle_rep,
     zero_rep,
     dual,
     _morphism_from_vector,
@@ -64,13 +64,13 @@ from .modrep import (
 from .artheory import (
     ARQuiver,
     EndAlgebraResult,
-    almost_split_sequence,
-    almost_split_sequence_starting,
     ar_quiver,
     end_algebra,
     ext_data,
     is_injective_rep,
     is_projective_rep,
+    local_in_neighbors,
+    local_out_neighbors,
     minimal_presentation,
     projective_dimension_at_most,
     radical_hom_basis,
@@ -79,7 +79,6 @@ from .artheory import (
     bimodule_right_rep,
     bimodule_dual_left_rep,
     syzygy_map,
-    _radical_tower,
 )
 
 
@@ -282,46 +281,6 @@ def tau_inverse_module(sigma: SliceCandidate) -> Representation:
     return _sum_or_zero(sigma.algebra, map(tau_inverse, sigma.members))
 
 
-# ---------------------------------------------------------------------------
-# local AR-quiver neighbourhoods (no global enumeration)
-
-
-def local_out_neighbors(x: Representation):
-    """Targets of the AR-quiver arrows out of x, with multiplicities.
-
-    For non-injective x these are the middle summands of the almost split
-    sequence starting at x; for injective x the summands of x/soc x.  The
-    tuple is memoised by :meth:`PresentedAlgebra.memo` on structural
-    equality.
-    """
-    return x.algebra.memo(("out_neighbors", x), _out_neighbors, x)
-
-
-def _out_neighbors(x: Representation):
-    if is_injective_rep(x):
-        _soc, incl = socle_rep(x)
-        quot, _proj = cokernel(incl)
-        return () if quot.is_zero() else tuple(decompose(quot))
-    return tuple(almost_split_sequence_starting(x).middle_summands)
-
-
-def local_in_neighbors(y: Representation):
-    """Sources of the AR-quiver arrows into y, with multiplicities.
-
-    For non-projective y the middle summands of the almost split sequence
-    ending at y; for projective y the summands of rad y.  The tuple is
-    memoised by :meth:`PresentedAlgebra.memo` on structural equality.
-    """
-    return y.algebra.memo(("in_neighbors", y), _in_neighbors, y)
-
-
-def _in_neighbors(y: Representation):
-    if is_projective_rep(y):
-        rad, _incl = radical_rep(y)
-        return () if rad.is_zero() else tuple(decompose(rad))
-    return tuple(almost_split_sequence(y).middle_summands)
-
-
 def member_quiver(sigma: SliceCandidate):
     """AR-quiver arrows between members, as (source idx, target idx, mult)."""
     out = []
@@ -331,24 +290,6 @@ def member_quiver(sigma: SliceCandidate):
             if j is not None:
                 out.append((i, j, mult))
     return out
-
-
-def boundary_neighbors(sigma: SliceCandidate):
-    """Immediate neighbours outside the candidate.
-
-    Returns (incoming, outgoing): lists of (outside module, member index,
-    multiplicity) for arrows into members, and (member index, outside module,
-    multiplicity) for arrows out of members.
-    """
-    incoming, outgoing = [], []
-    for i, u in enumerate(sigma.members):
-        for y, mult in local_out_neighbors(u):
-            if not sigma.contains(y):
-                outgoing.append((i, y, mult))
-        for x, mult in local_in_neighbors(u):
-            if not sigma.contains(x):
-                incoming.append((x, i, mult))
-    return incoming, outgoing
 
 
 def is_presection(sigma: SliceCandidate) -> bool:
@@ -639,15 +580,6 @@ def is_weakly_convex(sigma) -> bool:
 
 def is_sectionally_convex(sigma) -> bool:
     return sectionally_convex_witness(sigma)[0]
-
-
-def convexity_suite(sigma: SliceCandidate):
-    """All three convexity notions at once (the global one may need rep-finiteness)."""
-    return {
-        "convex_in_modA": is_convex_in_mod_a(sigma),
-        "weakly_convex": is_weakly_convex(sigma),
-        "sectionally_convex": is_sectionally_convex(sigma),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1096,11 +1028,12 @@ def quotient_preservation_check(sigma: SliceCandidate, gens) -> QuotientPreserva
     preserved = is_tau_slice(sigma_b)
 
     tau_ok = tinv_ok = True
-    # the sequences ending at the members, then those starting there: none
-    # at a projective, resp. injective, member
+    # the middle terms of the sequences ending at the members, then of those
+    # starting there, read as the AR arrows into and out of the members:
+    # none at a projective, resp. injective, member
     seq_ok = [True, True]
-    sequences = ((is_projective_rep, almost_split_sequence),
-                 (is_injective_rep, almost_split_sequence_starting))
+    sides = ((is_projective_rep, local_in_neighbors),
+             (is_injective_rep, local_out_neighbors))
     for u, ub in zip(sigma.members, members_b):
         ta = tau(u)
         tb = restrict_along_quotient(tau(ub), qmap)
@@ -1109,18 +1042,13 @@ def quotient_preservation_check(sigma: SliceCandidate, gens) -> QuotientPreserva
         ib = restrict_along_quotient(tau_inverse(ub), qmap)
         tinv_ok = tinv_ok and is_isomorphic(ia, ib)
 
-        for k, (has_none, sequence) in enumerate(sequences):
+        for k, (has_none, neighbors) in enumerate(sides):
             na, nb = has_none(u), has_none(ub)
             if na != nb:
                 seq_ok[k] = False
             elif not na:
-                sa = sequence(u)
-                sb = sequence(ub)
-                back = [
-                    (restrict_along_quotient(r, qmap), mult)
-                    for r, mult in sb.middle_summands
-                ]
-                seq_ok[k] = seq_ok[k] and _summands_match(sa.middle_summands, back)
+                back = [(restrict_along_quotient(r, qmap), mult) for r, mult in neighbors(ub)]
+                seq_ok[k] = seq_ok[k] and _summands_match(neighbors(u), back)
 
     return QuotientPreservationReport(
         qmap=qmap,
@@ -1206,18 +1134,6 @@ def orbit_graph(arq: ARQuiver, seed=None) -> OrbitGraph:
 def is_simply_connected_component(arq: ARQuiver) -> bool:
     """Whether the orbit graph of the (connected) AR quiver is a tree."""
     return orbit_graph(arq).is_tree()
-
-
-def is_generalized_standard(arq: ARQuiver) -> bool:
-    """rad^infinity(X, Y) = 0 for all X, Y in the (connected) AR quiver.
-
-    The radical powers are propagated over all indecomposables until they
-    stabilise; generalized standard means the stable spans vanish on the
-    component.
-    """
-    comp = sorted(_component_or_all(arq, None))
-    tower = _radical_tower(arq.representatives(), "infinity")
-    return all(tower[(i, j)].nrows == 0 for i in comp for j in comp)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,17 @@ from tauslice.algebra import quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
     Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
-    compose, dual, is_isomorphic, _register,
+    compose, dual, is_isomorphic, iso_index, _morphism_from_vector, _register,
 )
 from tauslice.artheory import (
-    ar_quiver, tau, end_algebra, ext_dim, radical_hom_basis, is_hereditary,
-    is_projective_rep, is_injective_rep, almost_split_sequence,
-    almost_split_sequence_starting, _radical_tower,
+    ARQuiver, ar_quiver, tau, tau_inverse, end_algebra, ext_dim, radical_hom_basis,
+    is_hereditary, is_projective_rep, is_injective_rep, almost_split_sequence,
+    local_in_neighbors, local_out_neighbors,
 )
 from tauslice.tautilt import (
-    slice_candidate, boundary_neighbors, member_quiver, is_weakly_convex,
+    SliceCandidate, slice_candidate, member_quiver, is_weakly_convex,
     is_sectionally_convex, is_complete_tau_slice, is_local_slice,
-    tau_inverse_module, quotient_preservation_check,
+    tau_inverse_module, quotient_preservation_check, _component_or_all,
 )
 
 from helpers import digraph_is_acyclic
@@ -58,6 +58,24 @@ def all_slices(algebras):
            for n, g, fin in SLICE_FIXTURES]
     out.append(("a3/projectives", slice_of(algebras, "a3", "projectives"), True))
     return out
+
+
+def boundary_neighbors(sigma: SliceCandidate):
+    """Immediate neighbours outside the candidate.
+
+    Returns (incoming, outgoing): lists of (outside module, member index,
+    multiplicity) for arrows into members, and (member index, outside module,
+    multiplicity) for arrows out of members.
+    """
+    incoming, outgoing = [], []
+    for i, u in enumerate(sigma.members):
+        for y, mult in local_out_neighbors(u):
+            if not sigma.contains(y):
+                outgoing.append((i, y, mult))
+        for x, mult in local_in_neighbors(u):
+            if not sigma.contains(x):
+                incoming.append((x, i, mult))
+    return incoming, outgoing
 
 
 def suite_presecpro(algebras):
@@ -256,32 +274,46 @@ def mesh_additivity_failures(a):
 
 
 def starting_sequence_duality_failures(a):
-    """The sequence starting at X against the dual of the one ending at D X.
+    """The AR arrows out of X against the dual of the sequence ending at D X.
 
     D turns the almost split sequence 0 -> tau D X -> E' -> D X -> 0 over
     the opposite algebra into 0 -> X -> D E' -> tau^{-1} X -> 0, so the
-    middle summands of the sequence starting at X must be the duals of the
+    targets of the arrows out of a non-injective X must be the duals of the
     middle summands of that sequence, up to isomorphism and with
-    multiplicities.  The library takes the sequence starting at X from the
-    one ending at tau^{-1} X instead, and never works over the opposite.
+    multiplicities.  The library reads them off the sequence ending at
+    tau^{-1} X instead, and never works over the opposite.
     """
     bad = []
     for ident, node in enumerate(ar_quiver(a).nodes):
         x = node.rep
         if is_injective_rep(x):
             continue
-        seq = almost_split_sequence_starting(x)
-        seq.ses.verify()
-        if not (seq.left is x and seq.ses.sub is x and seq.ses.left_map.source is x):
-            bad.append(f"node {ident}: the sequence does not start at the node itself")
         unmatched = [[dual(r), k] for r, k in almost_split_sequence(dual(x)).middle_summands]
-        for r, k in seq.middle_summands:
+        for r, k in local_out_neighbors(x):
             hit = next((e for e in unmatched if e[1] == k and is_isomorphic(e[0], r)), None)
             if hit is None:
                 bad.append(f"node {ident}: middle summand {r.dims} x{k} has no dual partner")
             else:
                 unmatched.remove(hit)
         bad += [f"node {ident}: dual summand {r.dims} x{k} is missing" for r, k in unmatched]
+    return bad
+
+
+def translate_round_trip_failures(a):
+    """tau and tau^{-1} undo each other on the nodes of the AR quiver.
+
+    For each node X that is not injective, tau(tau^{-1} X) must be
+    isomorphic to X, and for each node that is not projective, so must
+    tau^{-1}(tau X).  Isomorphism is tested by the rank test of
+    ``iso_index``, which needs no radical and so runs over every field.
+    """
+    bad = []
+    for ident, node in enumerate(ar_quiver(a).nodes):
+        x = node.rep
+        if not is_injective_rep(x) and iso_index([x], tau(tau_inverse(x))) is None:
+            bad.append(f"node {ident}: tau tau^-1 X is not X")
+        if not is_projective_rep(x) and iso_index([x], tau_inverse(tau(x))) is None:
+            bad.append(f"node {ident}: tau^-1 tau X is not X")
     return bad
 
 
@@ -313,6 +345,57 @@ def radical_power_dim(x, y, power, universe) -> int:
     objs = list(universe)
     ends = (_register(objs, x), _register(objs, y))
     return _radical_tower(objs, power)[ends].nrows
+
+
+def _radical_tower(objs, power):
+    """Spans of rad^power(objs[i], objs[j]) for indecomposables, keyed (i, j).
+
+    Starts from rad(u, v) and composes with rad on the right, through every
+    object, until ``power`` (an int, or "infinity") is reached or no span
+    changes.  The spans only shrink, so a step that changes none of them
+    has reached the fixed point that every higher power shares.
+    """
+    pairs = [(i, j) for i in range(len(objs)) for j in range(len(objs))]
+    rad1 = {(i, j): radical_hom_basis(objs[i], objs[j]) for i, j in pairs}
+
+    def span(i, j, morphisms):
+        width = sum(du * dv for du, dv in zip(objs[i].dims, objs[j].dims))
+        return span_matrix(objs[i].algebra.field, [f.flatten() for f in morphisms], width)
+
+    cur = {(i, j): span(i, j, rad1[(i, j)]) for i, j in pairs}
+    k = 1
+    while k != power:
+        # morphisms i -> z in cur, then z -> j in rad1
+        morphs = {
+            (i, z): [_morphism_from_vector(objs[i], objs[z], row) for row in cur[(i, z)].rows]
+            for i, z in pairs
+        }
+        nxt = {
+            (i, j): span(i, j, [
+                compose(g, f)
+                for z in range(len(objs))
+                for f in morphs[(i, z)]
+                for g in rad1[(z, j)]
+            ])
+            for i, j in pairs
+        }
+        if all(nxt[p].nrows == cur[p].nrows for p in pairs):
+            break
+        cur = nxt
+        k += 1
+    return cur
+
+
+def is_generalized_standard(arq: ARQuiver) -> bool:
+    """rad^infinity(X, Y) = 0 for all X, Y in the (connected) AR quiver.
+
+    The radical powers are propagated over all indecomposables until they
+    stabilise; generalized standard means the stable spans vanish on the
+    component.
+    """
+    comp = sorted(_component_or_all(arq, None))
+    tower = _radical_tower(arq.representatives(), "infinity")
+    return all(tower[(i, j)].nrows == 0 for i in comp for j in comp)
 
 
 def ext_stable_hom_failures(algebras, sample=50, seed=7):

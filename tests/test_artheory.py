@@ -16,7 +16,6 @@ from tauslice.modrep import (
 )
 from tauslice.artheory import (
     ARNode, tau, tau_inverse, tau_power, ar_quiver, almost_split_sequence,
-    almost_split_sequence_starting,
     ext_dim, ext_data, realize_extension,
     end_algebra, is_hereditary, is_projective_rep, is_injective_rep,
     relation_extension_bimodule, bimodule_right_rep, bimodule_dual_left_rep,
@@ -108,19 +107,6 @@ def test_cached_results_end_at_their_own_argument(a3):
     assert (almost_split_sequence(first).middle_summands
             is almost_split_sequence(second).middle_summands)
     assert minimal_presentation(first).omega is minimal_presentation(second).omega
-
-
-def test_sequence_starting_at_m_begins_at_m_itself(a3):
-    # the sequence is the cached one ending at tau^{-1} m, whose left end is
-    # only isomorphic to m; the result must start at the object it was given
-    m = simple(a3, "2")
-    seq = almost_split_sequence_starting(m)
-    assert seq.left is m
-    assert seq.ses.sub is m
-    assert seq.ses.left_map.source is m
-    assert seq.ses.left_map.target is seq.ses.middle
-    assert seq.right == tau_inverse(m)
-    seq.ses.verify()
 
 
 @pytest.mark.parametrize("name", ["a3", "ex2", "fig1"])
@@ -333,6 +319,13 @@ def test_small_fields_agree_with_q(name, field):
     a = load_over(name, field)
     assert ar_quiver(a).count == AR_SIZES_Q[name]
     assert count_support_tau_tilting(a) == STT_COUNTS_Q[name]
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F3", "F5"])
+def test_translates_round_trip(algebras, field):
+    for name in sorted(AR_SIZES_Q):
+        a = algebras[name] if field == "Q" else load_over(name, field)
+        assert properties.translate_round_trip_failures(a) == [], name
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

@@ -174,6 +174,30 @@ def test_private_helpers_have_callers():
             if name not in used] == []
 
 
+def test_library_functions_have_callers():
+    # the library holds only what runs: a module-level function that
+    # nothing in the package or the scripts names (as a name, an attribute
+    # or an import, a re-export in __init__.py included) is reached only
+    # from the tests and belongs beside the oracles in tests/properties.py;
+    # uses inside its own body (recursion) do not count
+    package = sorted((ROOT / "src" / "tauslice").glob("*.py"))
+    defined, used = [], set()
+    for path in package + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if path in package and isinstance(stmt, ast.FunctionDef):
+                defined.append((path.name, stmt.lineno, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    assert [f"{f}:{line}:{name}" for f, line, name in defined
+            if name not in used] == []
+
+
 def test_methods_have_callers():
     # a method that nothing in the source tree, the tests, the scripts or
     # the benchmark names (as an attribute, a name or a string) is a

@@ -14,7 +14,7 @@ from tauslice import modrep as modrep_module
 from tauslice.artheory import ar_quiver, minimal_presentation, projective_cover_data
 from tauslice.modrep import (
     Morphism, Representation, end_radical_morphisms, identity_morphism,
-    zero_morphism, simple, projective, injective, regular_module,
+    zero_morphism, simple, projective, injective,
     direct_sum, decompose, hom_dim, hom_basis, compose, kernel, image, cokernel,
     radical_rep, socle_rep, top_rep, top_data, submodule,
     is_isomorphic, is_indecomposable, dual,
@@ -47,7 +47,7 @@ def test_projective_dims_ex1(ex1):
 
 
 def test_regular_module_decomposes_into_projectives(a3):
-    reg = regular_module(a3)[0]
+    reg = direct_sum(a3, [projective(a3, v) for v in a3.quiver.vertices])[0]
     assert sum(reg.dims) == a3.dim
     parts = decompose(reg)
     assert sorted((r.dims, k) for r, k in parts) == [

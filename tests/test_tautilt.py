@@ -15,20 +15,22 @@ from tauslice.modrep import (
 )
 from tauslice.artheory import (
     tau, ar_quiver, relation_extension_bimodule, is_hereditary,
+    local_in_neighbors, local_out_neighbors,
 )
 from tauslice.tautilt import (
     is_tau_rigid, is_tau_tilting, is_support_tau_tilting, is_tilting,
     count_support_tau_tilting, slice_candidate, tau_module,
     tau_inverse_module, is_presection, is_tau_slice, is_complete_tau_slice,
-    convexity_suite, is_section, is_complete_slice, is_local_slice,
+    is_convex_in_mod_a, is_weakly_convex, is_sectionally_convex,
+    is_section, is_complete_slice, is_local_slice,
     torsion_pair_of, bb_verify, bb_verify_dual, quotient_preservation_check,
     orbit_graph, tau_orbits, is_simply_connected_component,
-    is_generalized_standard, is_tilted, find_complete_tau_slices,
+    is_tilted, find_complete_tau_slices,
     onepoint_slice_extend, splitex_check, _tau_rigid_cliques,
-    local_in_neighbors, local_out_neighbors,
 )
 
 from helpers import w, dims_multiset
+from properties import is_generalized_standard
 
 
 def members_of(a, name, group):
@@ -166,7 +168,9 @@ def test_a3_slice_census(a3):
 def test_fig3_slice_profile(fig3):
     sig = sigma_of(fig3, "fig3", "sigma")
     assert is_complete_tau_slice(sig)
-    suite = convexity_suite(sig)
+    suite = {"convex_in_modA": is_convex_in_mod_a(sig),
+             "weakly_convex": is_weakly_convex(sig),
+             "sectionally_convex": is_sectionally_convex(sig)}
     assert suite == {"convex_in_modA": False, "weakly_convex": True,
                      "sectionally_convex": True}
     arq = ar_quiver(fig3)
@@ -232,7 +236,7 @@ def test_fig3_two_members_share_orbit(fig3):
     assert any(i in orbit and j in orbit for orbit in orbits)
 
 
-@pytest.mark.parametrize("name", ["ex1", "fig1", "fig3"])
+@pytest.mark.parametrize("name", [n for n in fixdata.ALGEBRAS if n != "fig2"])
 def test_local_neighbors_match_the_ar_quiver(algebras, name):
     # the arrows out of and into each node, read off its own almost split
     # sequences (or x/soc x and rad y), are those of the closure; an equal
