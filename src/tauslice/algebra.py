@@ -483,12 +483,6 @@ class PresentedAlgebra:
                 return nxt
             current = nxt
 
-    def structure_constants(self) -> "StructureConstants":
-        table = tuple(
-            tuple(self.mult_basis(i, j) for j in range(self.dim)) for i in range(self.dim)
-        )
-        return StructureConstants(self.field, self.dim, table, self.coords(self.unit()))
-
     def __repr__(self):
         return (
             f"PresentedAlgebra(|Q0|={self.quiver.n_vertices}, "
@@ -569,7 +563,6 @@ class StructureConstants(Record):
         "field",
         "dim",
         "table",  # table[i][j] = coords of b_i * b_j
-        "unit",
     )
 
     def multiply(self, u, v):
@@ -621,7 +614,6 @@ def radical_span(sc: StructureConstants) -> Matrix:
 class QuiverizeResult(Record):
     __slots__ = (
         "algebra",
-        "idempotents",  # coords in the input structure constants, vertex order
         "path_images",  # basis word of the presentation -> coords in the input
         "change_of_basis",  # rows: images of the presentation basis
     )
@@ -630,46 +622,36 @@ class QuiverizeResult(Record):
 def quiverize(
     sc: StructureConstants,
     idempotents,
+    radical,
     labels=None,
     arrow_prefix: str = "a",
 ) -> QuiverizeResult:
     """Recover a bound quiver presentation from structure constants.
 
-    ``idempotents`` is a complete set of orthogonal idempotents (coordinate
-    vectors, in vertex order).  Each is verified to be idempotent, the set
-    to be orthogonal and to sum to the unit, and each member to be
-    primitive against the trace-form radical.  The Gabriel quiver is read
-    off rad/rad^2 and the algebra presented by the kernel of the induced
-    surjection kQ -> A.  The returned presentation is certified: equal
-    dimension and matching structure constants under the change of basis,
-    else an error is raised.
+    The caller supplies what it knows by construction: ``idempotents``
+    (coordinate vectors, in vertex order) and rows spanning the radical.
+    The Gabriel quiver is read off e_i (rad/rad^2) e_j, and the algebra is
+    presented by the kernel of the induced map kQ -> A on the paths up to
+    a length found by squaring the radical until it vanishes (else
+    :class:`NotNilpotent`).  Nothing supplied is checked on its own; the
+    result is certified instead: ``build_algebra`` finds the relations
+    admissible, the presentation has the dimension of A, the path images
+    span A, and the structure constants match under that change of basis.
+    A result that passes is an admissible presentation of ``sc`` whose
+    vertices are the given idempotents, so idempotents that are not
+    complete, orthogonal and primitive raise an error, as do rows that give
+    a wrong Gabriel quiver; rows reaching outside rad A are not nilpotent.
     """
     fld = sc.field
     n = sc.dim
-    rad = radical_span(sc)
+    rad = span_matrix(fld, radical, n)
     idems = [tuple(fld.coerce(c) for c in e) for e in idempotents]
-    total = tuple(fld.zero() for _ in range(n))
-    for e in idems:
-        if sc.multiply(e, e) != e:
-            raise ValueError("supplied idempotent is not idempotent")
-        total = tuple(fld.add(a, b) for a, b in zip(total, e))
-    if total != sc.unit:
-        raise ValueError("supplied idempotents do not sum to the unit")
-    for e1, e2 in itertools.combinations(idems, 2):
-        if any(c != fld.zero() for c in sc.multiply(e1, e2)):
-            raise ValueError("supplied idempotents are not orthogonal")
     m = len(idems)
     if labels is None:
         labels = [str(i + 1) for i in range(m)]
     labels = [str(x) for x in labels]
     if len(labels) != m:
         raise ValueError(f"{len(labels)} labels for {m} idempotents")
-
-    identity_rows = Matrix.identity(fld, n).rows
-    for k, e in enumerate(idems):
-        corner = [sc.multiply(sc.multiply(e, tuple(b)), e) for b in identity_rows]
-        if span_matrix(fld, corner + list(rad.rows), n).nrows - rad.nrows != 1:
-            raise NotBasic(f"idempotent {k} is not primitive")
 
     rad2 = sc.power_span(rad)
 
@@ -700,14 +682,14 @@ def quiverize(
 
     quiver = Quiver(labels, arrows)
 
-    # nilpotency degree of the radical
-    nil = 1
-    power = rad
+    # the radical squared until it vanishes, from the rad^2 above; nil
+    # bounds the length of the paths searched for relations
+    nil, power = 2, rad2
     while power.nrows:
+        if nil > n:
+            raise NotNilpotent("the radical rows do not span a nilpotent ideal")
         power = sc.power_span(power)
         nil += 1
-        if nil > n + 1:
-            raise ArithmeticError("radical does not vanish; not nilpotent")
 
     def eval_word(word):
         src, arrs = word
@@ -762,7 +744,7 @@ def quiverize(
             )
             if tuple(lhs) != tuple(rhs):
                 raise ArithmeticError("structure constants do not match")
-    return QuiverizeResult(algebra, idems, path_images, cob)
+    return QuiverizeResult(algebra, path_images, cob)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,25 +1071,14 @@ def split_extension(c: PresentedAlgebra, q: Bimodule) -> SplitExtensionResult:
                 v = tuple(fld.one() if k == j - n else fld.zero() for k in range(m))
                 row.append(pad(zc, q.mu_product(u, v)))
         table.append(tuple(row))
-    unit = pad(c.coords(c.unit()), zq)
-    sc = StructureConstants(fld, total, tuple(table), unit)
-
-    qspan = span_matrix(
-        fld,
-        [pad(zc, tuple(fld.one() if k == i else fld.zero() for k in range(m)))
-         for i in range(m)],
-        total,
-    )
-    power = qspan
-    for _ in range(total + 1):
-        if power.nrows == 0:
-            break
-        power = sc.power_span(power)
-    else:
-        raise NotNilpotent("bimodule does not generate a nilpotent ideal")
-
+    sc = StructureConstants(fld, total, tuple(table))
+    # rad(C + Q) = rad C + Q: the basis words of C of positive length and
+    # every Q position; quiverize raises NotNilpotent unless Q generates a
+    # nilpotent ideal
+    units = Matrix.identity(fld, total).rows
+    radical = [units[i] for i, (_src, arrows) in enumerate(c.basis) if arrows] + list(units[n:])
     known = [pad(c.coords(c.idempotent(v)), zq) for v in c.quiver.vertices]
-    qr = quiverize(sc, labels=list(c.quiver.vertices), idempotents=known)
+    qr = quiverize(sc, known, radical, labels=list(c.quiver.vertices))
     return SplitExtensionResult(qr.algebra, qr, c, n, q)
 
 
@@ -1247,11 +1218,7 @@ def one_point_coextension(a: PresentedAlgebra, x, new_vertex=None, arrow_prefix=
 
 
 class IdealBimoduleResult(Record):
-    __slots__ = (
-        "quotient_map",
-        "bimodule",
-        "ideal_rows",  # rows: coords of the ideal basis inside A
-    )
+    __slots__ = ("quotient_map", "bimodule")
 
 
 def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
@@ -1306,7 +1273,7 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
     mu = {divmod(k, m): row for k, row in enumerate(co.rows) if any(row)}
     bim = Bimodule(c, m, left, right, mu)
     bim.check()
-    return IdealBimoduleResult(qmap, bim, span)
+    return IdealBimoduleResult(qmap, bim)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .modrep import (
     _an_isomorphism,
     _descend,
     _direct_sum_rep,
+    _end_radical,
     _flat_matrix,
     _full_hom,
     _hom_coordinates,
@@ -989,9 +990,7 @@ class EndAlgebraResult(Record):
         "summands",
         "algebra",
         "block_basis",
-        "basis_layout",  # flat basis: (i, j, position) per structure coordinate
         "arrow_morphisms",
-        "quiverized",
     )
 
     def hom_functor(self, x: Representation) -> Representation:
@@ -1149,13 +1148,17 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
                 table[r][c] = vec
             if i == ell:
                 idems.append(embedded[-1])
-    table = [tuple(row) for row in table]
-    # the idempotents sit in disjoint positions, so their sum is the unit
-    unit = tuple(sum(col, fld.zero()) for col in zip(*idems))
-    sc = StructureConstants(fld, dim, tuple(table), unit)
+    sc = StructureConstants(fld, dim, tuple(tuple(row) for row in table))
+    # rad End(M) is every Hom(M_j, M_i) with i != j and rad End(M_i) on
+    # the diagonal
+    units = Matrix.identity(fld, dim).rows
+    radical = [units[k] for k, (i, j, _pos) in enumerate(layout) if i != j]
+    for i in range(n):
+        s0, size = start[(i, i)], len(block_basis[(i, i)])
+        radical += [z[:s0] + row + z[s0 + size:] for row in _end_radical(summands[i])]
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
-    qr = quiverize(sc, labels=labels, idempotents=idems, arrow_prefix="b")
+    qr = quiverize(sc, idems, radical, labels=labels, arrow_prefix="b")
 
     arrow_morphisms = {}
     for ar in qr.algebra.quiver.arrows:
@@ -1169,7 +1172,7 @@ def end_algebra(m: Representation, labels=None) -> EndAlgebraResult:
         basis = block_basis[(i, j)]
         row = [coords[index_of[(i, j, pos)]] for pos in range(len(basis))]
         arrow_morphisms[ar.name], = _linear_combinations(summands[j], summands[i], basis, [row])
-    return EndAlgebraResult(m, summands, qr.algebra, block_basis, layout, arrow_morphisms, qr)
+    return EndAlgebraResult(m, summands, qr.algebra, block_basis, arrow_morphisms)
 
 
 # ---------------------------------------------------------------------------

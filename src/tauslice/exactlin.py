@@ -292,10 +292,6 @@ class Matrix:
             field._identities[n] = m
         return m
 
-    @staticmethod
-    def column(field: Field, entries) -> "Matrix":
-        return Matrix(field, [[x] for x in entries], 1)
-
     # -- basic protocol ----------------------------------------------
 
     def __getitem__(self, i):

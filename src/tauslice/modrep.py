@@ -628,17 +628,15 @@ def end_structure(m: Representation):
     fld = m.algebra.field
     d = len(basis)
     if d == 0:
-        return basis, StructureConstants(fld, 0, (), ())
-    # the coordinates of every product f o g and of the identity, at once
+        return basis, StructureConstants(fld, 0, ())
+    # the coordinates of every product f o g, at once
     rhs = [compose(f, g).flatten() for f in basis for g in basis]
-    rhs.append(identity_morphism(m).flatten())
     coords = _hom_coordinates(m, m, basis, rhs)
     if coords is None:
         raise ArithmeticError("End(m) is not closed under composition")
     cols = coords.rows
     table = [tuple(cols[i * d: (i + 1) * d]) for i in range(d)]
-    unit = cols[d * d]
-    return basis, StructureConstants(fld, d, tuple(table), tuple(unit))
+    return basis, StructureConstants(fld, d, tuple(table))
 
 
 def _end_radical(m: Representation):

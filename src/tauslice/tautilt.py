@@ -859,8 +859,7 @@ class BBReport(Record):
         "module", "endo", "c_map", "annihilator", "tau_a",
         "tau_c",  # computed over A/Ann M, restricted back to A
         "part1_isomorphism", "x_modules", "y_modules", "fac_modules", "sub_tau_a_modules",
-        "sub_tau_c_modules", "hom_table", "ext_table", "hom_equivalence",
-        "ext_equivalence", "tau_agree", "sub_witness",
+        "hom_equivalence", "ext_equivalence", "tau_agree", "sub_witness",
     )
 
 
@@ -899,16 +898,14 @@ def bb_verify(m: Representation, max_nodes=512) -> BBReport:
     indec_b = ar_quiver(er.algebra, max_nodes=max_nodes).representatives()
     fac = [x for x in indec_a if fac_member(x, m)]
     sub_a = [x for x in indec_a if sub_member(x, tau_a)]
-    sub_c = [x for x in indec_a if sub_member(x, tau_c)]
     xs = [y for y in indec_b if er.tensor_is_zero(y)]
     ys = [y for y in indec_b if er.tor1_is_zero(y)]
 
     # Hom(M,-) : Fac M -> torsion-free class, quasi-inverse -(x)M
     hom_ok = True
     hom_images = []
-    hom_table = []
     used = set()
-    for idx, x in enumerate(fac):
+    for x in fac:
         h = er.hom_functor(x)
         hom_images.append(h)
         j = iso_index(ys, h)
@@ -916,7 +913,6 @@ def bb_verify(m: Representation, max_nodes=512) -> BBReport:
         ok = j is not None and j not in used and iso_index([x], back) is not None
         if j is not None:
             used.add(j)
-        hom_table.append((idx, j))
         hom_ok = hom_ok and ok
     hom_ok = hom_ok and len(used) == len(ys)
     for y in ys:
@@ -930,15 +926,13 @@ def bb_verify(m: Representation, max_nodes=512) -> BBReport:
 
     # Ext^1(M,-) : Sub(tau_A M) -> torsion class, quasi-inverse Tor_1(-,M)
     ext_ok = True
-    ext_table = []
     used2 = set()
-    for idx, x in enumerate(sub_a):
+    for x in sub_a:
         e = ext_functor(er, x)
         j = iso_index(xs, e)
         ok = j is not None and j not in used2 and iso_index([x], er.tor1(e)) is not None
         if j is not None:
             used2.add(j)
-        ext_table.append((idx, j))
         ext_ok = ext_ok and ok
     ext_ok = ext_ok and len(used2) == len(xs)
     for xb in xs:
@@ -966,9 +960,6 @@ def bb_verify(m: Representation, max_nodes=512) -> BBReport:
         y_modules=ys,
         fac_modules=fac,
         sub_tau_a_modules=sub_a,
-        sub_tau_c_modules=sub_c,
-        hom_table=hom_table,
-        ext_table=ext_table,
         hom_equivalence=hom_ok,
         ext_equivalence=ext_ok,
         tau_agree=tau_agree,
@@ -1250,7 +1241,6 @@ class SplitExtensionSliceReport(Record):
         "condition_sub",  # D(Q as a left module) lies in Sub(tau sigma)
         "slice_preserved",
         "annihilator_equals_ideal",
-        "slice_over_extension",
     )
 
 
@@ -1302,5 +1292,4 @@ def splitex_check(
         condition_sub=cond_sub,
         slice_preserved=preserved,
         annihilator_equals_ideal=ann_is_q,
-        slice_over_extension=cand,
     )

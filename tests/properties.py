@@ -12,7 +12,7 @@ import itertools
 import random
 
 from tauslice import fixtures as fixdata
-from tauslice.algebra import quotient
+from tauslice.algebra import StructureConstants, quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
     Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
@@ -315,6 +315,12 @@ def translate_round_trip_failures(a):
         if not is_projective_rep(x) and iso_index([x], tau_inverse(tau(x))) is None:
             bad.append(f"node {ident}: tau^-1 tau X is not X")
     return bad
+
+
+def structure_constants(a):
+    """The multiplication table of ``a`` in its basis of normal words."""
+    table = tuple(tuple(a.mult_basis(i, j) for j in range(a.dim)) for i in range(a.dim))
+    return StructureConstants(a.field, a.dim, table)
 
 
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:

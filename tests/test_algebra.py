@@ -9,11 +9,13 @@ from tauslice.algebra import (
     radical_span,
     Arrow, Quiver, build_algebra, quotient, quiverize, presentation_isomorphism,
     one_point_extension, one_point_coextension, ideal_bimodule, split_extension,
-    MalformedRelation, NonAdmissible, Record,
+    Bimodule, MalformedRelation, NonAdmissible, NotNilpotent, Record,
 )
 from tauslice.artheory import is_hereditary
+from tauslice.exactlin import Matrix
 
 from helpers import w
+from properties import structure_constants
 
 EXPECTED_DIMS = {
     "a2": 3, "a3": 6, "ex1": 10, "ex2": 10, "fig1": 12, "fig2": 9,
@@ -211,12 +213,58 @@ def test_presentation_isomorphism_rejects_different_algebras():
     assert presentation_isomorphism(kron, cyc) is None
 
 
+def _vertex_idempotents(a):
+    return [a.coords(a.idempotent(v)) for v in a.quiver.vertices]
+
+
+def _path_radical(a):
+    """rad kQ/I: the unit rows at the basis words of positive length."""
+    units = Matrix.identity(a.field, a.dim).rows
+    return [units[k] for k, (_src, arrows) in enumerate(a.basis) if arrows]
+
+
 def test_quiverize_recovers_presentation(ex5_aprime):
     a = ex5_aprime
-    idems = [a.coords(a.idempotent(v)) for v in a.quiver.vertices]
-    res = quiverize(a.structure_constants(), idempotents=idems)
+    res = quiverize(structure_constants(a), _vertex_idempotents(a), _path_radical(a))
     assert res.algebra.dim == ex5_aprime.dim
     assert presentation_isomorphism(res.algebra, ex5_aprime) is not None
+
+
+@pytest.mark.parametrize("name", ["a3", "ex1", "fig1"])
+def test_quiverize_certificate_rejects_bad_input(name):
+    # quiverize checks nothing it is given on its own; the closing
+    # certificate (admissible, equal dimension, spanning path images,
+    # matching structure constants) is what rejects each corruption
+    a = fixdata.algebra(name)
+    sc, idems, rad = structure_constants(a), _vertex_idempotents(a), _path_radical(a)
+    assert presentation_isomorphism(quiverize(sc, idems, rad).algebra, a) is not None
+    merged = tuple(x + y for x, y in zip(idems[0], idems[1]))
+    corrupted = {"dropped idempotent": (idems[1:], rad),
+                 "repeated idempotent": (idems + idems[:1], rad),
+                 "merged idempotents": ([merged] + idems[2:], rad)}
+    corrupted.update({f"radical without row {k}": (idems, rad[:k] + rad[k + 1:])
+                      for k in range(len(rad))})
+    corrupted.update({f"radical with idempotent {k}": (idems, rad + [e])
+                      for k, e in enumerate(idems)})
+
+    def accepted(bad_idems, bad_rad):
+        try:
+            quiverize(sc, bad_idems, bad_rad)
+        except (ArithmeticError, ValueError):
+            return False
+        return True
+
+    assert [what for what, args in corrupted.items() if accepted(*args)] == []
+
+
+def test_split_extension_by_an_idempotent_ideal_is_not_nilpotent():
+    # C = k and Q = k with q.q = q: Q is an ideal of C + Q = k x k that no
+    # power kills
+    c = build_algebra(Quiver(["1"], []), [])
+    one = Matrix.identity(c.field, 1)
+    q = Bimodule(c, 1, {("e", "1"): one}, {("e", "1"): one}, {(0, 0): (Fraction(1),)})
+    with pytest.raises(NotNilpotent):
+        split_extension(c, q)
 
 
 def test_ideal_bimodule_and_split_extension(ex5_a):
@@ -253,7 +301,7 @@ def test_radical_dimension_of_basic_algebras(algebras):
     assert len(algebras) == 11
     for name, a in algebras.items():
         assert a.field == QQ
-        rad = radical_span(a.structure_constants())
+        rad = radical_span(structure_constants(a))
         assert rad.nrows == a.dim - a.quiver.n_vertices, name
 
 

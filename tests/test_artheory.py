@@ -7,7 +7,7 @@ from tauslice import artheory as artheory_module
 from tauslice.algebra import (
     CapExceeded, PresentedAlgebra, ideal_bimodule, split_extension, presentation_isomorphism,
 )
-from tauslice.formats import field_from_spec, parse_algebra_text
+from tauslice.formats import field_from_spec, parse_algebra_text, print_algebra
 from tauslice.exactlin import Matrix, coordinates_in_basis, span_matrix
 from tauslice.modrep import (
     Representation, simple, projective, injective, direct_sum, decompose, hom_dim,
@@ -326,6 +326,35 @@ def test_translates_round_trip(algebras, field):
     for name in sorted(AR_SIZES_Q):
         a = algebras[name] if field == "Q" else load_over(name, field)
         assert properties.translate_round_trip_failures(a) == [], name
+
+
+def _end_of(group):
+    def build(a, name):
+        return end_algebra(direct_sum(a, fixdata.members(a, name, group))[0]).algebra
+    return build
+
+
+def _relation_extension(a, _name):
+    return split_extension(a, relation_extension_bimodule(a)).algebra
+
+
+def _split_along_al(a, _name):
+    ib = ideal_bimodule(a, [{w(a.quiver, "1", "al"): Fraction(1)}])
+    return split_extension(ib.quotient_map.target, ib.bimodule).algebra
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "F5"])
+@pytest.mark.parametrize("name, build", [
+    ("ex1", _end_of("m")), ("ex2", _end_of("m")), ("fig1", _end_of("sigma")),
+    ("ex5_c", _relation_extension), ("fig3", _relation_extension),
+    ("ex5_a", _split_along_al),
+], ids=["ex1-end", "ex2-end", "fig1-end", "ex5_c-trivial", "fig3-trivial", "ex5_a-split"])
+def test_quiverized_presentations_agree_with_q(name, build, field):
+    # end_algebra and split_extension hand quiverize the radical they know
+    # by construction, so no trace form runs and a field of characteristic
+    # at most the dimension gives Q's presentation, read over that field
+    q_text, small = (print_algebra(build(load_over(name, f), name)) for f in ("Q", field))
+    assert small == print_algebra(parse_algebra_text(q_text, field_from_spec(field)))
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

@@ -199,9 +199,10 @@ def test_library_functions_have_callers():
 
 
 def test_methods_have_callers():
-    # a method that nothing in the source tree, the tests, the scripts or
-    # the benchmark names (as an attribute, a name or a string) is a
-    # leftover of a deletion; dunder methods are called by the protocol
+    # a method that nothing in the source tree, the scripts or the
+    # benchmark names (as an attribute, a name or a string) is a leftover
+    # of a deletion, or is reached only from the tests and belongs beside
+    # them; dunder methods are called by the protocol
     defined, used = [], set()
     for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -210,7 +211,7 @@ def test_methods_have_callers():
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (item.name.startswith("__") and item.name.endswith("__"))]
-    for folder in ("src", "tests", "scripts", "perfbench"):
+    for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):
@@ -221,6 +222,26 @@ def test_methods_have_callers():
                     used.add(node.value)
     assert [f"{f}:{line}:{name}" for f, line, name in defined
             if name not in used] == []
+
+
+def test_record_fields_are_read():
+    # a __slots__ field that nothing reads as an attribute, in the package,
+    # the scripts or the tests, is work done for no reader
+    fields = []
+    for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                fields += [(path.name, node.name, elt.value)
+                           for stmt in node.body if isinstance(stmt, ast.Assign)
+                           and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+                           for elt in ast.walk(stmt.value)
+                           if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+    read = set()
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert [f"{f}:{cls}.{name}" for f, cls, name in fields if name not in read] == []
 
 
 def _name_hits(names, skip=()):
@@ -252,6 +273,22 @@ def test_coordinates_are_found_only_in_exactlin():
     users = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if getattr(node, "id", None) == "coordinates_in_basis"}
     assert users == {"syzygy_map"}
+
+def test_one_radical_routine():
+    # the trace-form radical runs only on a single module's End, in
+    # modrep._end_radical; quiverize takes the radical from its caller
+    hits = _name_hits(("radical_span",), skip=("algebra.py",))
+    assert [h.split(":")[0] for h in hits] == ["modrep.py"] * 2, hits  # import, call
+    tree = ast.parse((ROOT / "src" / "tauslice" / "modrep.py").read_text())
+    users = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if getattr(node, "id", None) == "radical_span"}
+    assert users == {"_end_radical"}
+    tree = ast.parse((ROOT / "src" / "tauslice" / "algebra.py").read_text())
+    quiverize, = (fn for fn in tree.body if getattr(fn, "name", None) == "quiverize")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(quiverize) if isinstance(node, ast.Call)}
+    assert called & {"radical_span", "structure_constants"} == set()
+
 
 def test_complements_are_found_only_in_exactlin():
     # a span is completed, and a quotient projected onto, only by

@@ -279,6 +279,19 @@ def test_ar_quiver_over_f3_matches_q(capsys):
         assert out_f3[key] == out_q[key], key
 
 
+def test_endo_over_f2_exits_0(capsys):
+    # End(M) takes its radical from its Hom blocks, not from a trace form
+    # that characteristic 2 cannot carry
+    args = ["endo", alg_path("fig1"), *module_args("fig1", "sigma")]
+    code_q, out_q = run_json(capsys, *args)
+    code_f2, out_f2 = run_json(capsys, *args, "--field", "F2")
+    assert code_q == code_f2 == 0
+    q_text, f2_text = (out.pop("algebra_text").split("\n", 1) for out in (out_q, out_f2))
+    assert (f2_text[0], f2_text[1]) == ("field F2", q_text[1])
+    del out_q["algebra_hash"], out_f2["algebra_hash"]
+    assert out_f2 == out_q
+
+
 def test_ar_quiver_over_f2_matches_q(capsys):
     # the smallest field the CLI accepts gives the same quiver
     code_q, out_q = run_json(capsys, "ar-quiver", alg_path("ex1"))

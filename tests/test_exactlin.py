@@ -40,14 +40,14 @@ def test_kernel_and_solve():
     assert len(kb) == 1
     for k in kb:
         assert (m @ k).is_zero()
-    b = Matrix.column(QQ, [Fraction(6), Fraction(2)])
+    b = mat([[6], [2]])
     x = m.solve(b)
     assert x is not None
     prod = m @ x
     assert prod.flatten() == (6, 2)
     # inconsistent system
     m2 = mat([[1, 0], [1, 0]])
-    assert m2.solve(Matrix.column(QQ, [Fraction(1), Fraction(2)])) is None
+    assert m2.solve(mat([[1], [2]])) is None
 
 
 def test_inverse_pinned():
