@@ -357,10 +357,6 @@ class PresentedAlgebra:
 
     # -- elements -----------------------------------------------------
 
-    def unit(self):
-        one = self.field.one()
-        return {(i, ()): one for i in range(self.quiver.n_vertices)}
-
     def idempotent(self, v):
         return {(self.quiver.vertex_index[str(v)], ()): self.field.one()}
 

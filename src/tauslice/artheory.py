@@ -19,7 +19,6 @@ from .algebra import (
     PresentedAlgebra,
     Record,
     StructureConstants,
-    _act_on_vector,
     quiverize,
 )
 from .exactlin import (
@@ -145,15 +144,33 @@ class Presentation(Record):
 
 
 def projective_cover_data(m: Representation):
-    """(ProjSum P0, cover morphism P0 -> m)."""
+    """(ProjSum P0, cover morphism P0 -> m).
+
+    The cover sends the basis word y of summand k to y acting on the k-th
+    top vector.  The basis words are prefix-closed, so a word's value is
+    its last arrow's matrix times its prefix's value: one product per word
+    length and last arrow gives the values of all those words.
+    """
     a = m.algebra
     fld = a.field
     tops = top_data(m)
     ps = _proj_sum(a, [v for v, _vec in tops])
     q = a.quiver
+    value = {}  # (k, word) -> the column of word acting on top vector k
+    steps = {}  # (length, last arrow) -> the (k, word) of the longer words
+    for key in ps.fibre_index:
+        k, (src, arrows) = key
+        if arrows:
+            steps.setdefault((len(arrows), arrows[-1]), []).append(key)
+        else:
+            value[key] = tops[k][1]
+    for (_length, j), keys in sorted(steps.items()):
+        cols = [value[(k, (src, arrows[:-1]))] for k, (src, arrows) in keys]
+        prod = m.maps[j] @ Matrix._raw(fld, tuple(zip(*cols)), len(cols))
+        value.update(zip(keys, zip(*prod.rows) if prod.nrows else [()] * len(keys)))
     blocks = []
     for w in range(q.n_vertices):
-        cols = [_act_on_vector(m, tops[k][1], word) for (k, word) in ps.fibre_words[w]]
+        cols = [value[key] for key in ps.fibre_words[w]]
         if cols:
             blocks.append(Matrix._raw(fld, tuple(zip(*cols)), len(cols)))
         else:
@@ -297,13 +314,14 @@ def _left_multiplication(src: ProjSum, tgt: ProjSum, entries) -> Morphism:
     return Morphism(src.rep, tgt.rep, blocks, _checked=False)
 
 
-def transpose(m: Representation) -> Representation:
-    """Tr M over the opposite algebra, from a minimal presentation.
+def _dual_differential(m: Representation):
+    """(P0*, P1*, d*): the dual of m's minimal presentation P1 -> P0 -> m,
+    whose cokernel is Tr m.
 
     With P1 = + e_{u_j}A, P0 = + e_{v_i}A and presentation entries
-    x_ij in e_{v_i} A e_{u_j}, Tr M is the cokernel of the map
-    + P^op_{v_i} -> + P^op_{u_j} given by left multiplication with the
-    reversed entries, built by :func:`_left_multiplication`.
+    x_ij in e_{v_i} A e_{u_j}, d*: + P^op_{v_i} -> + P^op_{u_j} is left
+    multiplication with the reversed entries, built by
+    :func:`_left_multiplication`.
     """
     a = m.algebra
     op = a.opposite()
@@ -319,11 +337,22 @@ def transpose(m: Representation) -> Representation:
         for i, elt in p0.component_elements(vtx, col).items():
             entries.setdefault(i, []).append((j, a.reverse_element(elt)))
 
-    dstar = _left_multiplication(
-        _proj_sum(op, p0.vertex_list), _proj_sum(op, p1.vertex_list), entries
-    )
-    cok, _proj = cokernel(dstar)
-    return cok
+    p0_dual, p1_dual = _proj_sum(op, p0.vertex_list), _proj_sum(op, p1.vertex_list)
+    return p0_dual, p1_dual, _left_multiplication(p0_dual, p1_dual, entries)
+
+
+def transpose(m: Representation) -> Representation:
+    """Tr M over the opposite algebra: the cokernel of d*: P0* -> P1*, the
+    dual of M's minimal presentation (:func:`_dual_differential`).
+
+    Tr is a duality on minimal presentations: when M has no projective
+    summand, P0* -> P1* -> Tr M -> 0 is minimal again, and Tr Tr M = M
+    (Assem-Simson-Skowronski, vol. 1, IV.2).  :func:`tau_inverse` keeps
+    that presentation; :func:`tau`, whose callers read none of it, builds
+    only the cokernel.
+    """
+    _p0, _p1, dstar = _dual_differential(m)
+    return cokernel(dstar)[0]
 
 
 def tau(m: Representation) -> Representation:
@@ -332,8 +361,62 @@ def tau(m: Representation) -> Representation:
 
 
 def tau_inverse(m: Representation) -> Representation:
-    """Inverse translate Tr D; kills injective summands."""
-    return m.algebra.memo(("tau_inverse", m), lambda: transpose(dual(m)))
+    """Inverse translate Tr D; kills injective summands.
+
+    Tr D m is the cokernel of d*: P0* -> P1* (:func:`transpose`).  When m
+    has no injective summand, D m has no projective one, so
+    P0* -> P1* -> Tr D m -> 0 is a minimal presentation.  It is memoised by
+    :meth:`PresentedAlgebra.memo` as the presentation of the result, which
+    the almost split sequence ending there reads, after an exact check
+    (:func:`_is_minimal`); otherwise it is not kept.
+    """
+    return m.algebra.memo(("tau_inverse", m), _tau_inverse, m)
+
+
+def _tau_inverse(m: Representation) -> Representation:
+    p0_dual, p1_dual, dstar = _dual_differential(dual(m))
+    tr, proj = cokernel(dstar)
+    if _is_minimal(p0_dual, p1_dual, dstar):
+        tr.algebra.memo(("presentation", tr), _transposed_presentation,
+                        p1_dual, proj, p0_dual, dstar)
+    return tr
+
+
+def _is_minimal(src: ProjSum, tgt: ProjSum, d: Morphism) -> bool:
+    """Whether src -> tgt -> coker d -> 0, along d: src.rep -> tgt.rep, is a
+    minimal presentation: ker d and im d lie in the radicals, that is, no
+    kernel vector has a coordinate at a generator of src and no image
+    vector one at a generator of tgt."""
+    for k in range(len(tgt.vertex_list)):
+        v, pos = tgt.generator_position(k)
+        if any(d.blocks[v].rows[pos]):
+            return False
+    gens = {}  # vertex -> the fibre positions of src's generators there
+    for k in range(len(src.vertex_list)):
+        v, pos = src.generator_position(k)
+        gens.setdefault(v, []).append(pos)
+    fld = src.algebra.field
+    for v, positions in gens.items():
+        _keep, kern = null_space(fld, d.blocks[v].rows, src.dims[v])
+        if any(row[pos] for row in kern.rows for pos in positions):
+            return False
+    return True
+
+
+def _transposed_presentation(p0: ProjSum, cover: Morphism, p1: ProjSum,
+                             d: Morphism) -> Presentation:
+    """The presentation p1 -> p0 -> cover.target along d, with the syzygy
+    ker(cover) = im d and p1's cover of it read off d."""
+    omega, incl = kernel(cover)
+    blocks = []
+    for v, blk in enumerate(d.blocks):
+        basis = incl.blocks[v].transpose()
+        co = read_coordinates(basis, leading_columns(basis), blk.transpose().rows)
+        if co is None:
+            raise ArithmeticError("the differential leaves the syzygy")
+        blocks.append(co.transpose())
+    return Presentation(cover.target, p0, cover, omega, incl, p1,
+                        Morphism(p1.rep, omega, blocks, _checked=True), d)
 
 
 def tau_power(m: Representation, k: int) -> Representation:
@@ -822,16 +905,26 @@ def ar_quiver(a: PresentedAlgebra, max_nodes: int = 512, max_dim: int = 64) -> A
     nodes already.  Failing that, the prediction adds the summands named
     from both sides of the mesh: tau^{-1} Z for each recorded arrow
     Z -> tau X with Z neither injective nor linked, and tau W for each
-    recorded arrow X -> W with W neither projective nor tau-linked, with
-    the arrow's multiplicity.  Named summands that are nodes join the
-    known ones; when at most one is new and the whole prediction is
-    certified, the new one is admitted, which gives it the id that
-    admitting ``decompose``'s summands would.  Otherwise E is decomposed
+    arrow X -> W with W neither projective nor tau-linked, with the
+    arrow's multiplicity.  The arrows X -> W are those recorded, or, for
+    an injective X, whose mesh is linked before they are, the summands W
+    of X/soc X.  Named summands that are nodes join the known ones; when
+    at most one is new and the whole prediction is certified, the new one
+    is admitted, which gives it the id that admitting ``decompose``'s
+    summands would.  Otherwise E is decomposed
     and its summands admitted.  Either way the nodes, ids, arrows and
     ``tau_link`` are the same; only the representative of a predicted node
-    differs: it is the translate itself.  Each tau^{-1} Z is kept for the closure, which reads it again
-    for Z's own mesh instead of computing tau^{-1} twice, and tau W is the
-    memoised translate that W's almost split sequence reads.
+    differs: it is the translate itself.  Each tau^{-1} Z is kept for the
+    closure, which reads it again for Z's own mesh instead of computing
+    tau^{-1} twice, and tau W is the memoised translate that W's almost
+    split sequence reads.
+
+    Each translate and presentation is computed once.  When a node X that
+    is not injective admits tau^{-1} X, tau of that node is memoised as X
+    itself: tau tau^{-1} X = X, and the hypothesis holds, as every
+    injective indecomposable is seeded under its label.  The sequence
+    ending at tau^{-1} X then starts at X and runs no transpose, and it
+    reads the presentation that :func:`tau_inverse` kept.
 
     Raises :class:`CapExceeded` when more than ``max_nodes`` iso-classes or a
     module of total dimension beyond ``max_dim`` appears (the algebra is then
@@ -890,9 +983,21 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
                 if z not in inverses:
                     inverses[z] = tau_inverse(g.nodes[z].rep)
                 named.append((inverses[z], mult))
-        for w, mult in g.successors.get(right, {}).items():
-            if w not in g.tau_link and g.nodes[w].projective_label is None:
-                named.append((tau(g.nodes[w].rep), mult))
+        if g.nodes[right].injective_label is None:
+            outs = [(g.nodes[w].rep, mult) for w, mult in g.successors.get(right, {}).items()
+                    if w not in g.tau_link and g.nodes[w].projective_label is None]
+        else:
+            # the arrows out of an injective are recorded after its mesh
+            # is linked, so they are read off I/soc I here; a summand that
+            # is no node yet is not projective, as every projective is one
+            outs = []
+            for y, mult in _socle_quotient_summands(g.nodes[right].rep):
+                w = g.find(y)
+                if w is None:
+                    outs.append((y, mult))
+                elif w not in g.tau_link and g.nodes[w].projective_label is None:
+                    outs.append((g.nodes[w].rep, mult))
+        named += [(tau(y), mult) for y, mult in outs]
         if not named:
             return None
         fresh = []
@@ -949,6 +1054,9 @@ def _ar_closure(a: PresentedAlgebra, max_nodes: int, max_dim: int) -> ARQuiver:
             # the mesh of tau^{-1} X's own representative: a fresh tau^{-1} X
             # may be an isomorphic copy, on which the cache would miss
             right = admit(inverses[ident] if ident in inverses else tau_inverse(rep))
+            # tau tau^{-1} X is X, as X is not injective: every injective
+            # indecomposable is a node with its label
+            a.memo(("tau", g.nodes[right].rep), lambda: rep)
             mesh(ident, right, almost_split_sequence(g.nodes[right].rep))
     return g
 

@@ -16,12 +16,12 @@ from tauslice.algebra import StructureConstants, quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
     Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
-    compose, dual, is_isomorphic, iso_index, _morphism_from_vector, _register,
+    compose, dual, is_isomorphic, iso_index, top_rep, _morphism_from_vector, _register,
 )
 from tauslice.artheory import (
     ARQuiver, ar_quiver, tau, tau_inverse, end_algebra, ext_dim, radical_hom_basis,
     is_hereditary, is_projective_rep, is_injective_rep, almost_split_sequence,
-    local_in_neighbors, local_out_neighbors,
+    local_in_neighbors, local_out_neighbors, _presentation,
 )
 from tauslice.tautilt import (
     SliceCandidate, slice_candidate, member_quiver, is_weakly_convex,
@@ -315,6 +315,61 @@ def translate_round_trip_failures(a):
         if not is_projective_rep(x) and iso_index([x], tau_inverse(tau(x))) is None:
             bad.append(f"node {ident}: tau^-1 tau X is not X")
     return bad
+
+
+def presentation_failures(pres):
+    """``pres`` against the definition of a minimal presentation
+    P1 -> P0 -> M -> 0: the cover is onto, Omega is its kernel, P1 -> Omega
+    is onto with one summand per dimension of top Omega, and the
+    differential is P1 -> Omega -> P0.  The vertices of P0 and P1, with
+    multiplicity, must be those of a fresh :func:`_presentation` of M,
+    which builds both covers from the tops."""
+    m, omega = pres.module, pres.omega
+    bad = []
+
+    def onto(f, dims):
+        return all(b.rank() == d for b, d in zip(f.blocks, dims))
+
+    if not onto(pres.cover, m.dims):
+        bad.append("the cover is not onto")
+    if (not compose(pres.cover, pres.omega_incl).is_zero()
+            or any(b.rank() != d for b, d in zip(pres.omega_incl.blocks, omega.dims))
+            or [p - d for p, d in zip(pres.p0.dims, m.dims)] != list(omega.dims)):
+        bad.append("Omega is not the kernel of the cover")
+    if not onto(pres.p1_cover, omega.dims):
+        bad.append("P1 -> Omega is not onto")
+    if len(pres.p1.vertex_list) != top_rep(omega)[0].total_dim:
+        bad.append("P1 has not one summand per dimension of top Omega")
+    if compose(pres.omega_incl, pres.p1_cover) != pres.differential:
+        bad.append("the differential is not P1 -> Omega -> P0")
+    fresh = _presentation(m)
+    if (sorted(pres.p0.vertex_list), sorted(pres.p1.vertex_list)) != (
+            sorted(fresh.p0.vertex_list), sorted(fresh.p1.vertex_list)):
+        bad.append("P0 or P1 differs from the fresh presentation's")
+    return bad
+
+
+def kept_presentation_failures(nodes):
+    """The presentation memoised for tau^-1 X, for each non-injective X of
+    ``nodes``, against :func:`presentation_failures`; computing tau^-1 X
+    keeps one, so a missing one is a failure too."""
+    bad = []
+    for k, x in enumerate(nodes):
+        if is_injective_rep(x):
+            continue
+        r = tau_inverse(x)
+        pres = r.algebra._cache.get(("presentation", r))
+        if pres is None:
+            bad.append(f"node {k}: no presentation kept for tau^-1 X")
+            continue
+        bad += [f"node {k}: {b}" for b in presentation_failures(pres)]
+    return bad
+
+
+def unit(a):
+    """The unit of ``a``: the sum of its vertex idempotents."""
+    one = a.field.one()
+    return {(i, ()): one for i in range(a.quiver.n_vertices)}
 
 
 def structure_constants(a):

@@ -15,7 +15,7 @@ from tauslice.artheory import is_hereditary
 from tauslice.exactlin import Matrix
 
 from helpers import w
-from properties import structure_constants
+from properties import structure_constants, unit
 
 EXPECTED_DIMS = {
     "a2": 3, "a3": 6, "ex1": 10, "ex2": 10, "fig1": 12, "fig2": 9,
@@ -33,7 +33,7 @@ def test_unit_is_sum_of_idempotents(ex1):
     for v in ex1.quiver.vertices:
         for word, c in ex1.idempotent(v).items():
             total[word] = total.get(word, QQ.zero()) + c
-    assert ex1.normal_form(total) == ex1.unit()
+    assert ex1.normal_form(total) == unit(ex1)
 
 
 def test_basis_by_class_partitions(ex2):

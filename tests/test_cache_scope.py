@@ -200,9 +200,10 @@ def test_library_functions_have_callers():
 
 def test_methods_have_callers():
     # a method that nothing in the source tree, the scripts or the
-    # benchmark names (as an attribute, a name or a string) is a leftover
-    # of a deletion, or is reached only from the tests and belongs beside
-    # them; dunder methods are called by the protocol
+    # benchmark reads as an attribute is a leftover of a deletion, or is
+    # reached only from the tests and belongs beside them; a bare name or a
+    # string that happens to spell it is no call; dunder methods are called
+    # by the protocol
     defined, used = [], set()
     for path in sorted((ROOT / "src" / "tauslice").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -213,13 +214,8 @@ def test_methods_have_callers():
                     and not (item.name.startswith("__") and item.name.endswith("__"))]
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    used.add(node.value)
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     assert [f"{f}:{line}:{name}" for f, line, name in defined
             if name not in used] == []
 
