@@ -314,31 +314,81 @@ def _left_multiplication(src: ProjSum, tgt: ProjSum, entries) -> Morphism:
     return Morphism(src.rep, tgt.rep, blocks, _checked=False)
 
 
+def _presentation_entries(pres: Presentation):
+    """The nonzero entries of the presentation P1 -> P0, with
+    P1 = + e_{u_j}A and P0 = + e_{v_i}A, as triples (i, j, x_ij): the
+    differential sends the generator of summand j to the sum over i of
+    x_ij in e_{v_i} A e_{u_j}, an element of the algebra in normal form.
+    """
+    p0, p1, d = pres.p0, pres.p1, pres.differential
+    for j in range(len(p1.vertex_list)):
+        vtx, pos = p1.generator_position(j)
+        col = d.blocks[vtx].column_vector(pos)
+        for i, elt in p0.component_elements(vtx, col).items():
+            yield i, j, elt
+
+
 def _dual_differential(m: Representation):
     """(P0*, P1*, d*): the dual of m's minimal presentation P1 -> P0 -> m,
     whose cokernel is Tr m.
 
-    With P1 = + e_{u_j}A, P0 = + e_{v_i}A and presentation entries
-    x_ij in e_{v_i} A e_{u_j}, d*: + P^op_{v_i} -> + P^op_{u_j} is left
-    multiplication with the reversed entries, built by
+    With the presentation entries x_ij in e_{v_i} A e_{u_j}
+    (:func:`_presentation_entries`), d*: + P^op_{v_i} -> + P^op_{u_j} is
+    left multiplication with the reversed entries, built by
     :func:`_left_multiplication`.
     """
     a = m.algebra
     op = a.opposite()
     pres = minimal_presentation(m)
-    p0, p1, d = pres.p0, pres.p1, pres.differential
 
-    # presentation entries x_ij in e_{v_i} A e_{u_j}, reversed into A^op
-    # once each and grouped by i
+    # the entries reversed into A^op once each and grouped by i
     entries = {}
-    for j in range(len(p1.vertex_list)):
-        vtx, pos = p1.generator_position(j)
-        col = d.blocks[vtx].column_vector(pos)
-        for i, elt in p0.component_elements(vtx, col).items():
-            entries.setdefault(i, []).append((j, a.reverse_element(elt)))
+    for i, j, elt in _presentation_entries(pres):
+        entries.setdefault(i, []).append((j, a.reverse_element(elt)))
 
-    p0_dual, p1_dual = _proj_sum(op, p0.vertex_list), _proj_sum(op, p1.vertex_list)
+    p0_dual = _proj_sum(op, pres.p0.vertex_list)
+    p1_dual = _proj_sum(op, pres.p1.vertex_list)
     return p0_dual, p1_dual, _left_multiplication(p0_dual, p1_dual, entries)
+
+
+def _hom_to_tau_vanishes(n: Representation, m: Representation) -> bool:
+    """Whether Hom(n, tau m) = 0, by one rank and without tau m.
+
+    By Adachi-Iyama-Reiten (tau-tilting theory, Prop. 2.4), for the
+    minimal projective presentation P1 -> P0 -> m, Hom(n, tau m) = 0 iff
+    Hom(P0, n) -> Hom(P1, n), composing with the differential, is onto.  A
+    presentation that is not minimal can make that map fail to be onto
+    while Hom(n, tau m) vanishes, so this reads m's minimal one.  By
+    Yoneda, Hom(e_v A, n) is the fibre n_v, and the map has block (j, i)
+    from n_{v_i} to n_{u_j} the action on n of the entry x_ij
+    (:func:`_presentation_entries`): the sum of c times the action of
+    each word of x_ij with coefficient c.  It is onto iff its rank is its
+    number of rows.
+    """
+    # only P0, P1 and the differential are read, and they do not depend on
+    # which equal module a memo hit was built for: no re-anchoring on m
+    pres = m.algebra.memo(("presentation", m), _presentation, m)
+    q, fld = n.algebra.quiver, n.algebra.field
+    heights = [n.dims[q.vertex_index[u]] for u in pres.p1.vertex_list]
+    widths = [n.dims[q.vertex_index[v]] for v in pres.p0.vertex_list]
+    nrows, ncols = sum(heights), sum(widths)
+    if nrows > ncols:
+        return False
+    if not nrows:
+        return True
+    row_at = list(itertools.accumulate([0] + heights))
+    col_at = list(itertools.accumulate([0] + widths))
+    mat = [[fld.zero()] * ncols for _ in range(nrows)]
+    for i, j, elt in _presentation_entries(pres):
+        if not (heights[j] and widths[i]):
+            continue
+        block = None
+        for word, c in elt.items():
+            term = n.word_action(word).scale(c)
+            block = term if block is None else block + term
+        for r, row in enumerate(block.rows):
+            mat[row_at[j] + r][col_at[i]:col_at[i + 1]] = row
+    return Matrix._raw(fld, tuple(map(tuple, mat)), ncols).rank() == nrows
 
 
 def transpose(m: Representation) -> Representation:
@@ -744,10 +794,10 @@ def _radical_summands(p: Representation):
 
 def _socle_quotient_summands(i: Representation):
     """The summands of i/soc i, [(rep, mult)]: the targets of the AR arrows
-    out of the injective i."""
-    _soc, incl = socle_rep(i)
-    quot, _proj = cokernel(incl)
-    return decompose(quot)
+    out of the injective i.  Memoised by :meth:`PresentedAlgebra.memo` on
+    structural equality; callers share the list and must not mutate it."""
+    return i.algebra.memo(("socle_quotient", i),
+                          lambda: decompose(cokernel(socle_rep(i)[1])[0]))
 
 
 def local_out_neighbors(x: Representation):

@@ -79,6 +79,7 @@ from .artheory import (
     bimodule_right_rep,
     bimodule_dual_left_rep,
     syzygy_map,
+    _hom_to_tau_vanishes,
 )
 
 
@@ -95,10 +96,15 @@ def _basic_summands(m):
 
 
 def is_tau_rigid(m: Representation) -> bool:
-    """Hom(M, tau M) = 0."""
-    if m.is_zero():
-        return True
-    return hom_dim(m, tau(m)) == 0
+    """Hom(M, tau M) = 0, decided without tau M.
+
+    By Adachi-Iyama-Reiten (tau-tilting theory, Prop. 2.4), for the
+    minimal projective presentation P1 -> P0 -> M it holds iff
+    Hom(P0, M) -> Hom(P1, M) is onto; the presentation must be minimal.
+    One rank on M's own presentation decides it
+    (``artheory._hom_to_tau_vanishes``).
+    """
+    return m.is_zero() or _hom_to_tau_vanishes(m, m)
 
 
 def is_tau_tilting(m: Representation) -> bool:
@@ -163,25 +169,35 @@ def is_tilting(m: Representation) -> bool:
 # tau-rigid cliques: the one backtracker behind every search
 
 
-def _tau_rigid_cliques(nodes, size, min_size=0):
+def _tau_rigid_cliques(arq: ARQuiver, size, min_size=0):
     """Every set of pairwise tau-compatible tau-rigid indecs, in lex order.
 
-    Yields each visited clique as a tuple of indices into ``nodes``: the
-    empty one first, then depth first.  A clique of ``size`` members is not
+    Yields each visited clique as a tuple of node ids of ``arq``: the empty
+    one first, then depth first.  A clique of ``size`` members is not
     extended, nor one from which ``min_size`` members can no longer be
     reached; both are still yielded.
+
+    X and Y are compatible when Hom(X, tau Y) = 0 = Hom(Y, tau X), and X is
+    tau-rigid when it is compatible with itself.  No translate is
+    computed: a node with a projective label has tau = 0, and otherwise
+    Hom(X, tau Y) = 0 iff Hom(P0, X) -> Hom(P1, X) is onto, for the minimal
+    presentation P1 -> P0 -> Y (Adachi-Iyama-Reiten, tau-tilting theory,
+    Prop. 2.4), which the closure has memoised; the presentation must be
+    minimal.  Each pair's verdict is memoised by
+    :meth:`PresentedAlgebra.memo`.
     """
-    taus = [tau(x) for x in nodes]
-    rigid = [i for i in range(len(nodes)) if hom_dim(nodes[i], taus[i]) == 0]
-    memo = {}
+    nodes = arq.nodes
+
+    def misses(i, j):  # Hom(nodes[i], tau nodes[j]) = 0
+        return (nodes[j].projective_label is not None
+                or _hom_to_tau_vanishes(nodes[i].rep, nodes[j].rep))
 
     def compat(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in memo:
-            memo[key] = (
-                hom_dim(nodes[i], taus[j]) == 0 and hom_dim(nodes[j], taus[i]) == 0
-            )
-        return memo[key]
+        i, j = min(i, j), max(i, j)
+        return arq.algebra.memo(("tau_compatible", nodes[i].rep, nodes[j].rep),
+                                lambda: misses(i, j) and (i == j or misses(j, i)))
+
+    rigid = [i for i in range(len(nodes)) if compat(i, i)]
 
     def extend(current, start):
         yield tuple(current)
@@ -208,11 +224,11 @@ def count_support_tau_tilting(a: PresentedAlgebra, cap: int = 512) -> int:
     members' supports.  Requires representation-finiteness; ``cap`` bounds
     the AR-quiver size.
     """
-    nodes = ar_quiver(a, max_nodes=cap).representatives()
-    supports = [set(support_vertices(x)) for x in nodes]
+    arq = ar_quiver(a, max_nodes=cap)
+    supports = [set(support_vertices(x)) for x in arq.representatives()]
     return sum(
         len(clique) == len(set().union(*(supports[k] for k in clique)))
-        for clique in _tau_rigid_cliques(nodes, a.quiver.n_vertices)
+        for clique in _tau_rigid_cliques(arq, a.quiver.n_vertices)
     )
 
 
@@ -1154,7 +1170,7 @@ def is_tilted(a: PresentedAlgebra, search_cap=10000, max_nodes=512) -> TiltedVer
     nodes = arq.representatives()
     n = a.quiver.n_vertices
     explored = 0
-    for explored, clique in enumerate(_tau_rigid_cliques(nodes, n, n), 1):
+    for explored, clique in enumerate(_tau_rigid_cliques(arq, n, n), 1):
         if explored > search_cap:
             return TiltedVerdict("inconclusive", None, explored)
         if len(clique) < n:
@@ -1181,7 +1197,7 @@ def find_complete_tau_slices(a: PresentedAlgebra, limit=10000, max_nodes=512):
     nodes = arq.representatives()
     n = a.quiver.n_vertices
     out = []
-    for explored, clique in enumerate(_tau_rigid_cliques(nodes, n, n), 1):
+    for explored, clique in enumerate(_tau_rigid_cliques(arq, n, n), 1):
         if explored > limit:
             raise CapExceeded("slice search budget exhausted")
         if len(clique) == n:

@@ -10,6 +10,7 @@ something they do not share code with.
 
 import itertools
 import random
+from fractions import Fraction
 
 from tauslice import fixtures as fixdata
 from tauslice.algebra import StructureConstants, quotient
@@ -21,12 +22,14 @@ from tauslice.modrep import (
 from tauslice.artheory import (
     ARQuiver, ar_quiver, tau, tau_inverse, end_algebra, ext_dim, radical_hom_basis,
     is_hereditary, is_projective_rep, is_injective_rep, almost_split_sequence,
-    local_in_neighbors, local_out_neighbors, _presentation,
+    local_in_neighbors, local_out_neighbors, minimal_presentation, _presentation,
+    _hom_to_tau_vanishes,
 )
 from tauslice.tautilt import (
     SliceCandidate, slice_candidate, member_quiver, is_weakly_convex,
     is_sectionally_convex, is_complete_tau_slice, is_local_slice,
-    tau_inverse_module, quotient_preservation_check, _component_or_all,
+    tau_inverse_module, quotient_preservation_check, count_support_tau_tilting,
+    support_vertices, _component_or_all, _tau_rigid_cliques,
 )
 
 from helpers import digraph_is_acyclic
@@ -473,4 +476,79 @@ def ext_stable_hom_failures(algebras, sample=50, seed=7):
         rhs = stable_hom_dim_mod_injectives(n, tau(m))
         if lhs != rhs:
             bad.append(f"{name}: Ext({m.dims}, {n.dims}) = {lhs} != {rhs}")
+    return bad
+
+
+def translate_hom_rank_failures(nodes):
+    """The rank test of Hom(N, tau M) = 0 on M's minimal presentation
+    (``artheory._hom_to_tau_vanishes``, Adachi-Iyama-Reiten Prop. 2.4)
+    against ``hom_dim(N, tau(M)) == 0``, which builds the translate, on
+    every ordered pair (N, M) of ``nodes``."""
+    return [f"nodes {i}, {j}: the rank test says {not ok}"
+            for i, n in enumerate(nodes) for j, m in enumerate(nodes)
+            if (ok := _hom_to_tau_vanishes(n, m)) != (hom_dim(n, tau(m)) == 0)]
+
+
+def g_vector(m):
+    """[P0] - [P1] in the algebra's vertex order, for the minimal
+    projective presentation P1 -> P0 -> m (Adachi-Iyama-Reiten, section 5)."""
+    pres = minimal_presentation(m)
+    labels = list(m.algebra.quiver.vertices)
+    return tuple(pres.p0.vertex_list.count(v) - pres.p1.vertex_list.count(v) for v in labels)
+
+
+def integer_determinant(rows):
+    """The determinant of a square integer matrix, exactly, by elimination
+    over the rationals."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pivot = next((r for r in range(c, len(mat)) if mat[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for r in range(c + 1, len(mat)):
+            f = mat[r][c] / mat[c][c]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    return int(det)
+
+
+def g_vector_failures(a):
+    """Adachi-Iyama-Reiten's g-vector theorems on the support tau-tilting
+    cliques of ``a``, from the presentations alone.
+
+    For each clique that ``count_support_tau_tilting`` counts, the
+    g-vectors of its members and -e_v for every vertex v outside their
+    support form a Z-basis (the integer determinant is +-1, Thm. 5.1) and
+    are sign-coherent: no coordinate is positive in one of them and
+    negative in another.  Distinct tau-rigid nodes have distinct
+    g-vectors.  The number of cliques checked must be the count.
+    """
+    arq = ar_quiver(a)
+    nodes = arq.representatives()
+    n = a.quiver.n_vertices
+    labels = list(a.quiver.vertices)
+    g = [g_vector(x) for x in nodes]
+    bad, checked, rigid = [], 0, []
+    for clique in _tau_rigid_cliques(arq, n):
+        if len(clique) == 1:
+            rigid.append(clique[0])
+        support = set().union(*(support_vertices(nodes[k]) for k in clique))
+        if len(clique) != len(support):
+            continue
+        checked += 1
+        vectors = [g[k] for k in clique] + [
+            tuple(-(u == v) for u in labels) for v in labels if v not in support]
+        if abs(integer_determinant(vectors)) != 1:
+            bad.append(f"clique {clique}: the g-vectors are no Z-basis")
+        for c in range(n):
+            if {x[c] > 0 for x in vectors if x[c]} == {True, False}:
+                bad.append(f"clique {clique}: coordinate {c} has both signs")
+    if checked != (counted := count_support_tau_tilting(a)):
+        bad.append(f"{checked} cliques checked, {counted} counted")
+    if len({g[k] for k in rigid}) != len(rigid):
+        bad.append("two tau-rigid nodes share a g-vector")
     return bad

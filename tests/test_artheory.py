@@ -1051,3 +1051,56 @@ def test_cover_images_match_the_word_by_word_evaluation(name, field):
         for w, block in enumerate(cover.blocks):
             cols = [_act_on_vector(m, tops[k][1], word) for k, word in ps.fibre_words[w]]
             assert block.rows == tuple(zip(*cols)) if cols else block.ncols == 0, (name, m)
+
+
+# ---------------------------------------------------------------------------
+# Hom(N, tau M) = 0 from M's minimal presentation, by one rank
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F3", "F5"])
+def test_the_rank_test_agrees_with_hom_into_the_translate(field):
+    # fresh algebras: the oracle builds every translate and Hom space
+    for name in sorted(AR_SIZES_Q):
+        nodes = ar_quiver(load_over(name, field)).representatives()
+        assert properties.translate_hom_rank_failures(nodes) == [], name
+
+
+def test_the_rank_test_agrees_on_a_capped_closure(monkeypatch):
+    built = record_closures(monkeypatch)
+    close("fig2", "Q", 24)
+    assert properties.translate_hom_rank_failures(built[0].representatives()) == []
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_the_rank_test_reads_the_coefficients_of_an_entry(field):
+    # the Kronecker module M(l) = (k, k; x = 1, y = l) is presented by
+    # P2 -> P1 with the entry y - l x, and tau M(l) = M(l); so
+    # Hom(M(m), tau M(l)) = 0 iff m != l, which a sign or a coefficient
+    # dropped from an entry would get wrong; the rotation module, whose
+    # End is Q(i) over Q, has an entry with two words on both sides
+    a = parse_algebra_text("field Q\nvertex 1\nvertex 2\narrow x: 1 -> 2\n"
+                           "arrow y: 1 -> 2\n", None if field == "Q" else field_from_spec(field))
+    nodes = [rep(a, (1, 1), x=[[1]], y=[[lam]]) for lam in (0, 1, -1, 2)]
+    nodes += [rep(a, (1, 1), y=[[1]]),
+              rep(a, (2, 2), x=[[1, 0], [0, 1]], y=[[0, -1], [1, 0]])]
+    assert properties.translate_hom_rank_failures(nodes) == []
+
+
+def test_each_socle_quotient_is_computed_once(monkeypatch):
+    # the prediction for an injective whose mesh is linked reads I/soc I,
+    # and so do the arrows out of I: one socle per injective of fig2
+    calls = {"socle_rep": 0, "iso_index": 0}
+
+    def count(name):
+        original = getattr(artheory_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(artheory_module, name, counted)
+
+    count("socle_rep")
+    count("iso_index")
+    close("fig2", "Q", 24)
+    assert calls["socle_rep"] == 3
+    assert calls["iso_index"] <= 52

@@ -312,3 +312,19 @@ def test_library_import_loads_no_cli():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["False"]
+
+
+def test_tau_compatibility_builds_no_translate():
+    # the clique search and is_tau_rigid decide Hom(N, tau M) = 0 by one
+    # rank on M's minimal presentation, so they name no translate and no
+    # Hom space; the clique verdicts live in the algebra's one memo store,
+    # not in a dict of the search's own
+    tree = ast.parse((ROOT / "src" / "tauslice" / "tautilt.py").read_text())
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    for fn in functions:
+        if fn.name in ("_tau_rigid_cliques", "is_tau_rigid"):
+            named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
+            assert named & {"tau", "hom_dim", "hom_basis"} == set(), fn.name
+    assert [f"{fn.name}:{node.lineno}" for fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id == "memo"] == []

@@ -31,7 +31,7 @@ from tauslice.tautilt import (
 )
 
 from helpers import w, dims_multiset
-from properties import is_generalized_standard
+from properties import g_vector_failures, is_generalized_standard
 
 
 def members_of(a, name, group):
@@ -66,7 +66,8 @@ def test_support_tau_tilting_counts(a2, a3):
 @pytest.mark.parametrize("name", ["a3", "ex1"])
 def test_clique_generator_lists_compatible_sets_once_in_lex_order(algebras, name):
     a = algebras[name]
-    nodes = ar_quiver(a).representatives()
+    arq = ar_quiver(a)
+    nodes = arq.representatives()
     taus = [tau(x) for x in nodes]
     vanish = [[hom_dim(x, t) == 0 for t in taus] for x in nodes]
     compatible = sorted(
@@ -75,14 +76,24 @@ def test_clique_generator_lists_compatible_sets_once_in_lex_order(algebras, name
         for c in itertools.combinations(range(len(nodes)), k)
         if all(vanish[i][j] for i in c for j in c)
     )
-    got = list(_tau_rigid_cliques(nodes, len(nodes)))
+    got = list(_tau_rigid_cliques(arq, len(nodes)))
     assert got == compatible
     # size caps the cliques, min_size prunes branches that cannot reach it
     n = a.quiver.n_vertices
     full = [c for c in compatible if len(c) == n]
-    capped = list(_tau_rigid_cliques(nodes, n, n))
+    capped = list(_tau_rigid_cliques(arq, n, n))
     assert [c for c in capped if len(c) == n] == full
     assert all(len(c) <= n for c in capped)
+
+
+@pytest.mark.parametrize("field", ["Q", "F3", "F5"])
+def test_support_tau_tilting_cliques_have_g_vector_bases(field):
+    # the g-vectors come from the presentations alone, not from the counts
+    for name in ("a2", "a3", "ex1", "ex2", "fig1", "fig3", "ex5_tilde", "ex5_a",
+                 "ex5_aprime", "ex5_c"):
+        a = parse_algebra_text(fixdata.path(f"{name}.alg").read_text(),
+                               None if field == "Q" else field_from_spec(field))
+        assert g_vector_failures(a) == [], name
 
 
 def test_ex2_module_is_tau_tilting_not_tilting(ex2):
