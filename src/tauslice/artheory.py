@@ -379,7 +379,9 @@ def _hom_to_tau_vanishes(n: Representation, m: Representation) -> bool:
     row_at = list(itertools.accumulate([0] + heights))
     col_at = list(itertools.accumulate([0] + widths))
     mat = [[fld.zero()] * ncols for _ in range(nrows)]
-    for i, j, elt in _presentation_entries(pres):
+    entries = m.algebra.memo(("presentation_entries", m),
+                             lambda: tuple(_presentation_entries(pres)))
+    for i, j, elt in entries:
         if not (heights[j] and widths[i]):
             continue
         block = None

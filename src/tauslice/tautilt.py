@@ -18,9 +18,10 @@ Predicates that only consume almost split sequences at the members and their
 immediate neighbours work over representation-infinite algebras too.  They
 read the AR arrows at a module from ``artheory.local_in_neighbors`` and
 ``artheory.local_out_neighbors``, which compute rad P and I/soc I as the AR
-closure does.  The global ones (convexity in mod A, sections, complete
-slices, torsion pairs) enumerate the indecomposables and raise CapExceeded
-when they cannot.
+closure does.  The slice searches, which hold the finished AR quiver, read
+its arrows and tau-links by node id instead.  The global ones (convexity in
+mod A, sections, complete slices, torsion pairs) enumerate the
+indecomposables and raise CapExceeded when they cannot.
 """
 
 from .exactlin import Matrix, leading_columns, read_coordinates, span_matrix, sparse_echelon
@@ -238,7 +239,14 @@ def count_support_tau_tilting(a: PresentedAlgebra, cap: int = 512) -> int:
 
 class SliceCandidate:
     """A finite set of pairwise non-isomorphic indecomposables, as a subquiver
-    candidate of the AR quiver and as the basic module it sums to."""
+    candidate of the AR quiver and as the basic module it sums to.
+
+    The constructor does not check that invariant; the slice tests rely on
+    it (``size`` counts the summands, and tau-rigidity is read pair by pair
+    on the members).  :func:`slice_candidate` checks it; the searches build
+    candidates from distinct AR-quiver nodes, and the extension checks from
+    a fully faithful image of a candidate.
+    """
 
     __slots__ = ("algebra", "members", "_module")
 
@@ -377,29 +385,56 @@ def _members_connected(sigma: SliceCandidate) -> bool:
     return len(_reachable([0], adj)) == n
 
 
+def _members_tau_rigid(sigma: SliceCandidate) -> bool:
+    """Hom(X, tau Y) = 0 for every ordered pair of members X, Y.
+
+    Hom is additive in both places and tau commutes with sums, so this is
+    the tau-rigidity of the sum (Adachi-Iyama-Reiten, tau-tilting theory,
+    Prop. 2.4); each pair is one rank on Y's own minimal presentation.
+    """
+    return all(_hom_to_tau_vanishes(x, y) for y in sigma.members for x in sigma.members)
+
+
+def _support(sigma: SliceCandidate) -> set:
+    """Indices of the vertices at which some member is nonzero."""
+    return {v for u in sigma.members for v, d in enumerate(u.dims) if d}
+
+
 def is_tau_slice(sigma: SliceCandidate) -> bool:
     """Presection whose module is support tau-tilting.
 
     A tau-rigid presection is automatically support tau-tilting, so the
-    rigidity test decides; the support test is re-run as a consistency
-    check that raises ``ArithmeticError`` when the two disagree.
+    rigidity test decides.  It is read pair by pair on the members,
+    Hom(X, tau Y) = 0 (Adachi-Iyama-Reiten, Prop. 2.4), with no
+    decomposition or presentation of their sum.  The pair criterion, one
+    member per support vertex, is re-checked and raises
+    ``ArithmeticError`` when a rigid presection fails it.
     """
     if not is_presection(sigma):
         return False
-    mod = sigma.module()
-    rigid = is_tau_rigid(mod)
-    if rigid != is_support_tau_tilting(mod):
+    rigid = _members_tau_rigid(sigma)
+    if rigid and sigma.size != len(_support(sigma)):
         raise ArithmeticError("rigid presection failed the support tau-tilting test")
     return rigid
 
 
 def is_complete_tau_slice(sigma: SliceCandidate) -> bool:
-    """Presection whose module is tau-tilting."""
-    if sigma.size != sigma.algebra.quiver.n_vertices:
+    """Presection whose module is tau-tilting.
+
+    That is a presection of one member per vertex whose members are
+    pairwise tau-compatible, Hom(X, tau Y) = 0 for every ordered pair
+    (Adachi-Iyama-Reiten, Prop. 2.4), decided on the members' own
+    presentations with no decomposition of their sum.  A tau-tilting
+    module is sincere; a rigid candidate that is not raises
+    ``ArithmeticError``.
+    """
+    n = sigma.algebra.quiver.n_vertices
+    if sigma.size != n or not is_presection(sigma):
         return False
-    if not is_presection(sigma):
-        return False
-    return is_tau_tilting(sigma.module())
+    rigid = _members_tau_rigid(sigma)
+    if rigid and len(_support(sigma)) != n:
+        raise ArithmeticError("tau-tilting module is not sincere")
+    return rigid
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +712,35 @@ def is_section(sigma: SliceCandidate, arq: ARQuiver) -> bool:
         if len(set(orbit) & idset) != 1:
             return False
     return True
+
+
+def _is_presection_on_ids(arq: ARQuiver, clique) -> bool:
+    """:func:`is_presection` for the nodes ``clique`` of ``arq``, read from
+    its arrows and tau-links by node id.
+
+    For an arrow u -> y out of a member, y is a member, or y has no
+    projective label and tau y (``tau_link``) is a member; for an arrow
+    x -> u into a member, x is a member or the translate of one, that is,
+    x is not injective and tau^{-1} x is a member.  The members must be
+    connected by the arrows among them.
+
+    Precondition: the mesh ending at every member and the one ending at its
+    tau^{-1} are linked, so the arrows at the members and every tau-link the
+    rules read are recorded.  That holds on whatever :func:`ar_quiver`
+    returns; a capped closure must be checked member by member first.
+    """
+    members = set(clique)
+    translates = {arq.tau_link.get(k) for k in members}
+    inner = []
+    for s, t in arq.arrows:
+        if s in members and t in members:
+            inner.append((s, t))
+        elif s in members:
+            if arq.nodes[t].projective_label is not None or arq.tau_link.get(t) not in members:
+                return False
+        elif t in members and s not in translates:
+            return False
+    return bool(members) and _reachable(clique[:1], _undirected(members, inner)) == members
 
 
 def is_complete_slice(sigma: SliceCandidate, max_nodes=512) -> bool:
@@ -1030,6 +1094,8 @@ def quotient_preservation_check(sigma: SliceCandidate, gens) -> QuotientPreserva
     if read_coordinates(ann, leading_columns(ann), gen_span.rows) is None:
         raise ValueError("ideal is not contained in the annihilator of the slice")
     qmap = quotient(a, gens)
+    # inflation along A -> A/I is fully faithful, so the members stay
+    # pairwise non-isomorphic indecomposables
     members_b = [inflate_along_quotient(u, qmap) for u in sigma.members]
     sigma_b = SliceCandidate(qmap.target, members_b)
     preserved = is_tau_slice(sigma_b)
@@ -1173,17 +1239,17 @@ def is_tilted(a: PresentedAlgebra, search_cap=10000, max_nodes=512) -> TiltedVer
     for explored, clique in enumerate(_tau_rigid_cliques(arq, n, n), 1):
         if explored > search_cap:
             return TiltedVerdict("inconclusive", None, explored)
-        if len(clique) < n:
+        if len(clique) < n or not _is_presection_on_ids(arq, clique):
             continue
         members = [nodes[k] for k in clique]
         mod, _i, _p = direct_sum(a, members)
         if annihilator_span(mod).nrows != 0:
             continue
         cand = SliceCandidate(a, members)
-        if is_presection(cand):
-            if not is_complete_tau_slice(cand):
-                raise ArithmeticError("tilted witness is not a complete tau-slice")
-            return TiltedVerdict("tilted", cand, explored)
+        # the module test re-reads the witness's neighbourhood on its own
+        if not is_complete_tau_slice(cand):
+            raise ArithmeticError("tilted witness is not a complete tau-slice")
+        return TiltedVerdict("tilted", cand, explored)
     return TiltedVerdict("not-tilted", None, explored)
 
 
@@ -1200,10 +1266,8 @@ def find_complete_tau_slices(a: PresentedAlgebra, limit=10000, max_nodes=512):
     for explored, clique in enumerate(_tau_rigid_cliques(arq, n, n), 1):
         if explored > limit:
             raise CapExceeded("slice search budget exhausted")
-        if len(clique) == n:
-            cand = SliceCandidate(a, [nodes[k] for k in clique])
-            if is_presection(cand):
-                out.append(cand)
+        if len(clique) == n and _is_presection_on_ids(arq, clique):
+            out.append(SliceCandidate(a, [nodes[k] for k in clique]))
     return out
 
 
@@ -1237,6 +1301,9 @@ def onepoint_slice_extend(
         )
     ope = one_point_extension(a, x, new_vertex=new_vertex, arrow_prefix=arrow_prefix)
     b = ope.algebra
+    # extension by zero is fully faithful, and the new projective is
+    # nonzero at the new vertex, where every old member vanishes: the
+    # members stay pairwise non-isomorphic indecomposables
     members_b = [extend_by_zero(u, b) for u in sigma.members]
     if strong:
         members_b.append(projective(b, ope.new_vertex))
@@ -1281,6 +1348,8 @@ def splitex_check(
     cond_fac = fac_member(q_right, tau_inverse_module(sigma))
     cond_sub = sub_member(q_dual, tau_module(sigma))
     ser = split_extension(c, q)
+    # restriction along the split surjection C + Q -> C is fully faithful,
+    # so the members stay pairwise non-isomorphic indecomposables
     members_b = [
         restrict_scalars(u, ser.algebra, ser.project_arrow_to_base) for u in sigma.members
     ]

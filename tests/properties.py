@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from tauslice import fixtures as fixdata
-from tauslice.algebra import StructureConstants, quotient
+from tauslice.algebra import FieldTooSmall, StructureConstants, quotient
 from tauslice.exactlin import span_matrix
 from tauslice.modrep import (
     Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
@@ -29,7 +29,8 @@ from tauslice.tautilt import (
     SliceCandidate, slice_candidate, member_quiver, is_weakly_convex,
     is_sectionally_convex, is_complete_tau_slice, is_local_slice,
     tau_inverse_module, quotient_preservation_check, count_support_tau_tilting,
-    support_vertices, _component_or_all, _tau_rigid_cliques,
+    support_vertices, is_presection, is_tau_rigid, _component_or_all, _tau_rigid_cliques,
+    _is_presection_on_ids, _members_tau_rigid,
 )
 
 from helpers import digraph_is_acyclic
@@ -552,3 +553,41 @@ def g_vector_failures(a):
     if len({g[k] for k in rigid}) != len(rigid):
         bad.append("two tau-rigid nodes share a g-vector")
     return bad
+
+
+def presection_on_ids_failures(arq: ARQuiver, groups):
+    """(failures, skipped): the presection test on node ids
+    (``tautilt._is_presection_on_ids``) against :func:`is_presection`, which
+    reads the AR arrows at the members from their modules, on each tuple of
+    node ids of ``arq`` in ``groups``.  A group on which ``is_presection``
+    raises ``FieldTooSmall`` is skipped."""
+    nodes = arq.representatives()
+    bad, skipped = [], 0
+    for group in groups:
+        try:
+            expect = is_presection(SliceCandidate(arq.algebra, [nodes[k] for k in group]))
+        except FieldTooSmall:
+            skipped += 1
+            continue
+        if _is_presection_on_ids(arq, group) != expect:
+            bad.append(f"nodes {group}: the id test says {not expect}")
+    return bad, skipped
+
+
+def rigidity_candidates(a):
+    """A candidate for every AR node of ``a``, every pair of AR nodes and
+    every clique of one tau-rigid node per vertex."""
+    arq = ar_quiver(a)
+    nodes = arq.representatives()
+    n = a.quiver.n_vertices
+    groups = [(k,) for k in range(len(nodes))]
+    groups += itertools.combinations(range(len(nodes)), 2)
+    groups += [c for c in _tau_rigid_cliques(arq, n, n) if len(c) == n]
+    return [SliceCandidate(a, [nodes[k] for k in g]) for g in groups]
+
+
+def members_tau_rigid_failures(candidates):
+    """Pairwise tau-rigidity of the members (``tautilt._members_tau_rigid``)
+    against ``is_tau_rigid`` of their direct sum, on each candidate."""
+    return [f"members {[u.dims for u in c.members]}: the pairwise test says {ok}"
+            for c in candidates if (ok := _members_tau_rigid(c)) != is_tau_rigid(c.module())]

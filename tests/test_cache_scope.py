@@ -328,3 +328,23 @@ def test_tau_compatibility_builds_no_translate():
     assert [f"{fn.name}:{node.lineno}" for fn in functions for node in ast.walk(fn)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
             and node.id == "memo"] == []
+
+
+def test_slice_searches_read_the_closure():
+    # the searches test presections on the closure's node ids, arrows and
+    # tau-links, so neither they nor the body of is_tilted's clique loop
+    # re-read an AR neighbourhood or a translate from the modules; the
+    # witness cross-check goes through is_complete_tau_slice, which reads
+    # tau-rigidity pair by pair on the members and decomposes no sum
+    tree = ast.parse((ROOT / "src" / "tauslice" / "tautilt.py").read_text())
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def named(node):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    loop, = [n for n in ast.walk(functions["is_tilted"]) if isinstance(n, ast.For)]
+    searches = named(functions["find_complete_tau_slices"]) | named(loop)
+    assert "_is_presection_on_ids" in searches
+    assert searches & {"is_presection", "local_out_neighbors", "local_in_neighbors",
+                       "decompose", "tau", "tau_inverse"} == set()
+    assert named(functions["is_complete_tau_slice"]) & {"is_tau_tilting", "decompose"} == set()

@@ -300,6 +300,20 @@ def test_ar_quiver_over_f2_matches_q(capsys):
     for key in ("nodes", "arrows", "tau"):
         assert out_f2[key] == out_q[key], key
 
+
+def test_slices_find_ex1_over_f2_matches_f3(capsys):
+    # the search reads the presection rules off the closure's arrows and
+    # tau-links, so it never re-reads the ex1 mesh whose radical needs a
+    # trace form that characteristic 2 cannot carry; ex1 has no complete
+    # tau-slice over any field
+    code_f3, out_f3 = run_json(capsys, "slices", "find", alg_path("ex1"), "--field", "F3")
+    code_f2, out_f2 = run_json(capsys, "slices", "find", alg_path("ex1"), "--field", "F2")
+    assert code_f2 == code_f3 == 1
+    assert out_f2["count"] == 0
+    del out_f3["algebra_hash"], out_f2["algebra_hash"]
+    assert out_f2 == out_f3
+
+
 def test_ar_quiver_dot_deterministic(capsys):
     code1, out1 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")
     code2, out2 = run_cli(capsys, "ar-quiver", alg_path("a3"), "--dot")

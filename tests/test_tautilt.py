@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauslice import fixtures as fixdata
+from tauslice import fixtures as fixdata, tautilt
 from tauslice.algebra import (
     Bimodule, CapExceeded, ideal_bimodule, presentation_isomorphism,
 )
@@ -31,7 +31,10 @@ from tauslice.tautilt import (
 )
 
 from helpers import w, dims_multiset
-from properties import g_vector_failures, is_generalized_standard
+from properties import (
+    g_vector_failures, is_generalized_standard, members_tau_rigid_failures,
+    presection_on_ids_failures, rigidity_candidates,
+)
 
 
 def members_of(a, name, group):
@@ -436,3 +439,70 @@ def test_split_extension_can_break_a_slice(a3):
     assert not report.condition_fac
     assert not report.condition_sub
     assert not report.slice_preserved
+
+
+# ---------------------------------------------------------------------------
+# slice verdicts from the closure's node ids and the members' presentations
+
+FINITE = ("a2", "a3", "ex1", "ex2", "fig1", "fig3", "ex5_tilde", "ex5_a",
+          "ex5_aprime", "ex5_c")
+
+
+def _over(name, field):
+    return parse_algebra_text(fixdata.path(f"{name}.alg").read_text(),
+                              None if field == "Q" else field_from_spec(field))
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F3", "F5"])
+def test_the_presection_on_node_ids_agrees_with_the_module_test(field):
+    for name in FINITE:
+        a = _over(name, field)
+        arq = ar_quiver(a)
+        cliques = _tau_rigid_cliques(arq, a.quiver.n_vertices)
+        bad, skipped = presection_on_ids_failures(arq, cliques)
+        assert bad == [], name
+        # over F2 the module test meets FieldTooSmall on a few ex1 cliques
+        assert skipped == 0 or (name, field) == ("ex1", "F2"), name
+
+
+def test_the_presection_on_node_ids_agrees_on_every_set_of_nodes(ex5_c):
+    # tau-rigid or not: ex5_c has sets of nodes that obey both arrow rules
+    # but are not connected
+    arq = ar_quiver(ex5_c)
+    ids = range(arq.count)
+    groups = [c for k in range(arq.count + 1) for c in itertools.combinations(ids, k)]
+    assert presection_on_ids_failures(arq, groups) == ([], 0)
+
+
+@pytest.mark.parametrize("field", ["Q", "F3", "F5"])
+def test_pairwise_tau_rigidity_agrees_with_the_sum(field):
+    # every node, every pair of nodes and every full-size clique
+    for name in FINITE:
+        assert members_tau_rigid_failures(rigidity_candidates(_over(name, field))) == [], name
+
+
+def test_pairwise_tau_rigidity_agrees_on_the_transported_slices(algebras, monkeypatch):
+    # the candidates that the quotient, one-point and split-extension checks
+    # build inside, on the inputs of the worked examples
+    from tauslice.formats import parse_rep_text
+    seen = []
+    real = tautilt._members_tau_rigid
+    monkeypatch.setattr(tautilt, "_members_tau_rigid", lambda s: seen.append(s) or real(s))
+    at, ap, aa = (algebras[k] for k in ("ex5_tilde", "ex5_aprime", "ex5_a"))
+    pres = quotient_preservation_check(sigma_of(at, "ex5_tilde", "sigma"),
+                                       [at.arrow_element("om")])
+    strong = onepoint_slice_extend(ap, sigma_of(ap, "ex5_aprime", "sigma1"), simple(ap, "2"),
+                                   new_vertex="4", arrow_prefix="de")
+    weak = onepoint_slice_extend(ap, sigma_of(ap, "ex5_aprime", "sigma2"), simple(ap, "2"),
+                                 new_vertex="4", arrow_prefix="de")
+    ib = ideal_bimodule(aa, [aa.arrow_element("al")])
+    c = ib.quotient_map.target
+    sc = slice_candidate(c, [parse_rep_text(fixdata.path(f"ex5_c_{n}.rep").read_text(), c)
+                             for n in fixdata.MEMBER_SETS[("ex5_c", "sigma")]])
+    back = splitex_check(c, sc, ib.bimodule)
+    assert pres.passed and strong.verified and weak.verified and back.slice_preserved
+    built = {id(s.algebra) for s in seen}
+    for target in (pres.qmap.target, strong.extension.algebra, weak.extension.algebra,
+                   back.extension.algebra):
+        assert id(target) in built
+    assert members_tau_rigid_failures(seen) == []
