@@ -21,7 +21,7 @@ import properties  # noqa: E402  (test-side oracles, reused deliberately)
 
 from tauslice import fixtures as fixdata
 from tauslice.algebra import (
-    CapExceeded, ideal_bimodule, one_point_extension, presentation_isomorphism,
+    CapExceeded, ideal_bimodule, isomorphism_failure, one_point_extension,
 )
 from tauslice.modrep import (
     simple, direct_sum, decompose, annihilator_span, is_faithful, is_sincere,
@@ -165,8 +165,11 @@ def show_ex5(algebras):
 
     ext = one_point_extension(ap, simple(ap, "2"),
                               new_vertex="4", arrow_prefix="de")
+    # the paper's identification: the new arrow de1 is de, the rest keep
+    # their names
     check("one-point extension reproduces the quotient algebra",
-          presentation_isomorphism(ext.algebra, aa) is not None)
+          isomorphism_failure(ext.algebra, aa,
+                              *properties.named_map(ext.algebra, aa, {"de1": "de"})) is None)
     s1 = slice_candidate(ap, fixdata.members(ap, "ex5_aprime", "sigma1"))
     res = onepoint_slice_extend(ap, s1, simple(ap, "2"),
                                 new_vertex="4", arrow_prefix="de")
@@ -184,7 +187,8 @@ def show_ex5(algebras):
     check("split extension conditions hold",
           back.condition_fac and back.condition_sub and back.slice_preserved)
     check("split extension reproduces the original algebra",
-          presentation_isomorphism(back.extension.algebra, aa) is not None)
+          isomorphism_failure(back.extension.algebra, aa,
+                              *ib.extension_map(back.extension)) is None)
 
 
 def show_oracles(algebras):

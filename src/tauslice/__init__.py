@@ -28,7 +28,7 @@ from .exactlin import Matrix, QQ, PrimeField
 from .algebra import (
     Quiver, Arrow, PresentedAlgebra, CapExceeded,
     quotient, one_point_extension, one_point_coextension,
-    ideal_bimodule, split_extension, presentation_isomorphism,
+    ideal_bimodule, split_extension,
 )
 from .modrep import (
     Representation, Morphism, simple, projective, injective, dual,
@@ -56,7 +56,7 @@ __all__ = [
     "Matrix", "QQ", "PrimeField",
     "Quiver", "Arrow", "PresentedAlgebra", "CapExceeded",
     "quotient", "one_point_extension", "one_point_coextension",
-    "ideal_bimodule", "split_extension", "presentation_isomorphism",
+    "ideal_bimodule", "split_extension",
     "Representation", "Morphism", "simple", "projective", "injective",
     "dual", "direct_sum", "decompose", "is_isomorphic", "is_indecomposable",
     "hom_basis", "hom_dim", "annihilator_span", "is_faithful", "is_sincere",

@@ -17,7 +17,6 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .exactlin import (
@@ -1214,7 +1213,26 @@ def one_point_coextension(a: PresentedAlgebra, x, new_vertex=None, arrow_prefix=
 
 
 class IdealBimoduleResult(Record):
-    __slots__ = ("quotient_map", "bimodule")
+    """C = A/Q as ``quotient_map.target`` and Q as a C-bimodule, whose
+    coordinates run along ``elts``, a basis of Q in A."""
+
+    __slots__ = ("quotient_map", "bimodule", "elts")
+
+    def extension_map(self, ext: SplitExtensionResult):
+        """The map C + Q -> A, (c, q) -> s(c) + q for the section s by
+        arrow names, as vertex and arrow images of ``ext.algebra`` for
+        :func:`isomorphism_failure`; ``ext`` is the split extension by
+        ``bimodule``."""
+        a, c = self.quotient_map.source, self.quotient_map.target
+        b, n = ext.algebra, ext.base_dim
+        arrows = {}
+        for ai, ar in enumerate(b.quiver.arrows):
+            coords = ext.quiverize.path_images[(b.quiver.arrow_source[ai], (ai,))]
+            img = a.normal_form(_rename(c.element(coords[:n]), c.quiver, a.quiver))
+            for x, q in zip(self.elts, coords[n:]):
+                elt_iadd(img, x, q, a.field)
+            arrows[ar.name] = img
+        return {v: v for v in b.quiver.vertices}, arrows
 
 
 def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
@@ -1269,80 +1287,40 @@ def ideal_bimodule(a: PresentedAlgebra, gens) -> IdealBimoduleResult:
     mu = {divmod(k, m): row for k, row in enumerate(co.rows) if any(row)}
     bim = Bimodule(c, m, left, right, mu)
     bim.check()
-    return IdealBimoduleResult(qmap, bim)
+    return IdealBimoduleResult(qmap, bim, elts)
 
 
 # ---------------------------------------------------------------------------
-# presentation isomorphism (up to vertex/arrow renaming)
+# isomorphism certificates
 
 
-def presentation_isomorphism(a: PresentedAlgebra, b: PresentedAlgebra):
-    """A vertex+arrow bijection making the presentations isomorphic, or None.
+def isomorphism_failure(a: PresentedAlgebra, b: PresentedAlgebra, vertices, arrows):
+    """Why the map A -> B with these images is not an isomorphism, or None.
 
-    Searches vertex bijections compatible with arrow multiplicities; for each,
-    maps arrows (backtracking over parallel bundles, allowing a sign twist per
-    arrow) and accepts when every relation of ``a`` maps to 0 in ``b``.  Equal
-    dimensions plus surjectivity of the induced map then certify an
-    isomorphism.  Returns {"vertices", "arrows", "signs"} or None.
+    ``vertices`` sends each vertex label of A to one of B and ``arrows``
+    each arrow name of A to an element of B.  They define an algebra map
+    kQ_A -> B when the vertex map is a bijection and each arrow s -> t goes
+    into e_s' B e_t'; it factors through A when every relation of A maps to
+    0; and it is an isomorphism when dim A = dim B and the images of A's
+    basis words have full rank.  None certifies all four.
     """
-    if a.field != b.field or a.dim != b.dim:
-        return None
-    qa, qb = a.quiver, b.quiver
-    if qa.n_vertices != qb.n_vertices or len(qa.arrows) != len(qb.arrows):
-        return None
+    qa, fld = a.quiver, b.field
+    if sorted(vertices[v] for v in qa.vertices) != sorted(b.quiver.vertices):
+        return "the vertex map is not a bijection"
+    at = [b.quiver.vertex_index[vertices[v]] for v in qa.vertices]
+    images = [b.normal_form(arrows[ar.name]) for ar in qa.arrows]
+    for ai, img in enumerate(images):
+        corner = (at[qa.arrow_source[ai]], at[qa.arrow_target[ai]])
+        if any((w[0], b.word_target(w)) != corner for w in img):
+            return f"the image of arrow {qa.arrows[ai].name} leaves its corner"
 
-    def bundle(q):
-        out = {}
-        for ar in q.arrows:
-            out.setdefault((ar.source, ar.target), []).append(ar.name)
-        return out
+    def apply(elt):
+        return b.normal_form(_substitute(
+            b.quiver, fld, elt, lambda v: {(at[v], ()): fld.one()}, images.__getitem__))
 
-    ba, bb = bundle(qa), bundle(qb)
-
-    def degree_sig(bun, v):
-        outs = sorted(len(names) for (s, _t), names in bun.items() if s == v)
-        ins = sorted(len(names) for (_s, t), names in bun.items() if t == v)
-        return (tuple(outs), tuple(ins))
-
-    sig_a = {v: degree_sig(ba, v) for v in qa.vertices}
-    sig_b = {v: degree_sig(bb, v) for v in qb.vertices}
-
-    for perm in itertools.permutations(qb.vertices):
-        vmap = dict(zip(qa.vertices, perm))
-        if any(sig_a[v] != sig_b[vmap[v]] for v in qa.vertices):
-            continue
-        if any(
-            len(names) != len(bb.get((vmap[s], vmap[t]), []))
-            for (s, t), names in ba.items()
-        ):
-            continue
-        bundles = sorted(ba.items())
-        choices = []
-        for (s, t), names in bundles:
-            tgt = bb[(vmap[s], vmap[t])]
-            choices.append([dict(zip(names, p)) for p in itertools.permutations(tgt)])
-        for combo in itertools.product(*choices):
-            amap = {}
-            for d in combo:
-                amap.update(d)
-
-            def map_elt(elt, signs, vmap=vmap, amap=amap):
-                fld = b.field
-                out = {}
-                for (src, arrows), c in elt.items():
-                    nsrc = qb.vertex_index[vmap[qa.vertices[src]]]
-                    narrs = tuple(qb.arrow_index[amap[qa.arrows[i].name]] for i in arrows)
-                    for i in arrows:
-                        if signs[qa.arrows[i].name] < 0:
-                            c = fld.neg(c)
-                    out[(nsrc, narrs)] = c
-                return out
-
-            names = [ar.name for ar in qa.arrows]
-            sign_space = [dict(zip(names, s))
-                          for s in itertools.product((1, -1), repeat=len(names))] \
-                if len(names) <= 12 else [dict.fromkeys(names, 1)]
-            for signs in sign_space:
-                if all(not b.normal_form(map_elt(dict(r), signs)) for r in a.relations):
-                    return {"vertices": vmap, "arrows": amap, "signs": signs}
+    if any(apply(dict(r)) for r in a.relations):
+        return "a relation does not map to 0"
+    rows = [b.coords(apply({w: fld.one()})) for w in a.basis]
+    if a.dim != b.dim or Matrix(fld, rows, b.dim).rank() != b.dim:
+        return "the images of the basis words are not a basis"
     return None

@@ -419,22 +419,11 @@ def is_tau_slice(sigma: SliceCandidate) -> bool:
 
 
 def is_complete_tau_slice(sigma: SliceCandidate) -> bool:
-    """Presection whose module is tau-tilting.
-
-    That is a presection of one member per vertex whose members are
-    pairwise tau-compatible, Hom(X, tau Y) = 0 for every ordered pair
-    (Adachi-Iyama-Reiten, Prop. 2.4), decided on the members' own
-    presentations with no decomposition of their sum.  A tau-tilting
-    module is sincere; a rigid candidate that is not raises
-    ``ArithmeticError``.
-    """
-    n = sigma.algebra.quiver.n_vertices
-    if sigma.size != n or not is_presection(sigma):
-        return False
-    rigid = _members_tau_rigid(sigma)
-    if rigid and len(_support(sigma)) != n:
-        raise ArithmeticError("tau-tilting module is not sincere")
-    return rigid
+    """Presection whose module is tau-tilting: a tau-slice with one member
+    per vertex.  With n members, :func:`is_tau_slice`'s cross-check that
+    the size is the support's is the check that a tau-tilting module is
+    sincere."""
+    return sigma.size == sigma.algebra.quiver.n_vertices and is_tau_slice(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 from tauslice import fixtures as fixdata
 from tauslice.algebra import FieldTooSmall, StructureConstants, quotient
 from tauslice.exactlin import span_matrix
+from tauslice.formats import _parse_relation_terms
 from tauslice.modrep import (
     Representation, projective, injective, hom_basis, hom_dim, annihilator, fac_member,
     compose, dual, is_isomorphic, iso_index, top_rep, _morphism_from_vector, _register,
@@ -382,6 +383,27 @@ def structure_constants(a):
     return StructureConstants(a.field, a.dim, table)
 
 
+def named_map(a, b, images=()):
+    """Vertex and arrow images of a map A -> B for
+    ``algebra.isomorphism_failure``: each vertex to B's vertex of the same
+    label, each arrow to B's arrow of the same name, or to ``images[name]``,
+    an element of B written as in a ``.alg`` relation ("c + a*b", "-om")."""
+    images = dict(images)
+    return ({v: v for v in a.quiver.vertices},
+            {ar.name: _parse_relation_terms(images.get(ar.name, ar.name), b.quiver, b.field)
+             for ar in a.quiver.arrows})
+
+
+def path_image_map(qr, a):
+    """The map from ``quiverize(structure_constants(a), ...)``'s presentation
+    to A that its path images give: the i-th vertex to A's i-th vertex, each
+    arrow to the element of A whose coordinates are its path image."""
+    q = qr.algebra.quiver
+    return (dict(zip(q.vertices, a.quiver.vertices)),
+            {ar.name: a.element(qr.path_images[(q.arrow_source[i], (i,))])
+             for i, ar in enumerate(q.arrows)})
+
+
 def stable_hom_dim_mod_injectives(n: Representation, t: Representation) -> int:
     """dim of Hom(n, t) modulo maps factoring through injectives."""
     a = n.algebra
@@ -552,6 +574,42 @@ def g_vector_failures(a):
         bad.append(f"{checked} cliques checked, {counted} counted")
     if len({g[k] for k in rigid}) != len(rigid):
         bad.append("two tau-rigid nodes share a g-vector")
+    return bad
+
+
+def rational_inverse(rows):
+    """The inverse of an invertible square integer matrix, exactly, by
+    Gauss-Jordan elimination over the rationals."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if mat[r][c])
+        mat[c], mat[pivot] = mat[pivot], mat[c]
+        mat[c] = [x / mat[c][c] for x in mat[c]]
+        for r in range(n):
+            if r != c and (f := mat[r][c]):
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    return [row[n:] for row in mat]
+
+
+def euler_form_failures(a):
+    """The Euler form on every ordered pair (M, N) of AR nodes of ``a``, an
+    algebra of global dimension at most 3: hom_dim(M, N) plus the sum over
+    i = 1, 2, 3 of (-1)^i ext_dim(M, N, i) is dim M . C^-1 . dim N^T, where
+    row v of the Cartan matrix C is dim P(v) (Assem-Simson-Skowronski,
+    vol. 1, III.3.13).  C^-1 is found over the rationals here, with none of
+    the engine's linear algebra."""
+    c_inv = rational_inverse([projective(a, v).dims for v in a.quiver.vertices])
+    nodes = ar_quiver(a).representatives()
+    bad = []
+    for i, m in enumerate(nodes):
+        for j, n in enumerate(nodes):
+            alternating = hom_dim(m, n) + sum((-1) ** d * ext_dim(m, n, d) for d in (1, 2, 3))
+            euler = sum(x * c_inv[r][s] * y
+                        for r, x in enumerate(m.dims) for s, y in enumerate(n.dims))
+            if alternating != euler:
+                bad.append(f"nodes {i}, {j}: alternating sum {alternating}, Euler form {euler}")
     return bad
 
 

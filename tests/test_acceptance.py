@@ -12,7 +12,7 @@ import pytest
 import properties
 from tauslice import fixtures as fixdata
 from tauslice.algebra import (
-    CapExceeded, ideal_bimodule, one_point_extension, presentation_isomorphism,
+    CapExceeded, ideal_bimodule, isomorphism_failure, one_point_extension,
 )
 from tauslice.exactlin import Matrix, QQ
 from tauslice.modrep import (
@@ -185,10 +185,10 @@ def test_criterion_6_slice_transport_chain(ex5_tilde, ex5_aprime, ex5_a):
     assert is_tau_slice(sigma_a)
     assert is_complete_tau_slice(sigma_a)
 
-    assert presentation_isomorphism(
-        one_point_extension(ex5_aprime, simple(ex5_aprime, "2"),
-                            new_vertex="4", arrow_prefix="de").algebra,
-        ex5_a) is not None
+    ext = one_point_extension(ex5_aprime, simple(ex5_aprime, "2"),
+                              new_vertex="4", arrow_prefix="de").algebra
+    assert isomorphism_failure(
+        ext, ex5_a, *properties.named_map(ext, ex5_a, {"de1": "de"})) is None
 
     sigma1 = sigma_of(ex5_aprime, "ex5_aprime", "sigma1")
     res = onepoint_slice_extend(ex5_aprime, sigma1, simple(ex5_aprime, "2"),
@@ -223,7 +223,8 @@ def test_criterion_6_slice_transport_chain(ex5_tilde, ex5_aprime, ex5_a):
     back = splitex_check(c, sigma_c, ib.bimodule)
     assert back.condition_fac and back.condition_sub and back.slice_preserved
     assert back.annihilator_equals_ideal
-    assert presentation_isomorphism(back.extension.algebra, ex5_a) is not None
+    assert isomorphism_failure(back.extension.algebra, ex5_a,
+                               *ib.extension_map(back.extension)) is None
 
     # one node per indecomposable: P1 = I2, P2 = I1, P3, P4, I3, I4, the
     # four simples, rad P1 and P1/soc P1.  The component is finite and the

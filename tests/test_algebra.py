@@ -7,15 +7,16 @@ from tauslice import fixtures as fixdata
 from tauslice.exactlin import QQ
 from tauslice.algebra import (
     radical_span,
-    Arrow, Quiver, build_algebra, quotient, quiverize, presentation_isomorphism,
+    Arrow, Quiver, build_algebra, quotient, quiverize, isomorphism_failure,
     one_point_extension, one_point_coextension, ideal_bimodule, split_extension,
     Bimodule, MalformedRelation, NonAdmissible, NotNilpotent, Record,
 )
 from tauslice.artheory import is_hereditary
 from tauslice.exactlin import Matrix
+from tauslice.formats import field_from_spec, parse_algebra_text
 
 from helpers import w
-from properties import structure_constants, unit
+from properties import named_map, path_image_map, structure_constants, unit
 
 EXPECTED_DIMS = {
     "a2": 3, "a3": 6, "ex1": 10, "ex2": 10, "fig1": 12, "fig2": 9,
@@ -68,7 +69,7 @@ def test_coords_element_round_trip(ex5_tilde):
 def test_opposite_involution(ex2):
     op = ex2.opposite()
     assert op.dim == ex2.dim
-    assert presentation_isomorphism(op.opposite(), ex2) is not None
+    assert isomorphism_failure(op.opposite(), ex2, *named_map(ex2, ex2)) is None
     # reversing twice through the anti-isomorphism is the identity
     x = ex2.arrow_element("de")
     assert op.reverse_element(ex2.reverse_element(x)) == x
@@ -89,7 +90,7 @@ def test_quotient_matches_packaged_files(ex5_tilde):
 def test_quotient_by_nothing_is_identity_presentation(a3):
     qm = quotient(a3, [])
     assert qm.target.dim == a3.dim
-    assert presentation_isomorphism(qm.target, a3) is not None
+    assert isomorphism_failure(qm.target, a3, *named_map(a3, a3)) is None
 
 
 def test_arrow_is_an_immutable_value():
@@ -121,7 +122,9 @@ def test_one_point_extension_shape(ex5_aprime, ex5_a):
     assert res.new_vertex == "4"
     assert len(res.new_arrows) == 1
     assert res.algebra.dim == 8
-    assert presentation_isomorphism(res.algebra, ex5_a) is not None
+    # the paper's identification: the new arrow de1 is de
+    assert isomorphism_failure(res.algebra, ex5_a,
+                               *named_map(res.algebra, ex5_a, {"de1": "de"})) is None
 
 
 def test_one_point_extension_keeps_only_generating_relations(a3):
@@ -183,7 +186,7 @@ def test_one_point_coextension_of_line(a2):
     )
 
 
-def test_presentation_isomorphism_handles_sign_twists():
+def test_isomorphism_certificate_accepts_a_sign_twist():
     qt = Quiver(["1", "2", "3", "4"], [
         Arrow("al", "1", "3"), Arrow("be", "3", "2"), Arrow("ga", "2", "1"),
         Arrow("om", "1", "4"), Arrow("de", "4", "2"),
@@ -198,10 +201,28 @@ def test_presentation_isomorphism_handles_sign_twists():
             {w(qt, "2", "ga", "al"): Fraction(1)},
         ])
 
-    assert presentation_isomorphism(build(Fraction(-1)), build(Fraction(1))) is not None
+    minus, plus = build(Fraction(-1)), build(Fraction(1))
+    # al*be - om*de goes to al*be + om*de under om -> -om
+    assert isomorphism_failure(minus, plus, *named_map(minus, plus, {"om": "-om"})) is None
+    assert isomorphism_failure(minus, plus, *named_map(minus, plus)) is not None
 
 
-def test_presentation_isomorphism_rejects_different_algebras():
+def test_isomorphism_certificate_rejects_an_image_outside_its_corner(a3):
+    # a: 1 -> 2 cannot go to b: 2 -> 3
+    why = isomorphism_failure(a3, a3, *named_map(a3, a3, {"a": "b"}))
+    assert why == "the image of arrow a leaves its corner"
+
+
+def test_isomorphism_certificate_rejects_a_relation_not_killed(a3):
+    # the identity on names from a3/(a*b) to a3 sends a*b to a nonzero path
+    b = quotient(a3, [{w(a3.quiver, "1", "a", "b"): Fraction(1)}]).target
+    why = isomorphism_failure(b, a3, *named_map(b, a3))
+    assert why == "a relation does not map to 0"
+
+
+def test_isomorphism_certificate_rejects_a_rank_deficit():
+    # the Kronecker algebra to the two-cycle with rad^2 = 0, both of
+    # dimension 4: both Kronecker arrows go to the one arrow 1 -> 2
     qk = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
     kron = build_algebra(qk, [])
     qc = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "2", "1")])
@@ -210,7 +231,45 @@ def test_presentation_isomorphism_rejects_different_algebras():
         {w(qc, "2", "b", "a"): Fraction(1)},
     ])
     assert kron.dim == cyc.dim == 4
-    assert presentation_isomorphism(kron, cyc) is None
+    why = isomorphism_failure(kron, cyc, *named_map(kron, cyc, {"b": "a"}))
+    assert why == "the images of the basis words are not a basis"
+
+
+def test_isomorphism_certificate_maps_an_arrow_to_a_sum_of_paths():
+    # relation c*d against c*d + a*b*d: c -> c + a*b carries the first to
+    # the second, while the identity leaves c*d nonzero.  Paths compose
+    # left to right, so c -> c - a*b would not do.
+    q = Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                      Arrow("c", "1", "3"), Arrow("d", "3", "4")])
+    plain = build_algebra(q, [{w(q, "1", "c", "d"): Fraction(1)}])
+    mixed = build_algebra(q, [{w(q, "1", "c", "d"): Fraction(1),
+                               w(q, "1", "a", "b", "d"): Fraction(1)}])
+    assert isomorphism_failure(plain, mixed, *named_map(plain, mixed, {"c": "c + a*b"})) is None
+    assert isomorphism_failure(plain, mixed, *named_map(plain, mixed, {"c": "c - a*b"})) \
+        == "a relation does not map to 0"
+    assert isomorphism_failure(plain, mixed, *named_map(plain, mixed)) \
+        == "a relation does not map to 0"
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_construction_map_certifies_every_arrow_ideal(field):
+    # C + Q -> A, (c, q) -> s(c) + q, for the ideal Q of each arrow of each
+    # fixture where the section s by arrow names is an algebra map
+    certified = 0
+    for name in fixdata.ALGEBRAS:
+        a = parse_algebra_text(fixdata.path(f"{name}.alg").read_text(),
+                               None if field == "Q" else field_from_spec(field))
+        for ar in a.quiver.arrows:
+            try:
+                ib = ideal_bimodule(a, [a.arrow_element(ar.name)])
+            except ValueError as e:
+                assert str(e).startswith("canonical section is not an algebra map"), (name, e)
+                continue
+            ext = split_extension(ib.quotient_map.target, ib.bimodule)
+            assert isomorphism_failure(ext.algebra, a, *ib.extension_map(ext)) is None, \
+                (name, ar.name)
+            certified += 1
+    assert certified == 35
 
 
 def _vertex_idempotents(a):
@@ -227,7 +286,7 @@ def test_quiverize_recovers_presentation(ex5_aprime):
     a = ex5_aprime
     res = quiverize(structure_constants(a), _vertex_idempotents(a), _path_radical(a))
     assert res.algebra.dim == ex5_aprime.dim
-    assert presentation_isomorphism(res.algebra, ex5_aprime) is not None
+    assert isomorphism_failure(res.algebra, a, *path_image_map(res, a)) is None
 
 
 @pytest.mark.parametrize("name", ["a3", "ex1", "fig1"])
@@ -237,7 +296,8 @@ def test_quiverize_certificate_rejects_bad_input(name):
     # matching structure constants) is what rejects each corruption
     a = fixdata.algebra(name)
     sc, idems, rad = structure_constants(a), _vertex_idempotents(a), _path_radical(a)
-    assert presentation_isomorphism(quiverize(sc, idems, rad).algebra, a) is not None
+    qr = quiverize(sc, idems, rad)
+    assert isomorphism_failure(qr.algebra, a, *path_image_map(qr, a)) is None
     merged = tuple(x + y for x, y in zip(idems[0], idems[1]))
     corrupted = {"dropped idempotent": (idems[1:], rad),
                  "repeated idempotent": (idems + idems[:1], rad),

@@ -404,6 +404,23 @@ def test_extend_split_reproduces_input(capsys):
     assert out["ideal_dimension"] == 1
 
 
+def test_extend_split_exits_2_when_the_map_is_no_isomorphism(capsys, monkeypatch):
+    # a map that sends every arrow to 0 kills the relations but is not
+    # bijective: the verdict is an error, never a "no"
+    from tauslice.algebra import IdealBimoduleResult
+    honest = IdealBimoduleResult.extension_map
+
+    def corrupted(self, ext):
+        vertices, arrows = honest(self, ext)
+        return vertices, dict.fromkeys(arrows, {})
+
+    monkeypatch.setattr(IdealBimoduleResult, "extension_map", corrupted)
+    code, out = run_json(capsys, "extend", "split", alg_path("ex5_a"), "-r", "al")
+    assert code == 2
+    assert out["error"].startswith("ArithmeticError: ")
+    assert "reproduces_input" not in out
+
+
 def test_extend_trivial(capsys):
     code, out = run_json(capsys, "extend", "trivial", alg_path("ex5_c"))
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tauslice import fixtures as fixdata, tautilt
 from tauslice.algebra import (
-    Bimodule, CapExceeded, ideal_bimodule, presentation_isomorphism,
+    Bimodule, CapExceeded, ideal_bimodule, isomorphism_failure,
 )
 from tauslice.exactlin import Matrix, QQ
 from tauslice.formats import field_from_spec, parse_algebra_text, print_algebra
@@ -32,7 +32,7 @@ from tauslice.tautilt import (
 
 from helpers import w, dims_multiset
 from properties import (
-    g_vector_failures, is_generalized_standard, members_tau_rigid_failures,
+    g_vector_failures, is_generalized_standard, members_tau_rigid_failures, named_map,
     presection_on_ids_failures, rigidity_candidates,
 )
 
@@ -372,7 +372,8 @@ def test_onepoint_slice_extension(ex5_aprime, ex5_a):
                                 new_vertex="4", arrow_prefix="de")
     assert res.verified
     assert res.complete
-    assert presentation_isomorphism(res.extension.algebra, ex5_a) is not None
+    b = res.extension.algebra
+    assert isomorphism_failure(b, ex5_a, *named_map(b, ex5_a, {"de1": "de"})) is None
     assert sorted(res.slice.dim_vectors()) == [
         (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
 
@@ -406,7 +407,8 @@ def test_split_extension_recovers_algebra(ex5_a):
     assert report.condition_sub
     assert report.slice_preserved
     assert report.annihilator_equals_ideal
-    assert presentation_isomorphism(report.extension.algebra, ex5_a) is not None
+    assert isomorphism_failure(report.extension.algebra, ex5_a,
+                               *ib.extension_map(report.extension)) is None
 
 
 def test_relation_extension_round_trip(ex5_c, ex5_tilde):
@@ -415,8 +417,11 @@ def test_relation_extension_round_trip(ex5_c, ex5_tilde):
     report = splitex_check(ex5_c, sig, bim)
     assert report.condition_fac and report.condition_sub
     assert report.slice_preserved
-    assert presentation_isomorphism(report.extension.algebra,
-                                    ex5_tilde) is not None
+    # the presentation of C + E names its arrows a1 ... a5; with a5 -> -de,
+    # its relation a1*a4 + a2*a5 is ex5_tilde's al*be - om*de
+    b = report.extension.algebra
+    images = {"a1": "al", "a2": "om", "a3": "ga", "a4": "be", "a5": "-de"}
+    assert isomorphism_failure(b, ex5_tilde, *named_map(b, ex5_tilde, images)) is None
 
 
 def test_split_extension_can_break_a_slice(a3):
